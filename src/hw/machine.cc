@@ -58,6 +58,106 @@ make_kernel(const MachineConfig &cfg)
     return std::make_unique<sim::ShardedSimulator>(sc);
 }
 
+using obs::counter_field;
+using obs::gauge_field;
+using obs::histogram_field;
+
+// Per-cell stats schemas (register_stats()): a cell's path is
+// "cell<N>." + schema prefix + field name.
+
+constexpr obs::StatField msc_fields[] = {
+    counter_field<&MscStats::putsSent>("puts_sent"),
+    counter_field<&MscStats::getsSent>("gets_sent"),
+    counter_field<&MscStats::sendsSent>("sends_sent"),
+    counter_field<&MscStats::getRepliesSent>("get_replies_sent"),
+    counter_field<&MscStats::putsReceived>("puts_received"),
+    counter_field<&MscStats::sendsReceived>("sends_received"),
+    counter_field<&MscStats::getRequestsReceived>(
+        "get_requests_received"),
+    counter_field<&MscStats::getRepliesReceived>("get_replies_received"),
+    counter_field<&MscStats::remoteStores>("remote_stores"),
+    counter_field<&MscStats::remoteLoads>("remote_loads"),
+    counter_field<&MscStats::acksReceived>("acks_received"),
+    counter_field<&MscStats::payloadBytesSent>("payload_bytes_sent"),
+    counter_field<&MscStats::payloadBytesReceived>(
+        "payload_bytes_received"),
+    counter_field<&MscStats::localFaults>("local_faults"),
+    counter_field<&MscStats::remoteFaults>("remote_faults"),
+    counter_field<&MscStats::flushedMessages>("flushed_messages"),
+    histogram_field<&MscStats::cmdLatencyUs>("cmd_latency_us"),
+    {"messages_sent", obs::StatKind::gauge,
+     [](const void *row) {
+         const auto &m = *static_cast<const MscStats *>(row);
+         return m.putsSent + m.getsSent + m.sendsSent;
+     },
+     nullptr},
+};
+
+constexpr obs::StatField queue_fields[] = {
+    counter_field<&QueueStats::pushes>("pushes"),
+    counter_field<&QueueStats::pops>("pops"),
+    counter_field<&QueueStats::spills>("spills"),
+    counter_field<&QueueStats::refillInterrupts>("refill_interrupts"),
+    gauge_field<&QueueStats::maxHwDepth>("max_hw_depth"),
+    gauge_field<&QueueStats::maxSpillDepth>("max_spill_depth"),
+};
+
+constexpr obs::StatField mc_fields[] = {
+    counter_field<&McStats::flagIncrements>("flag_increments"),
+    counter_field<&McStats::flagFaults>("flag_faults"),
+    counter_field<&McStats::loads>("loads"),
+    counter_field<&McStats::stores>("stores"),
+    counter_field<&McStats::accessFaults>("access_faults"),
+};
+
+constexpr obs::StatField commreg_fields[] = {
+    counter_field<&CommRegStats::stores>("stores"),
+    counter_field<&CommRegStats::loads>("loads"),
+    counter_field<&CommRegStats::stalledLoads>("stalled_loads"),
+};
+
+constexpr obs::StatField mmu_fields[] = {
+    counter_field<&TlbStats::hits>("tlb_hits"),
+    counter_field<&TlbStats::misses>("tlb_misses"),
+    counter_field<&TlbStats::faults>("page_faults"),
+};
+
+constexpr obs::StatField ring_fields[] = {
+    counter_field<&RingBufferStats::deposits>("deposits"),
+    counter_field<&RingBufferStats::receives>("receives"),
+    counter_field<&RingBufferStats::copies>("copies"),
+    counter_field<&RingBufferStats::inPlaceReads>("in_place_reads"),
+    counter_field<&RingBufferStats::growInterrupts>("grow_interrupts"),
+    gauge_field<&RingBufferStats::maxDepth>("max_depth"),
+    gauge_field<&RingBufferStats::maxBytes>("max_bytes"),
+};
+
+/** Bound only when the fault plan injects something. */
+constexpr obs::StatField fault_fields[] = {
+    gauge_field<&sim::FaultInjector::HoldStats::heldHighWater>(
+        "held_high_water"),
+    counter_field<&sim::FaultInjector::HoldStats::dupEvictions>(
+        "dup_evictions"),
+    counter_field<&sim::FaultInjector::HoldStats::reorderEvictions>(
+        "reorder_evictions"),
+};
+
+/** Bound only with the reliable layer on. */
+constexpr obs::StatField rnet_fields[] = {
+    counter_field<&net::RnetStats::dataSent>("data_sent"),
+    counter_field<&net::RnetStats::retransmits>("retransmits"),
+    counter_field<&net::RnetStats::acksPiggybacked>("acks_piggybacked"),
+    counter_field<&net::RnetStats::queuedFull>("queued_full"),
+    gauge_field<&net::RnetStats::windowHighWater>("window_high_water"),
+    counter_field<&net::RnetStats::abortedMsgs>("aborted"),
+    counter_field<&net::RnetStats::dupDrops>("dup_drops"),
+    counter_field<&net::RnetStats::oooBuffered>("ooo_buffered"),
+    counter_field<&net::RnetStats::oooEvictions>("ooo_evictions"),
+    counter_field<&net::RnetStats::checksumDrops>("checksum_drops"),
+    counter_field<&net::RnetStats::acksSent>("acks_sent"),
+    histogram_field<&net::RnetStats::ackLatencyUs>("ack_latency_us"),
+};
+
 } // namespace
 
 sim::ShardedSimulator *
@@ -330,130 +430,41 @@ Machine::register_stats()
     statsReg.add_gauge("comm.retry.giveup",
                        [this]() { return retryGiveups.load(); });
 
-    // Per-cell subtrees.
-    for (auto &cp : cells) {
-        Cell *c = cp.get();
-        std::string p = strprintf("cell%d.", c->id());
-
-        const MscStats &m = c->msc().stats();
-        statsReg.add_counter(p + "msc.puts_sent", &m.putsSent);
-        statsReg.add_counter(p + "msc.gets_sent", &m.getsSent);
-        statsReg.add_counter(p + "msc.sends_sent", &m.sendsSent);
-        statsReg.add_counter(p + "msc.get_replies_sent",
-                             &m.getRepliesSent);
-        statsReg.add_counter(p + "msc.puts_received",
-                             &m.putsReceived);
-        statsReg.add_counter(p + "msc.sends_received",
-                             &m.sendsReceived);
-        statsReg.add_counter(p + "msc.get_requests_received",
-                             &m.getRequestsReceived);
-        statsReg.add_counter(p + "msc.get_replies_received",
-                             &m.getRepliesReceived);
-        statsReg.add_counter(p + "msc.remote_stores",
-                             &m.remoteStores);
-        statsReg.add_counter(p + "msc.remote_loads", &m.remoteLoads);
-        statsReg.add_counter(p + "msc.acks_received",
-                             &m.acksReceived);
-        statsReg.add_counter(p + "msc.payload_bytes_sent",
-                             &m.payloadBytesSent);
-        statsReg.add_counter(p + "msc.payload_bytes_received",
-                             &m.payloadBytesReceived);
-        statsReg.add_counter(p + "msc.local_faults", &m.localFaults);
-        statsReg.add_counter(p + "msc.remote_faults",
-                             &m.remoteFaults);
-        statsReg.add_counter(p + "msc.flushed_messages",
-                             &m.flushedMessages);
-        statsReg.add_histogram(p + "msc.cmd_latency_us",
-                               &m.cmdLatencyUs);
-        statsReg.add_gauge(p + "msc.messages_sent", [ms = &m]() {
-            return ms->putsSent + ms->getsSent + ms->sendsSent;
-        });
-
-        auto add_queue = [&](const char *name,
-                             const CommandQueue &q) {
-            const QueueStats &qs = q.stats();
-            std::string qp = p + "msc." + name + ".";
-            statsReg.add_counter(qp + "pushes", &qs.pushes);
-            statsReg.add_counter(qp + "pops", &qs.pops);
-            statsReg.add_counter(qp + "spills", &qs.spills);
-            statsReg.add_counter(qp + "refill_interrupts",
-                                 &qs.refillInterrupts);
-            statsReg.add_gauge(qp + "max_hw_depth", &qs.maxHwDepth);
-            statsReg.add_gauge(qp + "max_spill_depth",
-                               &qs.maxSpillDepth);
-        };
-        add_queue("user_queue", c->msc().user_queue());
-        add_queue("system_queue", c->msc().system_queue());
-        add_queue("remote_queue", c->msc().remote_queue());
-        add_queue("get_reply_queue", c->msc().get_reply_queue());
-        add_queue("load_reply_queue", c->msc().load_reply_queue());
-
-        const McStats &mc = c->mc().stats();
-        statsReg.add_counter(p + "mc.flag_increments",
-                             &mc.flagIncrements);
-        statsReg.add_counter(p + "mc.flag_faults", &mc.flagFaults);
-        statsReg.add_counter(p + "mc.loads", &mc.loads);
-        statsReg.add_counter(p + "mc.stores", &mc.stores);
-        statsReg.add_counter(p + "mc.access_faults",
-                             &mc.accessFaults);
-
-        const CommRegStats &cr = c->mc().regs().stats();
-        statsReg.add_counter(p + "commreg.stores", &cr.stores);
-        statsReg.add_counter(p + "commreg.loads", &cr.loads);
-        statsReg.add_counter(p + "commreg.stalled_loads",
-                             &cr.stalledLoads);
-
-        const TlbStats &tlb = c->mc().mmu().stats();
-        statsReg.add_counter(p + "mmu.tlb_hits", &tlb.hits);
-        statsReg.add_counter(p + "mmu.tlb_misses", &tlb.misses);
-        statsReg.add_counter(p + "mmu.page_faults", &tlb.faults);
-
-        const RingBufferStats &rb = c->ring().stats();
-        statsReg.add_counter(p + "ring.deposits", &rb.deposits);
-        statsReg.add_counter(p + "ring.receives", &rb.receives);
-        statsReg.add_counter(p + "ring.copies", &rb.copies);
-        statsReg.add_counter(p + "ring.in_place_reads",
-                             &rb.inPlaceReads);
-        statsReg.add_counter(p + "ring.grow_interrupts",
-                             &rb.growInterrupts);
-        statsReg.add_gauge(p + "ring.max_depth", &rb.maxDepth);
-        statsReg.add_gauge(p + "ring.max_bytes", &rb.maxBytes);
-
-        if (cfg.faults.any()) {
-            const sim::FaultInjector::HoldStats &h =
-                faultInj.hold_stats(c->id());
-            statsReg.add_gauge(p + "fault.held_high_water",
-                               &h.heldHighWater);
-            statsReg.add_counter(p + "fault.dup_evictions",
-                                 &h.dupEvictions);
-            statsReg.add_counter(p + "fault.reorder_evictions",
-                                 &h.reorderEvictions);
-        }
-
-        if (rnetNet) {
-            const net::RnetStats &rn = rnetNet->stats(c->id());
-            statsReg.add_counter(p + "rnet.data_sent", &rn.dataSent);
-            statsReg.add_counter(p + "rnet.retransmits",
-                                 &rn.retransmits);
-            statsReg.add_counter(p + "rnet.acks_piggybacked",
-                                 &rn.acksPiggybacked);
-            statsReg.add_counter(p + "rnet.queued_full",
-                                 &rn.queuedFull);
-            statsReg.add_gauge(p + "rnet.window_high_water",
-                               &rn.windowHighWater);
-            statsReg.add_counter(p + "rnet.aborted",
-                                 &rn.abortedMsgs);
-            statsReg.add_counter(p + "rnet.dup_drops", &rn.dupDrops);
-            statsReg.add_counter(p + "rnet.ooo_buffered",
-                                 &rn.oooBuffered);
-            statsReg.add_counter(p + "rnet.ooo_evictions",
-                                 &rn.oooEvictions);
-            statsReg.add_counter(p + "rnet.checksum_drops",
-                                 &rn.checksumDrops);
-            statsReg.add_counter(p + "rnet.acks_sent", &rn.acksSent);
-            statsReg.add_histogram(p + "rnet.ack_latency_us",
-                                   &rn.ackLatencyUs);
-        }
+    // Per-cell subtrees: one schema per component stats struct, one
+    // row pointer per cell.
+    using Id = obs::StatsRegistry::SchemaId;
+    Id msc = statsReg.add_schema("msc.", msc_fields);
+    Id queues[] = {
+        statsReg.add_schema("msc.user_queue.", queue_fields),
+        statsReg.add_schema("msc.system_queue.", queue_fields),
+        statsReg.add_schema("msc.remote_queue.", queue_fields),
+        statsReg.add_schema("msc.get_reply_queue.", queue_fields),
+        statsReg.add_schema("msc.load_reply_queue.", queue_fields),
+    };
+    Id mc = statsReg.add_schema("mc.", mc_fields);
+    Id commreg = statsReg.add_schema("commreg.", commreg_fields);
+    Id mmu = statsReg.add_schema("mmu.", mmu_fields);
+    Id ring = statsReg.add_schema("ring.", ring_fields);
+    Id fault = statsReg.add_schema("fault.", fault_fields);
+    Id rnet = statsReg.add_schema("rnet.", rnet_fields);
+    for (const auto &cp : cells) {
+        const Cell &c = *cp;
+        int i = c.id();
+        const Msc &m = c.msc();
+        statsReg.set_row(msc, i, &m.stats());
+        statsReg.set_row(queues[0], i, &m.user_queue().stats());
+        statsReg.set_row(queues[1], i, &m.system_queue().stats());
+        statsReg.set_row(queues[2], i, &m.remote_queue().stats());
+        statsReg.set_row(queues[3], i, &m.get_reply_queue().stats());
+        statsReg.set_row(queues[4], i, &m.load_reply_queue().stats());
+        statsReg.set_row(mc, i, &c.mc().stats());
+        statsReg.set_row(commreg, i, &c.mc().regs().stats());
+        statsReg.set_row(mmu, i, &c.mc().mmu().stats());
+        statsReg.set_row(ring, i, &c.ring().stats());
+        if (cfg.faults.any())
+            statsReg.set_row(fault, i, &faultInj.hold_stats(i));
+        if (rnetNet)
+            statsReg.set_row(rnet, i, &rnetNet->stats(i));
     }
 }
 

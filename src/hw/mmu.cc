@@ -1,5 +1,7 @@
 #include "hw/mmu.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace ap::hw
@@ -16,11 +18,6 @@ page_mask(std::size_t bits)
 
 } // namespace
 
-Mmu::Mmu()
-    : smallTlb(small_tlb_entries), largeTlb(large_tlb_entries)
-{
-}
-
 void
 Mmu::map(Addr vaddr, Addr paddr, bool large, bool writable)
 {
@@ -31,16 +28,42 @@ Mmu::map(Addr vaddr, Addr paddr, bool large, bool writable)
     if (paddr & page_mask(bits))
         fatal("map: physical %#llx not aligned to %zu-bit page",
               static_cast<unsigned long long>(paddr), bits);
+    if (vaddr >= logical_bytes)
+        fatal("map: logical %#llx outside the 32-bit logical space",
+              static_cast<unsigned long long>(vaddr));
+    materialize();
     Addr vpn = vaddr >> bits;
-    table[(vpn << 1) | (large ? 1 : 0)] =
-        PageEntry{paddr >> bits, large, writable};
+    std::vector<PageEntry> &table = large ? largeTable : smallTable;
+    if (vpn >= table.size())
+        table.resize(vpn + 1);
+    table[vpn] = PageEntry{paddr >> bits, true, writable};
+
+    // Drop the TLB entries this mapping makes stale: the large page
+    // covering it, which would otherwise keep answering for a newly
+    // shadowed range, and every small entry inside the mapped page,
+    // including the 4 KB slices translate() caches of a large page.
+    auto drop = [](auto &tlb, Addr v) {
+        TlbEntry &e = tlb[v % tlb.size()];
+        if (e.valid && e.vpn == v)
+            e.valid = false;
+    };
+    drop(largeTlb, vaddr >> large_page_bits);
+    Addr first = vaddr >> small_page_bits;
+    Addr last = first + (Addr{1} << (bits - small_page_bits));
+    for (Addr s = first; s < last; ++s)
+        drop(smallTlb, s);
 }
 
 void
 Mmu::unmap(Addr vaddr)
 {
-    table.erase((vaddr >> small_page_bits) << 1);
-    table.erase(((vaddr >> large_page_bits) << 1) | 1);
+    materialize();
+    Addr svpn = vaddr >> small_page_bits;
+    if (svpn < smallTable.size())
+        smallTable[svpn] = PageEntry{};
+    Addr lvpn = vaddr >> large_page_bits;
+    if (lvpn < largeTable.size())
+        largeTable[lvpn] = PageEntry{};
     flush_tlb();
 }
 
@@ -49,9 +72,41 @@ Mmu::map_linear(std::size_t bytes, bool writable)
 {
     Addr pages = (bytes + page_mask(small_page_bits)) >>
                  small_page_bits;
+    if (pages > logical_bytes >> small_page_bits)
+        fatal("map_linear: %zu bytes exceed the 32-bit logical space",
+              bytes);
+    if (identityPages == 0 && smallTable.empty() && largeTable.empty()) {
+        identityPages = pages;
+        identityWritable = writable;
+        return;
+    }
     for (Addr p = 0; p < pages; ++p)
         map(p << small_page_bits, p << small_page_bits, false,
             writable);
+}
+
+void
+Mmu::materialize()
+{
+    if (identityPages == 0)
+        return;
+    smallTable.resize(identityPages);
+    for (Addr p = 0; p < identityPages; ++p)
+        smallTable[p] = PageEntry{p, true, identityWritable};
+    identityPages = 0;
+}
+
+bool
+Mmu::has_small_pages(Addr lvpn) const
+{
+    constexpr Addr per_large = Addr{1}
+                               << (large_page_bits - small_page_bits);
+    Addr first = lvpn * per_large;
+    Addr end = std::min<Addr>(first + per_large, smallTable.size());
+    for (Addr p = first; p < end; ++p)
+        if (smallTable[p].valid)
+            return true;
+    return false;
 }
 
 std::optional<Mmu::PageEntry>
@@ -59,18 +114,17 @@ Mmu::lookup_table(Addr vaddr, Addr &vpn_out, bool &large_out) const
 {
     // Small pages take precedence; a large mapping acts as backstop.
     Addr svpn = vaddr >> small_page_bits;
-    auto it = table.find(svpn << 1);
-    if (it != table.end()) {
-        vpn_out = svpn;
-        large_out = false;
-        return it->second;
-    }
+    vpn_out = svpn;
+    large_out = false;
+    if (svpn < identityPages)
+        return PageEntry{svpn, true, identityWritable};
+    if (svpn < smallTable.size() && smallTable[svpn].valid)
+        return smallTable[svpn];
     Addr lvpn = vaddr >> large_page_bits;
-    it = table.find((lvpn << 1) | 1);
-    if (it != table.end()) {
+    if (lvpn < largeTable.size() && largeTable[lvpn].valid) {
         vpn_out = lvpn;
         large_out = true;
-        return it->second;
+        return largeTable[lvpn];
     }
     return std::nullopt;
 }
@@ -126,16 +180,26 @@ Mmu::translate(Addr vaddr, bool write)
         return t;
     }
 
-    // Fill the appropriate TLB (direct-mapped replacement).
+    // Fill the appropriate TLB (direct-mapped replacement). A large
+    // page with small pages mapped inside it is cached one 4 KB slice
+    // at a time: a large entry would answer for the small pages too.
+    Addr frame = entry->pframe;
+    if (large && has_small_pages(vpn)) {
+        constexpr std::size_t slice_bits =
+            large_page_bits - small_page_bits;
+        large = false;
+        vpn = vaddr >> small_page_bits;
+        frame = (frame << slice_bits) | (vpn & page_mask(slice_bits));
+    }
     if (large) {
-        TlbEntry &e = largeTlb[vpn % large_tlb_entries];
-        e = TlbEntry{true, vpn, entry->pframe, entry->writable};
-        t.paddr = (entry->pframe << large_page_bits) |
+        largeTlb[vpn % large_tlb_entries] =
+            TlbEntry{vpn, frame, true, entry->writable};
+        t.paddr = (frame << large_page_bits) |
                   (vaddr & page_mask(large_page_bits));
     } else {
-        TlbEntry &e = smallTlb[vpn % small_tlb_entries];
-        e = TlbEntry{true, vpn, entry->pframe, entry->writable};
-        t.paddr = (entry->pframe << small_page_bits) |
+        smallTlb[vpn % small_tlb_entries] =
+            TlbEntry{vpn, frame, true, entry->writable};
+        t.paddr = (frame << small_page_bits) |
                   (vaddr & page_mask(small_page_bits));
     }
     t.valid = true;

@@ -13,9 +13,9 @@
 #ifndef AP_HW_MMU_HH
 #define AP_HW_MMU_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
@@ -46,6 +46,13 @@ struct TlbStats
  * Pages are mapped explicitly with map(); map_linear() installs the
  * identity mapping the runtime uses by default. Both the paper's page
  * sizes are supported; a mapping chooses its size at map time.
+ *
+ * The page table is two flat arrays indexed by virtual page number,
+ * one per page size. The default identity map is not stored at all:
+ * map_linear() on a fresh MMU records the range, a TLB miss inside it
+ * computes frame = page, and the first map() or unmap() writes the
+ * range into the small-page array. Building a cell therefore costs
+ * the same at every DRAM size.
  */
 class Mmu
 {
@@ -54,12 +61,13 @@ class Mmu
     static constexpr std::size_t large_page_bits = 18;  // 256 KB
     static constexpr std::size_t small_tlb_entries = 256;
     static constexpr std::size_t large_tlb_entries = 64;
-
-    Mmu();
+    /** Logical addresses are 32 bits wide (the SuperSPARC's). */
+    static constexpr Addr logical_bytes = Addr{1} << 32;
 
     /**
-     * Map one page.
-     * @param vaddr page-aligned logical address
+     * Map one page, replacing any mapping of the same size there.
+     * TLB entries the new mapping makes stale are dropped.
+     * @param vaddr page-aligned logical address below logical_bytes
      * @param paddr page-aligned physical address
      * @param large use a 256 KB page instead of 4 KB
      * @param writable permit stores
@@ -98,25 +106,37 @@ class Mmu
     struct PageEntry
     {
         Addr pframe = 0;
-        bool large = false;
+        bool valid = false;
         bool writable = false;
     };
 
     struct TlbEntry
     {
-        bool valid = false;
         Addr vpn = 0;
         Addr pframe = 0;
+        bool valid = false;
         bool writable = false;
     };
 
     std::optional<PageEntry> lookup_table(Addr vaddr, Addr &vpn_out,
                                           bool &large_out) const;
 
-    /** page table keyed by (vpn << 1) | large. */
-    std::unordered_map<Addr, PageEntry> table;
-    std::vector<TlbEntry> smallTlb;
-    std::vector<TlbEntry> largeTlb;
+    /** Write a recorded identity range into smallTable. */
+    void materialize();
+
+    /** @return true when a small page is mapped inside large page
+     *  @p lvpn. */
+    bool has_small_pages(Addr lvpn) const;
+
+    /** Identity-mapped small pages [0, identityPages) that are not in
+     *  smallTable; nonzero only while both tables are empty. */
+    Addr identityPages = 0;
+    bool identityWritable = false;
+    /** Page tables indexed by virtual page number. */
+    std::vector<PageEntry> smallTable;
+    std::vector<PageEntry> largeTable;
+    std::array<TlbEntry, small_tlb_entries> smallTlb{};
+    std::array<TlbEntry, large_tlb_entries> largeTlb{};
     TlbStats tlbStats;
 };
 

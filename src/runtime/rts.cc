@@ -9,6 +9,27 @@
 namespace ap::rt
 {
 
+namespace
+{
+
+constexpr obs::StatField rts_fields[] = {
+    obs::counter_field<&RuntimeStats::putsIssued>("puts_issued"),
+    obs::counter_field<&RuntimeStats::getsIssued>("gets_issued"),
+    obs::counter_field<&RuntimeStats::acksIssued>("acks_issued"),
+    obs::counter_field<&RuntimeStats::moves>("moves"),
+    obs::counter_field<&RuntimeStats::retriedPuts>("retried_puts"),
+    obs::counter_field<&RuntimeStats::verifyReads>("verify_reads"),
+};
+
+/** The runtime's per-cell schema in @p reg ("cell<N>.rts.*"). */
+obs::StatsRegistry::SchemaId
+rts_schema(obs::StatsRegistry &reg)
+{
+    return reg.add_schema("rts.", rts_fields);
+}
+
+} // namespace
+
 Runtime::Runtime(core::Context &ctx, AckPolicy policy)
     : ctx(ctx), ackPolicy(policy)
 {
@@ -17,19 +38,13 @@ Runtime::Runtime(core::Context &ctx, AckPolicy policy)
     // The runtime is shorter-lived than the machine, so its counters
     // join the machine's registry here and leave in the destructor.
     obs::StatsRegistry &reg = ctx.owner().stats_registry();
-    std::string p = strprintf("cell%d.rts.", ctx.id());
-    reg.add_counter(p + "puts_issued", &rtStats.putsIssued);
-    reg.add_counter(p + "gets_issued", &rtStats.getsIssued);
-    reg.add_counter(p + "acks_issued", &rtStats.acksIssued);
-    reg.add_counter(p + "moves", &rtStats.moves);
-    reg.add_counter(p + "retried_puts", &rtStats.retriedPuts);
-    reg.add_counter(p + "verify_reads", &rtStats.verifyReads);
+    reg.set_row(rts_schema(reg), ctx.id(), &rtStats);
 }
 
 Runtime::~Runtime()
 {
-    ctx.owner().stats_registry().remove_prefix(
-        strprintf("cell%d.rts.", ctx.id()));
+    obs::StatsRegistry &reg = ctx.owner().stats_registry();
+    reg.set_row(rts_schema(reg), ctx.id(), nullptr);
 }
 
 void

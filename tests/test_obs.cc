@@ -1,7 +1,8 @@
 /**
  * @file
  * Telemetry-layer tests: JSON emitter/validator, the stats registry
- * (paths, pattern queries, subtree removal, dumps), debug-flag
+ * (paths, pattern queries, subtree removal, dumps, per-cell schema
+ * rows, golden dumps of two 16-cell runs), debug-flag
  * parsing, the bounded tracer ring, and the end-to-end timeline of a
  * two-cell PUT program.
  */
@@ -139,6 +140,64 @@ TEST(StatsRegistry, DumpsAreWellFormed)
     EXPECT_NE(text.find("42"), std::string::npos);
 }
 
+namespace
+{
+
+struct ProbeRow
+{
+    std::uint64_t hits = 0;
+    Histogram lat;
+};
+
+constexpr StatField probe_fields[] = {
+    counter_field<&ProbeRow::hits>("hits"),
+    histogram_field<&ProbeRow::lat>("lat"),
+};
+
+} // namespace
+
+TEST(StatsRegistry, SchemaRowsActAsCellPaths)
+{
+    StatsRegistry r;
+    StatsRegistry::SchemaId x = r.add_schema("x.", probe_fields);
+    EXPECT_EQ(r.add_schema("x.", probe_fields), x);
+    EXPECT_NE(r.add_schema("y.", probe_fields), x); // no rows, no paths
+    ProbeRow rows[12];
+    rows[2].hits = 5;
+    rows[3].hits = 1;
+    rows[10].hits = 5;
+    rows[4].lat.sample(8);
+    for (int c = 0; c < 12; ++c)
+        r.set_row(x, c, &rows[c]);
+
+    EXPECT_EQ(r.size(), 24u);
+    std::vector<std::string> p = r.paths();
+    ASSERT_EQ(p.size(), 24u);
+    EXPECT_EQ(p[0], "cell0.x.hits");
+    EXPECT_EQ(p[4], "cell10.x.hits"); // lexicographic, not numeric
+    EXPECT_EQ(r.value("cell3.x.hits"), 1u);
+    EXPECT_EQ(r.value("cell03.x.hits"), 0u);
+    EXPECT_EQ(r.value("cell4.x.lat"), 1u); // histogram count
+    EXPECT_EQ(r.sum("*.x.hits"), 11u);
+    EXPECT_EQ(r.sum("cell2.*.hits"), 5u);
+    EXPECT_EQ(r.sum("*.hits"), 0u);
+    std::string who;
+    EXPECT_EQ(r.max_over("*.*.hits", &who), 5u);
+    EXPECT_EQ(who, "cell10.x.hits");
+
+    const StatEntry *e = r.find("cell4.x.lat");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->hist, &rows[4].lat);
+    EXPECT_EQ(r.find("cell4.x.lat"), e);
+    rows[3].hits = 9; // rows are read live
+    EXPECT_EQ(r.find("cell3.x.hits")->value(), 9u);
+
+    r.set_row(x, 4, nullptr);
+    EXPECT_EQ(r.find("cell4.x.lat"), nullptr);
+    EXPECT_EQ(r.size(), 22u);
+    EXPECT_EQ(r.snapshot().count("cell4.x.hits"), 0u);
+}
+
 TEST(StatsRegistry, RuntimeRegistersAndUnregistersItsSubtree)
 {
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
@@ -162,6 +221,176 @@ TEST(StatsRegistry, RuntimeRegistersAndUnregistersItsSubtree)
               nullptr);
     EXPECT_EQ(m.stats_registry().find("cell1.rts.puts_issued"),
               nullptr);
+}
+
+TEST(StatsRegistry, RuntimesBindRowsFromEveryShard)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(8);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.threads = 4;
+    hw::Machine m(cfg);
+    std::size_t before = m.stats_registry().size();
+    std::size_t alive = 0;
+    auto r = core::run_spmd(m, [&](core::Context &ctx) {
+        {
+            rt::Runtime rts(ctx);
+            ctx.barrier();
+            if (ctx.id() == 0)
+                alive = ctx.owner().stats_registry().size();
+            ctx.barrier();
+        }
+        ctx.barrier();
+    });
+    ASSERT_FALSE(r.deadlock);
+    EXPECT_EQ(alive, before + 8u * 6u);
+    EXPECT_EQ(m.stats_registry().size(), before);
+}
+
+// ---------------------------------------------- golden registry output
+
+namespace
+{
+
+/** PUT/GET/SEND traffic whose volume differs from cell to cell. */
+void
+golden_program(core::Context &ctx)
+{
+    int p = ctx.nprocs();
+    CellId right = (ctx.id() + 1) % p;
+    CellId left = (ctx.id() + p - 1) % p;
+    Addr buf = ctx.alloc(1024);
+    Addr landing = ctx.alloc(1024);
+    Addr flag = ctx.alloc_flag();
+    Addr done = ctx.alloc_flag();
+    std::uint32_t bytes = 64u << (ctx.id() % 4);
+    ctx.put(right, landing, buf, bytes, no_flag, flag, /*ack=*/true);
+    ctx.wait_all_acks();
+    ctx.wait_flag(flag, 1);
+    ctx.get(left, buf, landing + 512, bytes / 2, no_flag, done);
+    ctx.wait_flag(done, 1);
+    for (int i = 0; i <= ctx.id() % 3; ++i)
+        ctx.send(right, i, buf, 48 + 16 * static_cast<std::uint32_t>(i));
+    for (int i = 0; i <= left % 3; ++i)
+        ctx.recv(left, i, landing, 1024);
+    ctx.barrier();
+}
+
+/**
+ * The three registry renderings the golden files under tests/golden/
+ * pin byte for byte. They were written by the one-entry-per-path
+ * registry that per-cell schemas replaced. A deliberate change to
+ * simulated behaviour regenerates them by writing these strings out.
+ */
+struct GoldenDump
+{
+    std::string json, text, report;
+};
+
+GoldenDump
+golden_dump(const hw::Machine &m)
+{
+    const StatsRegistry &r = m.stats_registry();
+    return {r.dump_json(true, "sim."), r.dump_text("sim."), m.report()};
+}
+
+hw::MachineConfig
+golden_config()
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(16);
+    cfg.memBytesPerCell = 1 << 20;
+    return cfg;
+}
+
+std::string
+read_golden(const std::string &name)
+{
+    std::ifstream in(std::string(AP_GOLDEN_DIR) + "/" + name);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+expect_golden(const GoldenDump &d, const std::string &stem)
+{
+    EXPECT_EQ(d.json, read_golden(stem + ".json"));
+    EXPECT_EQ(d.text, read_golden(stem + ".txt"));
+    EXPECT_EQ(d.report, read_golden(stem + ".report.txt"));
+}
+
+} // namespace
+
+TEST(StatsRegistry, GoldenOutputsOfAPutGetSendRun)
+{
+    hw::Machine m(golden_config());
+    auto r = core::run_spmd(m, golden_program);
+    ASSERT_FALSE(r.deadlock);
+    ASSERT_TRUE(r.errors.empty());
+    expect_golden(golden_dump(m), "registry_plain");
+
+    const StatsRegistry &reg = m.stats_registry();
+    // 16 cells x 66 per-cell paths, plus the machine-wide ones.
+    EXPECT_EQ(reg.size(), reg.paths().size());
+    EXPECT_GT(reg.size(), 16u * 66u);
+    const StatEntry *e = reg.find("cell5.msc.cmd_latency_us");
+    ASSERT_NE(e, nullptr);
+    ASSERT_NE(e->hist, nullptr);
+    EXPECT_EQ(e->kind, StatKind::histogram);
+    EXPECT_EQ(e->value(), m.cell(5).msc().stats().cmdLatencyUs.scalar()
+                              .count());
+    EXPECT_EQ(reg.value("cell13.msc.puts_sent"),
+              m.cell(13).msc().stats().putsSent);
+    EXPECT_EQ(reg.value("cell3.msc.user_queue.pushes"),
+              m.cell(3).msc().user_queue().stats().pushes);
+    EXPECT_EQ(reg.find("cell16.msc.puts_sent"), nullptr);
+    EXPECT_EQ(reg.find("cell05.msc.puts_sent"), nullptr);
+    EXPECT_EQ(reg.find("cell5.msc.no_such_counter"), nullptr);
+    EXPECT_EQ(reg.find("cell5.rnet.data_sent"), nullptr); // rnet off
+    std::uint64_t spills = 0;
+    for (int c = 0; c < 16; ++c)
+        for (const hw::CommandQueue *q :
+             {&m.cell(c).msc().user_queue(),
+              &m.cell(c).msc().system_queue(),
+              &m.cell(c).msc().remote_queue(),
+              &m.cell(c).msc().get_reply_queue(),
+              &m.cell(c).msc().load_reply_queue()})
+            spills += q->stats().spills;
+    EXPECT_EQ(reg.sum("*.msc.*.spills"), spills);
+    EXPECT_EQ(reg.sum("cell7.msc.sends_sent"),
+              m.cell(7).msc().stats().sendsSent);
+    // Cells 2, 5, 8, 11 and 14 tie at three SENDs each; the
+    // lexicographically first path wins, so cell11 beats cell2.
+    std::string who;
+    EXPECT_EQ(reg.max_over("*.msc.sends_sent", &who), 3u);
+    EXPECT_EQ(who, "cell11.msc.sends_sent");
+}
+
+TEST(StatsRegistry, GoldenOutputsOfAChaosRunWithTheRuntimeAlive)
+{
+    hw::MachineConfig cfg = golden_config();
+    cfg.faults = sim::FaultPlan::chaos(1);
+    cfg.reliableNet = true;
+    hw::Machine m(cfg);
+    GoldenDump live;
+    std::size_t rtsPaths = 0;
+    auto r = core::run_spmd(m, [&](core::Context &ctx) {
+        rt::Runtime rts(ctx);
+        rt::GArray2D a(ctx, 32, 32, rt::SplitDim::rows, 1);
+        golden_program(ctx);
+        rts.overlap_fix(a);
+        ctx.barrier();
+        if (ctx.id() == 0) {
+            live = golden_dump(m);
+            rtsPaths = m.stats_registry().size();
+        }
+        ctx.barrier();
+    });
+    ASSERT_FALSE(r.deadlock);
+    ASSERT_TRUE(r.errors.empty());
+    expect_golden(live, "registry_chaos");
+    // The runtimes' six paths per cell left with them.
+    EXPECT_EQ(m.stats_registry().size(), rtsPaths - 16u * 6u);
+    EXPECT_EQ(m.stats_registry().find("cell0.rts.moves"), nullptr);
 }
 
 // ------------------------------------------------------------ debug flags
