@@ -34,6 +34,7 @@
 #include "obs/critpath.hh"
 #include "obs/json.hh"
 #include "obs/span.hh"
+#include "sim/fiber.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -243,6 +244,9 @@ run_profile_pass(const std::string &profileOut,
  *    of a second wave on one warmed-up machine. The hot path's
  *    zero-allocation contract says these must be exactly zero, and
  *    CI asserts that on every run.
+ * And one on a bare fiber:
+ *  - speed.fiber_switch.wall_ms: 10^6 resume/yield round trips, the
+ *    switch every Process::delay/wait pays.
  */
 void
 run_speed_pass(obs::BenchReport &report)
@@ -283,6 +287,23 @@ run_speed_pass(obs::BenchReport &report)
                 "%.2fM events/s --\n",
                 reps, count, bytes, wall,
                 static_cast<double>(events) / wall / 1e6);
+
+    constexpr int roundTrips = 1000000;
+    sim::Fiber fiber([] {
+        for (int i = 0; i < roundTrips; ++i)
+            sim::Fiber::yield();
+    });
+    fiber.resume(); // first entry is not a round trip
+    t0 = Clock::now();
+    while (!fiber.finished())
+        fiber.resume();
+    double switchMs =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            .count();
+    report.set("speed.fiber_switch.wall_ms", switchMs);
+    std::printf("-- fiber switch: %d round trips, %.1f ms, "
+                "%.1f ns each --\n",
+                roundTrips, switchMs, switchMs * 1e6 / roundTrips);
 
     // Steady state on one machine: wave 2 must allocate nothing.
     hw::Machine m(cfg2());

@@ -34,7 +34,8 @@ run_spmd(hw::Machine &machine, const SpmdBody &body, Trace *trace)
             machine.sim(), strprintf("cell%d", i),
             [&, i](sim::Process &p) {
                 // CommError must be caught on this side of the fiber
-                // boundary: exceptions cannot cross swapcontext.
+                // boundary: an exception cannot unwind out of a fiber
+                // body.
                 try {
                     body(*contexts[static_cast<std::size_t>(i)]);
                 } catch (const CommError &e) {

@@ -44,6 +44,10 @@ struct FreeImage
  * The mutex is uncontended in practice (machines are built and torn
  * down from one thread); it only guards against concurrent machine
  * construction in multi-machine tests.
+ *
+ * Leaky singleton: never destroyed, so the parked images stay
+ * reachable for LeakSanitizer's exit-time scan, and a CellMemory
+ * outliving static destruction still finds the cache.
  */
 class ImageCache
 {
@@ -51,8 +55,8 @@ class ImageCache
     static ImageCache &
     instance()
     {
-        static ImageCache cache;
-        return cache;
+        static auto *cache = new ImageCache;
+        return *cache;
     }
 
     bool

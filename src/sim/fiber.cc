@@ -1,8 +1,88 @@
 #include "sim/fiber.hh"
 
+#include <cstdint>
+
 #include "base/logging.hh"
 
-// ThreadSanitizer must be told about ucontext switches: without the
+#if !defined(__x86_64__) || !defined(__ELF__)
+#error "ap_sim_fiber_switch in sim/fiber.cc must be ported to this target"
+#endif
+
+// The context switch, x86-64 SysV ELF. Saves what the ABI makes
+// callee-saved — rbp rbx r12-r15, the MXCSR and the x87 control word
+// — on the current stack, stores rsp to *save_sp (rdi), loads rsp
+// from load_sp (rsi), restores the same set from the new stack and
+// returns into it. Everything else is caller-saved, so the compiler
+// has already spilled it around the call. The signal mask and the
+// rest of the FP environment are left alone, so a switch makes no
+// syscall.
+//
+// Frame left on a parked stack, lowest address first (InitialFrame
+// below): x87 CW (4 bytes), MXCSR (4), r15 r14 r13 r12 rbx rbp,
+// return address.
+extern "C" void ap_sim_fiber_switch(void **save_sp, void *load_sp);
+
+asm(R"(
+    .pushsection .text
+    .globl  ap_sim_fiber_switch
+    .hidden ap_sim_fiber_switch
+    .type   ap_sim_fiber_switch, @function
+    .p2align 4
+ap_sim_fiber_switch:
+    .cfi_startproc
+    pushq   %rbp
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbp, 0
+    pushq   %rbx
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbx, 0
+    pushq   %r12
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r12, 0
+    pushq   %r13
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r13, 0
+    pushq   %r14
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r14, 0
+    pushq   %r15
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r15, 0
+    subq    $8, %rsp
+    .cfi_adjust_cfa_offset 8
+    fnstcw  (%rsp)
+    stmxcsr 4(%rsp)
+    movq    %rsp, (%rdi)
+    movq    %rsi, %rsp
+    fldcw   (%rsp)
+    ldmxcsr 4(%rsp)
+    addq    $8, %rsp
+    .cfi_adjust_cfa_offset -8
+    popq    %r15
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r15
+    popq    %r14
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r14
+    popq    %r13
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r13
+    popq    %r12
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r12
+    popq    %rbx
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbx
+    popq    %rbp
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbp
+    ret
+    .cfi_endproc
+    .size   ap_sim_fiber_switch, .-ap_sim_fiber_switch
+    .popsection
+)");
+
+// ThreadSanitizer must be told about fiber switches: without the
 // fiber annotations it sees one OS thread's shadow stack jumping
 // between unrelated stacks and reports phantom races. Worker threads
 // of the sharded kernel resume cell fibers, so the TSan CI job runs
@@ -26,7 +106,7 @@ void __tsan_switch_to_fiber(void *fiber, unsigned flags);
 
 // AddressSanitizer likewise needs the switches announced: it keeps
 // one fake stack + poison map per stack region, and an exception
-// unwinding across an unannounced ucontext switch unpoisons the
+// unwinding on a fiber stack it was not told about unpoisons the
 // wrong region — leaving stale redzones on the fiber stack that a
 // later frame at the same depth trips over as a phantom
 // stack-buffer-overflow.
@@ -56,6 +136,20 @@ namespace
 {
 
 thread_local Fiber *current_fiber = nullptr;
+
+/** A new fiber's stack top, lowest address first: what
+ *  ap_sim_fiber_switch pops, then trampoline's return address. The
+ *  FP control values are the ABI's process-start defaults. */
+struct InitialFrame
+{
+    std::uint32_t x87cw = 0x037F;
+    std::uint32_t mxcsr = 0x1F80;
+    void *r15 = nullptr, *r14 = nullptr, *r13 = nullptr, *r12 = nullptr,
+         *rbx = nullptr, *rbp = nullptr;
+    void (*entry)() = nullptr;
+    void *entryReturn = nullptr;
+};
+static_assert(sizeof(InitialFrame) == 72);
 
 #ifdef AP_ASAN_FIBERS
 /**
@@ -117,12 +211,10 @@ Fiber::trampoline()
 #endif
     self->body();
     self->done = true;
-    // Final switch back to the resumer. Done explicitly rather than
-    // by returning through uc_link: under TSan, nothing instrumented
-    // may run between __tsan_switch_to_fiber and the actual stack
-    // switch, and a return would execute this function's own
-    // instrumented epilogue after the annotation — corrupting the
-    // caller's shadow stack. (uc_link stays set as a backstop.)
+    // Final switch back to the resumer; there is nothing to return
+    // to. Under TSan nothing instrumented may run between
+    // __tsan_switch_to_fiber and the stack switch, so the switch is
+    // the last thing this function does.
 #ifdef AP_TSAN_FIBERS
     __tsan_switch_to_fiber(self->tsanCaller, 0);
 #endif
@@ -132,7 +224,8 @@ Fiber::trampoline()
     __sanitizer_start_switch_fiber(nullptr, self->asanCallerBottom,
                                    self->asanCallerSize);
 #endif
-    swapcontext(&self->context, &self->schedulerContext);
+    ap_sim_fiber_switch(&self->fiberSp, self->callerSp);
+    __builtin_unreachable();
 }
 
 void
@@ -146,13 +239,17 @@ Fiber::resume()
     current_fiber = this;
     if (!started) {
         started = true;
-        if (getcontext(&context) != 0)
-            panic("getcontext failed");
-        context.uc_stack.ss_sp = stack.get();
-        context.uc_stack.ss_size = stackBytes;
-        context.uc_link = &schedulerContext;
-        makecontext(&context, reinterpret_cast<void (*)()>(&trampoline),
-                    0);
+        // The first switch "returns" into trampoline with the stack
+        // as a call would leave it: rsp + 8 16-byte aligned, the
+        // default MXCSR and x87 control word, and a null return
+        // address above, where unwinders stop.
+        auto top = reinterpret_cast<std::uintptr_t>(stack.get()) +
+                   stackBytes;
+        top &= ~std::uintptr_t{15};
+        auto *frame =
+            reinterpret_cast<InitialFrame *>(top - sizeof(InitialFrame));
+        *frame = InitialFrame{.entry = &trampoline};
+        fiberSp = frame;
 #ifdef AP_TSAN_FIBERS
         tsanFiber = __tsan_create_fiber(0);
 #endif
@@ -165,8 +262,7 @@ Fiber::resume()
     void *fake = nullptr;
     __sanitizer_start_switch_fiber(&fake, stack.get(), stackBytes);
 #endif
-    if (swapcontext(&schedulerContext, &context) != 0)
-        panic("swapcontext into fiber failed");
+    ap_sim_fiber_switch(&callerSp, fiberSp);
 #ifdef AP_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
@@ -187,8 +283,7 @@ Fiber::yield()
                                    self->asanCallerBottom,
                                    self->asanCallerSize);
 #endif
-    if (swapcontext(&self->context, &self->schedulerContext) != 0)
-        panic("swapcontext out of fiber failed");
+    ap_sim_fiber_switch(&self->fiberSp, self->callerSp);
 #ifdef AP_ASAN_FIBERS
     // Back on the fiber: restore its fake stack and refresh the
     // resumer bounds — the sharded kernel may resume from a

@@ -1,6 +1,6 @@
 /**
  * @file
- * Stackful fibers (ucontext-based cooperative coroutines).
+ * Stackful fibers (cooperative coroutines).
  *
  * Each simulated cell runs its SPMD program body on a fiber. The
  * event kernel resumes a fiber when its next action is due (a compute
@@ -8,12 +8,15 @@
  * fiber yields back whenever it blocks. This is the classic
  * parallel-machine-simulator structure and keeps user-facing example
  * code straight-line.
+ *
+ * A switch is a hand-written x86-64 SysV routine (fiber.cc): it saves
+ * the callee-saved registers, MXCSR and the x87 control word on the
+ * old stack and swaps stack pointers, with no syscall. Exceptions
+ * work inside a fiber body but must not escape it.
  */
 
 #ifndef AP_SIM_FIBER_HH
 #define AP_SIM_FIBER_HH
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
@@ -62,16 +65,18 @@ class Fiber
     bool finished() const { return done; }
 
   private:
-    static void trampoline();
+    [[noreturn]] static void trampoline();
 
     std::function<void()> body;
-    /** Default-initialized (never memset): makecontext does not need
-     *  a zeroed stack, and value-initializing 256 KB per fiber used
-     *  to dominate short SPMD runs. */
+    /** Default-initialized (never memset): only the initial switch
+     *  frame at its top is written, and value-initializing 256 KB per
+     *  fiber used to dominate short SPMD runs. */
     std::size_t stackBytes;
     std::unique_ptr<unsigned char[]> stack;
-    ucontext_t context;
-    ucontext_t schedulerContext;
+    /** Saved stack pointers: the fiber's while it is parked, the
+     *  resumer's while the fiber runs. */
+    void *fiberSp = nullptr;
+    void *callerSp = nullptr;
     bool started = false;
     bool done = false;
     /** ThreadSanitizer fiber-context handles; null outside TSan

@@ -5,6 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <xmmintrin.h>
+
+#include <atomic>
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/fiber.hh"
@@ -12,6 +21,98 @@
 
 using namespace ap;
 using namespace ap::sim;
+
+namespace
+{
+
+/** 1/3 divided at run time, so the MXCSR rounding mode decides it. */
+double
+third()
+{
+    volatile double one = 1.0, three = 3.0;
+    return one / three;
+}
+
+/** Rounding mode as both the x87 unit and SSE see it. */
+struct Rounding
+{
+    int x87;      ///< fegetround(): the x87 control word
+    unsigned sse; ///< MXCSR RC bits
+    double third; ///< an SSE division under that mode
+};
+
+Rounding
+rounding()
+{
+    return {std::fegetround(), _mm_getcsr() & 0x6000u, third()};
+}
+
+/** Address of a 16-byte-aligned local, passed through a volatile so
+ *  the compiler cannot fold the check to the alignment it assumes.
+ *  Left uninitialized: zeroing it would be an aligned SSE store that
+ *  faults on a misaligned stack before the check could report it. */
+[[gnu::noinline]] std::uintptr_t
+aligned_local_address()
+{
+    alignas(16) unsigned char local[16];
+    volatile std::uintptr_t addr =
+        reinterpret_cast<std::uintptr_t>(&local[0]);
+    return addr;
+}
+
+/** Mixing step for the register-resident accumulators below. */
+inline std::uint64_t
+mix(std::uint64_t x, std::uint64_t k)
+{
+    x ^= x >> 29;
+    x *= 0xbf58476d1ce4e5b9ull + 2 * k;
+    return x ^ (x >> 32);
+}
+
+/**
+ * Six accumulators and a loop counter, live across every call of
+ * @p step: more than the six callee-saved registers, so a yielding
+ * step needs the switch to preserve all of them. A step that does
+ * nothing gives the expected checksum.
+ */
+template <typename Step>
+std::uint64_t
+accumulate(std::uint64_t seed, int rounds, Step step)
+{
+    std::uint64_t a = seed, b = seed * 3 + 1, c = seed * 5 + 2,
+                  d = seed * 7 + 3, e = seed * 11 + 4, f = seed * 13 + 5;
+    for (int i = 0; i < rounds; ++i) {
+        a = mix(a + f, 1);
+        b = mix(b + a, 2);
+        c = mix(c + b, 3);
+        d = mix(d + c, 4);
+        e = mix(e + d, 5);
+        f = mix(f + e, static_cast<std::uint64_t>(i));
+        step();
+    }
+    return a ^ b ^ c ^ d ^ e ^ f;
+}
+
+void
+yield()
+{
+    Fiber::yield();
+}
+
+void
+no_yield()
+{
+}
+
+[[gnu::noinline]] void
+throw_at_depth(int depth)
+{
+    if (depth == 0)
+        throw std::runtime_error("deep");
+    throw_at_depth(depth - 1);
+}
+
+} // namespace
 
 TEST(Fiber, RunsBodyOnResume)
 {
@@ -46,6 +147,149 @@ TEST(Fiber, CurrentTracksRunningFiber)
     f.resume();
     EXPECT_EQ(seen, &f);
     EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber)
+{
+    const int outer = std::fegetround();
+    const Rounding nearest = rounding();
+    Rounding inFiber{}, afterYield{}, afterResume{};
+    Fiber f([&]() {
+        std::fesetround(FE_UPWARD);
+        inFiber = rounding();
+        Fiber::yield();
+        afterResume = rounding();
+        std::fesetround(FE_TONEAREST);
+    });
+    f.resume();
+    afterYield = rounding();
+    // The resumer runs under another mode while the fiber is parked.
+    std::fesetround(FE_DOWNWARD);
+    f.resume();
+    std::fesetround(outer);
+    ASSERT_TRUE(f.finished());
+
+    EXPECT_EQ(inFiber.x87, FE_UPWARD);
+    EXPECT_EQ(inFiber.sse, 0x4000u);
+    EXPECT_GT(inFiber.third, nearest.third);
+
+    EXPECT_EQ(afterYield.x87, nearest.x87);
+    EXPECT_EQ(afterYield.sse, nearest.sse);
+    EXPECT_EQ(afterYield.third, nearest.third);
+
+    EXPECT_EQ(afterResume.x87, FE_UPWARD);
+    EXPECT_EQ(afterResume.sse, 0x4000u);
+    EXPECT_EQ(afterResume.third, inFiber.third);
+}
+
+TEST(Fiber, StackAlignedAtEntryAndAfterResume)
+{
+    std::uintptr_t atEntry = 1, afterResume = 1;
+    Fiber f([&]() {
+        atEntry = aligned_local_address();
+        Fiber::yield();
+        afterResume = aligned_local_address();
+    });
+    f.resume();
+    f.resume();
+    ASSERT_TRUE(f.finished());
+    EXPECT_EQ(atEntry % 16, 0u);
+    EXPECT_EQ(afterResume % 16, 0u);
+}
+
+TEST(Fiber, ManyFibersKeepRegisterLocals)
+{
+    constexpr int fibers = 256;
+    constexpr int rounds = 1000;
+    std::vector<std::uint64_t> got(fibers, 0);
+    std::vector<std::unique_ptr<Fiber>> fs;
+    for (int i = 0; i < fibers; ++i)
+        fs.push_back(std::make_unique<Fiber>(
+            [&got, i]() {
+                got[static_cast<std::size_t>(i)] = accumulate(
+                    static_cast<std::uint64_t>(i) + 1, rounds, yield);
+            },
+            16 * 1024));
+    // Round-robin: every fiber is parked while all the others run.
+    for (int r = 0; r <= rounds; ++r)
+        for (auto &f : fs)
+            f->resume();
+    for (int i = 0; i < fibers; ++i) {
+        ASSERT_TRUE(fs[static_cast<std::size_t>(i)]->finished());
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  accumulate(static_cast<std::uint64_t>(i) + 1, rounds,
+                             no_yield))
+            << "fiber " << i;
+    }
+}
+
+TEST(Fiber, ResumedAlternatelyFromTwoThreads)
+{
+    // The sharded kernel resumes a cell's fiber from whichever worker
+    // owns the window, so a fiber must survive changing threads.
+    constexpr int rounds = 200;
+    std::uint64_t got = 0;
+    int selfSeen = 0;
+    std::unique_ptr<Fiber> f;
+    f = std::make_unique<Fiber>([&]() {
+        got = accumulate(1, rounds, [&]() {
+            // Fiber::current() reads the resuming thread's slot. (The
+            // thread id cannot be read in here: pthread_self() is
+            // declared const, so the compiler may hoist it out of
+            // the loop.)
+            selfSeen += Fiber::current() == f.get();
+            Fiber::yield();
+        });
+    });
+
+    // Hand the fiber back and forth: thread t resumes on even/odd
+    // turns; acquire/release on `turn` orders each handoff.
+    std::atomic<int> turn{0};
+    int resumes[2] = {0, 0};
+    auto worker = [&](int parity) {
+        for (;;) {
+            int t = turn.load(std::memory_order_acquire);
+            if (t > rounds)
+                return;
+            if (t % 2 != parity) {
+                std::this_thread::yield();
+                continue;
+            }
+            f->resume();
+            ++resumes[parity];
+            turn.store(t + 1, std::memory_order_release);
+        }
+    };
+    std::thread t0(worker, 0), t1(worker, 1);
+    t0.join();
+    t1.join();
+
+    ASSERT_TRUE(f->finished());
+    EXPECT_EQ(got, accumulate(1, rounds, no_yield));
+    EXPECT_EQ(selfSeen, rounds);
+    EXPECT_EQ(resumes[0], rounds / 2 + 1);
+    EXPECT_EQ(resumes[1], rounds / 2);
+}
+
+TEST(Fiber, ExceptionCaughtInsideBodyAfterYields)
+{
+    std::string caught;
+    std::uint64_t kept = 0;
+    Fiber f([&]() {
+        std::uint64_t live = accumulate(7, 4, yield);
+        try {
+            Fiber::yield();
+            throw_at_depth(8);
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+        Fiber::yield();
+        kept = live;
+    });
+    while (!f.finished())
+        f.resume();
+    EXPECT_EQ(caught, "deep");
+    EXPECT_EQ(kept, accumulate(7, 4, no_yield));
 }
 
 TEST(Process, DelayAdvancesSimulatedTime)
