@@ -209,7 +209,8 @@ run_profile_pass(const std::string &profileOut,
     });
 
     obs::CritPathReport rep =
-        obs::analyze_spans(m.spans().events());
+        obs::analyze_spans(m.spans().events(),
+                           m.spans().full_dropped());
     std::printf("\n-- span profile: %d x %u B PUT --\n%s", count,
                 bytes, rep.text().c_str());
     if (!profileOut.empty()) {

@@ -579,7 +579,8 @@ profile_put_burst(std::uint32_t bytes)
         if (ctx.id() == 1)
             ctx.wait_flag(rf, count);
     });
-    return obs::analyze_spans(m.spans().events());
+    return obs::analyze_spans(m.spans().events(),
+                              m.spans().full_dropped());
 }
 
 /** Span-profiled SEND burst (ring-buffer path). */
@@ -600,7 +601,8 @@ profile_send_burst(std::uint32_t bytes)
             for (int i = 0; i < count; ++i)
                 ctx.recv(0, 7, buf, bytes);
     });
-    return obs::analyze_spans(m.spans().events());
+    return obs::analyze_spans(m.spans().events(),
+                              m.spans().full_dropped());
 }
 
 /** RECV search+copy time with the message long since deposited. */
@@ -637,7 +639,8 @@ measure_barrier_us()
         for (int i = 0; i < 8; ++i)
             ctx.barrier();
     });
-    return stage_mean_us(obs::analyze_spans(m.spans().events()),
+    return stage_mean_us(obs::analyze_spans(m.spans().events(),
+                                            m.spans().full_dropped()),
                          obs::SpanStage::barrier);
 }
 

@@ -7,8 +7,9 @@
  * acknowledged PUT, SEND/RECEIVE, B-net broadcast, DSM remote
  * access, barrier and reductions — and then emits the machine's
  * telemetry: the text report, the stats-registry JSON
- * (`--stats-out=FILE`), and the Chrome trace_event timeline
- * (`--trace-out=FILE`, open in chrome://tracing or Perfetto).
+ * (`--stats-out=FILE`), and the full span stream as a Chrome
+ * trace_event timeline (`--trace-out=FILE`, open in chrome://tracing
+ * or Perfetto).
  * `--faults=<plan>` replays the same program under an injected fault
  * plan so the timeline shows spills, flushes and dropped messages.
  */
@@ -82,7 +83,8 @@ usage(const char *prog)
         "                     (survivors reconfigure; repeatable)\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
         "  --stats-text       print the flat stats table to stdout\n"
-        "  --trace-out=FILE   write a Chrome trace_event timeline\n"
+        "  --trace-out=FILE   record full spans, write them as a\n"
+        "                     Chrome trace_event timeline\n"
         "  --timeline-out=FILE  sample the stats registry on a\n"
         "                     model-time period, write the perf\n"
         "                     timeline JSON\n"
@@ -304,12 +306,10 @@ main(int argc, char **argv)
     // watchdog converts those into typed errors with a wait graph.
     if (!kills.empty() && !cfg.retry.watchdog_enabled())
         cfg.retry.watchdogUs = 100000.0;
-    if (profile)
+    if (profile || !obsOpts.traceOut.empty())
         cfg.spanMode = obs::SpanMode::full;
     cfg.postmortemOut = postmortemOut;
     hw::Machine machine(cfg);
-    if (!obsOpts.traceOut.empty())
-        machine.enable_tracing();
     if (obsOpts.timeline_enabled())
         machine.enable_timeline(obsOpts.timelinePeriodUs);
 
@@ -383,7 +383,8 @@ main(int argc, char **argv)
 
     if (profile) {
         obs::CritPathReport rep =
-            obs::analyze_spans(machine.spans().events());
+            obs::analyze_spans(machine.spans().events(),
+                               machine.spans().full_dropped());
         std::printf("%s", rep.text().c_str());
         if (!profileJson.empty()) {
             if (!obs::write_file(profileJson, rep.json()))

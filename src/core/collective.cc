@@ -60,8 +60,8 @@ class SpanGuard
 
     ~SpanGuard()
     {
-        if (auto *tr = machine.tracer())
-            tr->span(track, "collective", name, begin);
+        machine.spans().span(track, "collective", name, begin,
+                             machine.sim().now());
     }
 
   private:

@@ -665,10 +665,9 @@ Context::wait_flag(Addr flag_addr, std::uint32_t target)
         }
         machine.clear_wait(cellId);
     }
-    if (waited) {
-        if (auto *tr = machine.tracer())
-            tr->span(cellId, "wait", "wait_flag", begin);
-    }
+    if (waited)
+        machine.spans().span(cellId, "wait", "wait_flag", begin,
+                             machine.sim().now());
 }
 
 void
@@ -703,10 +702,9 @@ Context::wait_all_acks()
         }
         machine.clear_wait(cellId);
     }
-    if (waited) {
-        if (auto *tr = machine.tracer())
-            tr->span(cellId, "wait", "wait_acks", begin);
-    }
+    if (waited)
+        machine.spans().span(cellId, "wait", "wait_acks", begin,
+                             machine.sim().now());
 }
 
 bool

@@ -264,8 +264,9 @@ Machine::Machine(MachineConfig config)
     }
     // Kernel telemetry taps: the sharded kernel reports each parallel
     // window through this hook (fired on the coordinator while every
-    // worker is parked) and the machine forwards it to the tracer's
-    // worker tracks and the barrier_wait critical-path stage.
+    // worker is parked) and the machine forwards it to the span
+    // layer: barrier_wait stage spans, and in full mode per-worker
+    // window spans plus imbalance/barrier-wait counters.
     if (sim::ShardedSimulator *sh = sharded())
         sh->set_window_hook(
             [this](const sim::WindowRecord &w) { on_window(w); });
@@ -299,25 +300,19 @@ Machine::on_window(const sim::WindowRecord &w)
                     std::min<std::uint64_t>(ws.events, UINT32_MAX)));
         }
     }
-    if (tracerPtr) {
+    if (spanLayer.full()) {
         for (int s = 0; s < shards; ++s) {
             const sim::WindowShard &ws =
                 w.shards[static_cast<std::size_t>(s)];
-            if (ws.events == 0)
-                continue;
-            tracerPtr->span_at(
-                obs::worker_track(s), "kernel",
-                strprintf("w%llu:%llu ev",
-                          static_cast<unsigned long long>(w.index),
-                          static_cast<unsigned long long>(ws.events)),
-                w.start, ws.last);
+            if (ws.events > 0)
+                spanLayer.span(obs::worker_track(s), "kernel", "window",
+                               w.start, ws.last, {"window", w.index},
+                               {"events", ws.events});
         }
-        tracerPtr->counter_at(
-            obs::machine_track, "kernel", "imbalance_x1000", w.start,
-            static_cast<double>(w.imbalanceX1000));
-        tracerPtr->counter_at(
-            obs::machine_track, "kernel", "barrier_wait_ns", w.start,
-            static_cast<double>(w.barrierWaitNs));
+        spanLayer.counter(obs::machine_track, "kernel",
+                          "imbalance_x1000", w.start, w.imbalanceX1000);
+        spanLayer.counter(obs::machine_track, "kernel",
+                          "barrier_wait_ns", w.start, w.barrierWaitNs);
     }
 }
 
@@ -333,9 +328,9 @@ Machine::fail_cell(CellId id)
     snetNet.fail_cell(id);
     if (rnetNet)
         rnetNet->flush_cell(id);
-    if (tracerPtr)
-        tracerPtr->instant(obs::machine_track, "fault",
-                           strprintf("kill:cell%d", id));
+    spanLayer.instant(obs::machine_track, "fault", "kill",
+                      simulator.now(),
+                      {"cell", static_cast<std::uint64_t>(id)});
     if (killHook)
         killHook(id);
 }
@@ -621,30 +616,14 @@ Machine::dump_stats(const std::string &path) const
     return obs::write_file(path, stats_json(true));
 }
 
-void
-Machine::enable_tracing(std::size_t capacity)
-{
-    if (tracerPtr)
-        return;
-    tracerPtr = std::make_unique<obs::Tracer>(simulator, capacity);
-    tnetNet.set_tracer(tracerPtr.get());
-    bnetNet.set_tracer(tracerPtr.get());
-    if (rnetNet)
-        rnetNet->set_tracer(tracerPtr.get());
-    for (auto &c : cells) {
-        int track = c->id();
-        c->msc().set_tracer(tracerPtr.get(), track);
-        c->mc().set_tracer(tracerPtr.get(), track);
-        c->ring().set_tracer(tracerPtr.get(), track);
-    }
-}
-
 bool
 Machine::write_trace(const std::string &path) const
 {
-    if (!tracerPtr)
+    if (!spanLayer.full())
         return false;
-    return tracerPtr->write_chrome_json(path);
+    return obs::write_file(
+        path, obs::span_chrome_json(spanLayer.events(),
+                                    spanLayer.full_dropped()));
 }
 
 std::string
@@ -672,23 +651,21 @@ bool
 Machine::dump_flight_recorder(const std::string &path) const
 {
     return obs::write_file(
-        path, obs::span_chrome_json(spanLayer.flight_events()));
+        path, obs::span_chrome_json(spanLayer.flight_events(),
+                                    spanLayer.flight_dropped()));
 }
 
 std::string
 Machine::flight_report() const
 {
-    std::uint64_t retained = 0, dropped = 0;
-    for (int i = -1; i < cfg.cells; ++i) {
-        const obs::FlightRecorder &r = spanLayer.flight(i);
-        retained += r.size();
-        dropped += r.dropped();
-    }
+    std::uint64_t retained = 0;
+    for (int i = -1; i < cfg.cells; ++i)
+        retained += spanLayer.flight(i).size();
     return strprintf(
         "flight recorder: %llu span events retained, %llu aged out "
         "(%zu per-cell capacity, mode %s)\n",
         static_cast<unsigned long long>(retained),
-        static_cast<unsigned long long>(dropped),
+        static_cast<unsigned long long>(spanLayer.flight_dropped()),
         cfg.flightEvents, obs::to_string(spanLayer.mode()));
 }
 

@@ -24,7 +24,6 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "obs/stats_registry.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
@@ -195,20 +194,10 @@ class Machine
     bool dump_stats(const std::string &path) const;
 
     /**
-     * Turn on the cycle-timeline tracer and wire it into every
-     * component (networks, MSC+s, MCs, ring buffers). Idempotent;
-     * @p capacity bounds the ring buffer on first call.
-     */
-    void enable_tracing(
-        std::size_t capacity = obs::Tracer::default_capacity);
-
-    /** The tracer, or nullptr while tracing is off. */
-    obs::Tracer *tracer() { return tracerPtr.get(); }
-    const obs::Tracer *tracer() const { return tracerPtr.get(); }
-
-    /**
-     * Write the tracer's Chrome trace_event JSON to @p path.
-     * @return false when tracing is off or on I/O error.
+     * Write the span layer's full log — stage events and annotations
+     * — as Chrome trace_event JSON to @p path, with the events the
+     * log's bound dropped in otherData.dropped. @return false unless
+     * the span mode is full, or on I/O error.
      */
     bool write_trace(const std::string &path) const;
 
@@ -306,7 +295,6 @@ class Machine
     std::atomic<std::uint64_t> retryGiveups{0};
     std::function<void(CellId)> killHook;
     obs::StatsRegistry statsReg;
-    std::unique_ptr<obs::Tracer> tracerPtr;
     std::unique_ptr<obs::TimelineSampler> samplerPtr;
     obs::SpanLayer spanLayer;
 };

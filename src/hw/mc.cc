@@ -24,8 +24,6 @@ Mc::increment_flag(Addr addr)
     }
     mem.fetch_increment_u32(t.paddr);
     ++mcStats.flagIncrements;
-    if (tracer)
-        tracer->instant(traceTrack, "flag", "flag_increment");
     AP_DPRINTF(MC, "flag increment at 0x%llx",
                static_cast<unsigned long long>(addr));
     flagCond.notify_all();

@@ -20,7 +20,6 @@
 #include "hw/commreg.hh"
 #include "hw/memory.hh"
 #include "hw/mmu.hh"
-#include "obs/tracer.hh"
 #include "sim/process.hh"
 
 namespace ap::hw
@@ -104,22 +103,12 @@ class Mc
 
     const McStats &stats() const { return mcStats; }
 
-    /** Attach a cycle-timeline tracer (nullptr detaches). */
-    void
-    set_tracer(obs::Tracer *t, int track)
-    {
-        tracer = t;
-        traceTrack = track;
-    }
-
   private:
     CellMemory &mem;
     Mmu mmuUnit;
     CommRegisterFile regFile;
     sim::Condition flagCond;
     McStats mcStats;
-    obs::Tracer *tracer = nullptr;
-    int traceTrack = 0;
 };
 
 } // namespace ap::hw

@@ -29,11 +29,18 @@ Msc::injected_fault()
     bool hit = faults && faults->active() &&
                faults->inject_page_fault();
     if (hit) {
-        if (tracer)
-            tracer->instant(traceTrack, "fault", "injected_page_fault");
+        note("fault", "injected_page_fault");
         AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
     }
     return hit;
+}
+
+void
+Msc::note(const char *cat, const char *prefix, const char *suffix)
+{
+    if (spans && spans->full())
+        spans->instant(cell.id(), cat, std::string(prefix) + suffix,
+                       sim.now());
 }
 
 const char *
@@ -59,16 +66,13 @@ Msc::enqueue(CommandQueue &q, Command cmd)
     bool force = faults && faults->active() &&
                  faults->force_overflow();
     if (force) {
-        if (tracer)
-            tracer->instant(traceTrack, "fault", "forced_spill");
+        note("fault", "forced_spill");
         AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
                    queue_name(q));
     }
     bool spilled = q.push(std::move(cmd), force);
     if (spilled) {
-        if (tracer)
-            tracer->instant(traceTrack, "queue",
-                            std::string("spill:") + queue_name(q));
+        note("queue", "spill:", queue_name(q));
         AP_DPRINTF(Queue, "cell %d: %s spilled (depth %d)", cell.id(),
                    queue_name(q), q.spill_depth());
     }
@@ -163,11 +167,7 @@ Msc::maybe_refill(CommandQueue &q)
                        [this, &q]() {
                            int moved = q.refill();
                            q.set_refill_scheduled(false);
-                           if (tracer)
-                               tracer->instant(
-                                   traceTrack, "queue",
-                                   std::string("refill:") +
-                                       queue_name(q));
+                           note("queue", "refill:", queue_name(q));
                            AP_DPRINTF(Queue,
                                       "cell %d: %s refilled %d "
                                       "commands", cell.id(),
@@ -200,8 +200,8 @@ Msc::kick()
     // the event cost per send.
     Tick stream = us_to_ticks(cfg.timings.dmaPerByteUs *
                               static_cast<double>(cmd.bytes()));
-    auto fire = [this, cmd = std::move(cmd), popT, stream]() mutable {
-        process(std::move(cmd), popT, stream);
+    auto fire = [this, cmd = std::move(cmd), popT]() mutable {
+        process(std::move(cmd), popT);
     };
     static_assert(sim::EventFn::fits<decltype(fire)>(),
                   "send-pipeline closure must stay in the EventFn "
@@ -211,7 +211,7 @@ Msc::kick()
 }
 
 void
-Msc::process(Command cmd, Tick start, Tick stream)
+Msc::process(Command cmd, Tick start)
 {
     // Gather the payload this command sends, if any. Data-bearing
     // gathers fill a pooled buffer that the destination releases
@@ -263,9 +263,6 @@ Msc::process(Command cmd, Tick start, Tick stream)
         break; // header-only requests
     }
 
-    if (tracer && !payload.empty())
-        tracer->span_at(traceTrack, "dma", "dma_send",
-                        sim.now() - stream, sim.now());
     finish_send(std::move(cmd), std::move(payload), start);
 }
 
@@ -356,9 +353,6 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
     mscStats.cmdLatencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(
             sim.now() - cmd.issuedAt)));
-    if (tracer)
-        tracer->span(traceTrack, "msc", to_string(cmd.kind),
-                     cmd.issuedAt);
 
     // Combined flag update: the send flag increments when the send
     // DMA completes (PUT/SEND at the origin; GET at the data owner,
@@ -388,8 +382,7 @@ void
 Msc::local_fault(Addr addr)
 {
     ++mscStats.localFaults;
-    if (tracer)
-        tracer->instant(traceTrack, "fault", "local_fault");
+    note("fault", "local_fault");
     AP_DPRINTF(Fault, "cell %d: local fault at 0x%llx (command "
                "dropped)", cell.id(),
                static_cast<unsigned long long>(addr));
@@ -411,8 +404,7 @@ Msc::remote_fault(Addr addr)
     // the remaining message from the network."
     ++mscStats.remoteFaults;
     ++mscStats.flushedMessages;
-    if (tracer)
-        tracer->instant(traceTrack, "fault", "remote_fault_flush");
+    note("fault", "remote_fault_flush");
     AP_DPRINTF(Fault, "cell %d: remote fault at 0x%llx (message "
                "flushed)", cell.id(),
                static_cast<unsigned long long>(addr));
@@ -438,8 +430,6 @@ Msc::deliver(net::Message msg)
     if (spans && msg.traceId != 0)
         spans->record(cell.id(), msg.traceId,
                       obs::SpanStage::dma_recv, sim.now(), finish);
-    if (tracer && !msg.payload.empty())
-        tracer->span_at(traceTrack, "dma", "dma_recv", start, finish);
     AP_DPRINTF(DMA, "cell %d: recv DMA of %s from cell %d (%llu "
                "bytes)", cell.id(), net::to_string(msg.kind), msg.src,
                static_cast<unsigned long long>(msg.payload.size()));

@@ -39,7 +39,7 @@
 #include "hw/queues.hh"
 #include "net/link.hh"
 #include "net/message.hh"
-#include "obs/tracer.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 #include "sim/process.hh"
@@ -178,18 +178,8 @@ class Msc
      */
     void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
 
-    /**
-     * Attach a cycle-timeline tracer (nullptr detaches). @p track is
-     * the timeline track events land on — the owning cell's id.
-     */
-    void
-    set_tracer(obs::Tracer *t, int track)
-    {
-        tracer = t;
-        traceTrack = track;
-    }
-
-    /** Attach the machine's span layer (nullptr detaches). */
+    /** Attach the machine's span layer (nullptr detaches). Fault
+     *  and queue annotations land on the owning cell's track. */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
@@ -199,13 +189,16 @@ class Msc
     CommandQueue *pick_queue();
     void enqueue(CommandQueue &q, Command cmd);
     bool injected_fault();
+    /** Annotate "@p prefix@p suffix" as an instant on this cell's
+     *  track (full span mode only). */
+    void note(const char *cat, const char *prefix,
+              const char *suffix = "");
     /**
      * Runs at send-DMA completion (the single fused event kick()
      * schedules): gathers the payload, then injects. @p start is
-     * when the send engine picked the command up; @p stream is the
-     * payload streaming time already elapsed inside the event.
+     * when the send engine picked the command up.
      */
-    void process(Command cmd, Tick start, Tick stream);
+    void process(Command cmd, Tick start);
     void finish_send(Command cmd, std::vector<std::uint8_t> payload,
                      Tick start);
     /** Inject @p msg, bypassing the Link vtable when the raw T-net
@@ -243,8 +236,6 @@ class Msc
     MscStats mscStats;
     FaultHook faultHook;
     sim::FaultInjector *faults = nullptr;
-    obs::Tracer *tracer = nullptr;
-    int traceTrack = 0;
     obs::SpanLayer *spans = nullptr;
 };
 

@@ -22,8 +22,9 @@ RingBuffer::deposit(SendRecord rec)
         // operating system, which then allocates a new buffer."
         capacityBytes *= 2;
         ++rbStats.growInterrupts;
-        if (tracer)
-            tracer->instant(traceTrack, "ring", "ring_grow");
+        if (spans && simPtr)
+            spans->instant(spanCell, "ring", "ring_grow",
+                           simPtr->now());
         AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
                    capacityBytes);
     }

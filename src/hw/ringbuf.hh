@@ -24,7 +24,6 @@
 
 #include "base/types.hh"
 #include "obs/span.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 #include "sim/process.hh"
 
@@ -115,14 +114,6 @@ class RingBuffer
 
     const RingBufferStats &stats() const { return rbStats; }
 
-    /** Attach a cycle-timeline tracer (nullptr detaches). */
-    void
-    set_tracer(obs::Tracer *t, int track)
-    {
-        tracer = t;
-        traceTrack = track;
-    }
-
     /**
      * Attach the machine's span layer (nullptr detaches). @p cell is
      * the owning cell; @p s_im timestamps deposits and matches.
@@ -145,8 +136,6 @@ class RingBuffer
     std::deque<SendRecord> records;
     sim::Condition arrival;
     RingBufferStats rbStats;
-    obs::Tracer *tracer = nullptr;
-    int traceTrack = 0;
     obs::SpanLayer *spans = nullptr;
     std::int32_t spanCell = -1;
     sim::Simulator *simPtr = nullptr;

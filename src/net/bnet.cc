@@ -41,9 +41,6 @@ Bnet::broadcast(Message msg)
     if (spans && msg.traceId != 0)
         spans->record(-1, msg.traceId, obs::SpanStage::net, start,
                       arrive);
-    if (tracer)
-        tracer->span_at(obs::machine_track, "bnet", "broadcast",
-                        start, arrive);
     AP_DPRINTF(BNet, "broadcast from cell %d (%llu wire bytes)",
                msg.src,
                static_cast<unsigned long long>(msg.wire_bytes()));

@@ -18,7 +18,6 @@
 #include "base/types.hh"
 #include "net/message.hh"
 #include "obs/span.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 
 namespace ap::net
@@ -70,9 +69,6 @@ class Bnet
 
     const BnetStats &stats() const { return netStats; }
 
-    /** Attach a cycle-timeline tracer (nullptr detaches). */
-    void set_tracer(obs::Tracer *t) { tracer = t; }
-
     /** Attach the machine's span layer (nullptr detaches). */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
@@ -85,7 +81,6 @@ class Bnet
     std::mutex busMutex;
     Tick busyUntil = 0;
     BnetStats netStats;
-    obs::Tracer *tracer = nullptr;
     obs::SpanLayer *spans = nullptr;
 };
 

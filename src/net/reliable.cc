@@ -192,9 +192,6 @@ ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
                           resent, arr, obs::SpanOp::none,
                           static_cast<std::uint32_t>(p.sends));
     }
-    if (tracer)
-        tracer->instant(obs::machine_track, "rnet",
-                        strprintf("retransmit:%d->%d", src, dst));
     ch.rtoUs = std::min(ch.rtoUs * 2.0, prm.rtoMaxUs);
     arm_timer(ch, src, dst, ch.rtoUs);
 }

@@ -44,7 +44,6 @@
 #include "net/link.hh"
 #include "net/tnet.hh"
 #include "obs/span.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 
 namespace ap::net
@@ -111,9 +110,6 @@ class ReliableNet : public Link
 
     /** Stamp, sequence and transmit (or window-park) @p msg. */
     Tick send(Message msg) override;
-
-    /** Attach a cycle-timeline tracer (nullptr detaches). */
-    void set_tracer(obs::Tracer *t) { tracer = t; }
 
     /** Attach the machine's span layer (nullptr detaches). Each
      *  go-back-N resend records a retransmit child span under the
@@ -217,7 +213,6 @@ class ReliableNet : public Link
     std::unordered_map<std::uint64_t, RecvChannel> recvChans;
     std::vector<RnetStats> cellStats;
     std::function<bool(CellId)> alive;
-    obs::Tracer *tracer = nullptr;
     obs::SpanLayer *spans = nullptr;
 };
 

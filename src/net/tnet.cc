@@ -79,6 +79,14 @@ Tnet::schedule_held_delivery(Message msg, Tick arrive)
     });
 }
 
+void
+Tnet::note_fault(const char *what, MsgKind kind)
+{
+    if (spans && spans->full())
+        spans->instant(obs::machine_track, "fault",
+                       std::string(what) + to_string(kind), sim.now());
+}
+
 Tick
 Tnet::send(Message msg)
 {
@@ -149,10 +157,7 @@ Tnet::send(Message msg)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject, arrive,
                               obs::SpanOp::none, 1);
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("drop:") +
-                                    to_string(msg.kind));
+            note_fault("drop:", msg.kind);
             AP_DPRINTF(Fault, "dropped %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             return arrive;
@@ -161,10 +166,7 @@ Tnet::send(Message msg)
             faults->try_hold(msg.dst,
                              sim::FaultInjector::HoldKind::duplicate)) {
             ++netStats.duplicated;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("duplicate:") +
-                                    to_string(msg.kind));
+            note_fault("duplicate:", msg.kind);
             AP_DPRINTF(Fault, "duplicated %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             schedule_held_delivery(msg, arrive);
@@ -175,22 +177,13 @@ Tnet::send(Message msg)
             // Held back past the FIFO clamp already recorded in
             // `last`: later same-pair traffic overtakes this message.
             ++netStats.reordered;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("reorder:") +
-                                    to_string(msg.kind));
+            note_fault("reorder:", msg.kind);
             AP_DPRINTF(Fault, "reordered %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             if (spans && msg.traceId != 0)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject,
                               arrive + faults->reorder_delay());
-            if (tracer && msg.src != msg.dst)
-                tracer->span_at(static_cast<int>(msg.dst), "tnet",
-                                std::string("flight:") +
-                                    to_string(msg.kind),
-                                inject,
-                                arrive + faults->reorder_delay());
             schedule_held_delivery(std::move(msg),
                                    arrive + faults->reorder_delay());
             return arrive;
@@ -202,10 +195,7 @@ Tnet::send(Message msg)
                     msg.payload.size())] ^= 0xFF;
             else
                 msg.checksum ^= 1;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("corrupt:") +
-                                    to_string(msg.kind));
+            note_fault("corrupt:", msg.kind);
             AP_DPRINTF(Fault, "corrupted %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
         }
@@ -214,10 +204,6 @@ Tnet::send(Message msg)
     if (spans && msg.traceId != 0)
         spans->record(msg.dst, msg.traceId, obs::SpanStage::net,
                       inject, arrive);
-    if (tracer && msg.src != msg.dst)
-        tracer->span_at(static_cast<int>(msg.dst), "tnet",
-                        std::string("flight:") + to_string(msg.kind),
-                        inject, arrive);
     schedule_delivery(std::move(msg), arrive);
     return arrive;
 }

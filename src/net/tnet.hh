@@ -32,7 +32,6 @@
 #include "net/message.hh"
 #include "net/topology.hh"
 #include "obs/span.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
@@ -117,14 +116,8 @@ class Tnet final : public Link
      */
     void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
 
-    /**
-     * Attach a cycle-timeline tracer (nullptr detaches). Message
-     * flight spans land on the destination cell's track; injected
-     * network faults land on the machine track.
-     */
-    void set_tracer(obs::Tracer *t) { tracer = t; }
-
-    /** Attach the machine's span layer (nullptr detaches). */
+    /** Attach the machine's span layer (nullptr detaches). Injected
+     *  network faults are annotated on the machine track. */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
     /**
@@ -147,6 +140,10 @@ class Tnet final : public Link
      *  admitted for this duplicated/reordered message on delivery. */
     void schedule_held_delivery(Message msg, Tick arrive);
 
+    /** Annotate injected fault "@p what<kind>" on the machine track
+     *  (full span mode only). */
+    void note_fault(const char *what, MsgKind kind);
+
     sim::Simulator &sim;
     Torus topo;
     TnetParams prm;
@@ -163,7 +160,6 @@ class Tnet final : public Link
     /** per directed link (from * size + to) busy-until (contention). */
     std::unordered_map<std::uint64_t, Tick> linkBusy;
     TnetStats netStats;
-    obs::Tracer *tracer = nullptr;
     obs::SpanLayer *spans = nullptr;
 };
 

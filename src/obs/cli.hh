@@ -3,10 +3,12 @@
  * Shared telemetry command-line conventions.
  *
  * Every binary that drives the simulated machine — the app runner,
- * the benches, the stress harness — accepts the same three flags:
+ * the benches, the stress harness — accepts the same flags:
  *
  *   --stats-out=FILE          write the stats-registry JSON dump
- *   --trace-out=FILE          enable the tracer, write Chrome trace
+ *   --trace-out=FILE          record the full span log (stage events
+ *                             and annotations), write it as Chrome
+ *                             trace JSON
  *   --timeline-out=FILE       enable the perf-timeline sampler
  *   --timeline-csv=FILE       also write the timeline as CSV
  *   --timeline-period-us=US   sampling period (model time)
@@ -34,7 +36,9 @@ namespace ap::obs
 struct ObsOptions
 {
     std::string statsOut;    ///< --stats-out=FILE (empty = off)
-    std::string traceOut;    ///< --trace-out=FILE (empty = off)
+    /** --trace-out=FILE (empty = off): the machine runs in full
+     *  span mode and Machine::write_trace() writes there. */
+    std::string traceOut;
     std::string timelineOut; ///< --timeline-out=FILE (empty = off)
     /** --timeline-csv=FILE: CSV export of the same timeline. Enables
      *  the sampler by itself; --timeline-out is not required. */

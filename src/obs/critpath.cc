@@ -75,9 +75,11 @@ attribute_trace(const std::vector<SpanEvent> &evs)
 } // namespace
 
 CritPathReport
-analyze_spans(const std::vector<SpanEvent> &events)
+analyze_spans(const std::vector<SpanEvent> &events,
+              std::uint64_t dropped)
 {
     CritPathReport rep;
+    rep.dropped = dropped;
     std::map<std::uint64_t, std::vector<SpanEvent>> traces;
     for (const SpanEvent &ev : events) {
         if (ev.traceId == 0)
@@ -120,6 +122,11 @@ CritPathReport::text() const
         static_cast<unsigned long long>(events),
         ticks_to_us(endToEndTicks), ticks_to_us(attributedTicks),
         coverage() * 100.0);
+    if (dropped != 0)
+        out += strprintf("  PARTIAL: %llu span events dropped at the "
+                         "%zu-event bound\n",
+                         static_cast<unsigned long long>(dropped),
+                         SpanLayer::default_full_capacity);
     out += "  stage           time(us)    share   events\n";
     double denom =
         endToEndTicks == 0 ? 1.0 : ticks_to_us(endToEndTicks);
@@ -183,6 +190,7 @@ CritPathReport::json(bool pretty) const
     tree.set("end_to_end_us", ticks_to_us(endToEndTicks));
     tree.set("attributed_us", ticks_to_us(attributedTicks));
     tree.set("coverage", coverage());
+    tree.set("dropped", dropped);
     for (int s = 0; s < span_stage_count; ++s) {
         const StageAttribution &st =
             stages[static_cast<std::size_t>(s)];

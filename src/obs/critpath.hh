@@ -17,7 +17,9 @@
  * The report aggregates machine-wide and per operation kind (PUT,
  * GET, SEND, ...), renders as text for terminals and as JSON (via
  * obs/json.hh) for CI schema checks, and is wired into
- * `ap_run --profile` and the benches.
+ * `ap_run --profile` and the benches. A log truncated at the span
+ * layer's bound yields a partial profile; the caller passes the
+ * drop count and both renderings say so.
  */
 
 #ifndef AP_OBS_CRITPATH_HH
@@ -55,6 +57,9 @@ struct CritPathReport
 {
     std::uint64_t traces = 0;
     std::uint64_t events = 0;
+    /** Span events the log's bound dropped before analysis; nonzero
+     *  means every number below covers only part of the run. */
+    std::uint64_t dropped = 0;
     Tick endToEndTicks = 0;
     Tick attributedTicks = 0;
     std::array<StageAttribution, span_stage_count> stages{};
@@ -85,15 +90,18 @@ struct CritPathReport
     /** Human-readable stage table plus per-op breakdown. */
     std::string text() const;
 
-    /** JSON document (coverage, stages.<name>, ops.<name>). */
+    /** JSON document (coverage, dropped, stages.<name>,
+     *  ops.<name>). */
     std::string json(bool pretty = true) const;
 };
 
 /**
  * Attribute @p events (any order, any mix of traces). Events with
- * traceId 0 are ignored.
+ * traceId 0 — annotations — are ignored. @p dropped is the number of
+ * events the log lost to its bound (SpanLayer::full_dropped()).
  */
-CritPathReport analyze_spans(const std::vector<SpanEvent> &events);
+CritPathReport analyze_spans(const std::vector<SpanEvent> &events,
+                             std::uint64_t dropped = 0);
 
 } // namespace ap::obs
 

@@ -2,16 +2,17 @@
  * @file
  * Per-cell flight recorder: a bounded ring of the last N span events.
  *
- * The tracer (obs/tracer.hh) must be enabled before the interesting
- * run; the flight recorder is the other way around — always on, so
- * the events leading up to a failure exist *after the fact*. Each
- * cell keeps a fixed preallocated ring of POD span events; a push is
- * an array store plus an index increment, which is what lets the
- * machine afford it on every message of every run. When a CommError
- * or watchdog fires, the merged rings are the black box: the last
- * thing every cell's hardware did, dumped as text into the error
- * message and as Chrome trace JSON on demand
- * (Machine::dump_flight_recorder()).
+ * The span layer's full log (obs/span.hh) must be switched on before
+ * the interesting run; the flight recorder is the other way around —
+ * always on, so the events leading up to a failure exist *after the
+ * fact*. Each cell keeps a fixed preallocated ring of POD stage
+ * events (annotations never enter it); a push is an array store plus
+ * an index increment, which is what lets the machine afford it on
+ * every message of every run. When a CommError or watchdog fires,
+ * the merged rings are the black box: the last thing every cell's
+ * hardware did, dumped as text into the error message and as Chrome
+ * trace JSON on demand (Machine::dump_flight_recorder(), rendered by
+ * span_chrome_json()).
  */
 
 #ifndef AP_OBS_FLIGHT_HH

@@ -1,12 +1,91 @@
 #include "obs/span.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <deque>
+#include <set>
 
 #include "base/logging.hh"
 #include "obs/json.hh"
 
 namespace ap::obs
 {
+
+namespace
+{
+
+/** The process-wide annotation name table; id i is names[i - 1]. A
+ *  deque, so entries stay put while other threads intern. */
+struct NameTable
+{
+    std::mutex mu;
+    std::deque<SpanName> names;
+};
+
+NameTable &
+name_table()
+{
+    static NameTable table;
+    return table;
+}
+
+bool
+same_key(const char *a, const char *b)
+{
+    return a == b || (a && b && std::strcmp(a, b) == 0);
+}
+
+/** Intern (@p cat, @p name, arg keys); @p cat and the keys must be
+ *  string literals, which the table keeps by pointer. */
+std::uint8_t
+intern(const char *cat, std::string_view name, const char *auxKey,
+       const char *aux2Key)
+{
+    NameTable &t = name_table();
+    std::lock_guard<std::mutex> lock(t.mu);
+    for (std::size_t i = 0; i < t.names.size(); ++i) {
+        const SpanName &n = t.names[i];
+        if (n.name == name && std::strcmp(n.cat, cat) == 0 &&
+            same_key(n.auxKey, auxKey) &&
+            same_key(n.aux2Key, aux2Key))
+            return static_cast<std::uint8_t>(i + 1);
+    }
+    if (t.names.size() == UINT8_MAX)
+        panic("more than %d span annotation names", UINT8_MAX);
+    t.names.push_back(SpanName{cat, std::string(name), auxKey, aux2Key});
+    return static_cast<std::uint8_t>(t.names.size());
+}
+
+/** Chrome thread id of @p track: the machine track is 0, cell c is
+ *  c + 1, and worker tracks sort after every cell. */
+int
+tid_of(std::int32_t track)
+{
+    return track < machine_track ? 1000000 + (-2 - track) : track + 1;
+}
+
+std::string
+track_name(std::int32_t track)
+{
+    if (track == machine_track)
+        return "machine";
+    if (track < machine_track)
+        return strprintf("worker %d", -2 - track);
+    return strprintf("cell %d", track);
+}
+
+} // namespace
+
+const SpanName &
+span_name(std::uint8_t id)
+{
+    NameTable &t = name_table();
+    std::lock_guard<std::mutex> lock(t.mu);
+    if (id == 0 || id > t.names.size())
+        panic("unknown span annotation name id %u",
+              static_cast<unsigned>(id));
+    return t.names[id - 1u];
+}
 
 const char *
 to_string(SpanMode mode)
@@ -112,13 +191,34 @@ SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
         rings[idx].push(ev);
     }
 
-    if (mode_ == SpanMode::full) {
-        std::lock_guard<std::mutex> lock(fullMutex);
-        if (fullLog.size() < fullCapacity)
-            fullLog.push_back(ev);
-        else
-            ++fullDropped;
-    }
+    if (mode_ == SpanMode::full)
+        append_full(ev);
+}
+
+void
+SpanLayer::annotate(SpanKind kind, std::int32_t track, const char *cat,
+                    std::string_view name, Tick begin, Tick end,
+                    SpanArg a, SpanArg b)
+{
+    SpanEvent ev;
+    ev.begin = begin;
+    ev.end = std::max(begin, end);
+    ev.cell = track;
+    ev.aux = a.value;
+    ev.aux2 = b.value;
+    ev.kind = kind;
+    ev.name = intern(cat, name, a.key, b.key);
+    append_full(ev);
+}
+
+void
+SpanLayer::append_full(const SpanEvent &ev)
+{
+    std::lock_guard<std::mutex> lock(fullMutex);
+    if (fullLog.size() < default_full_capacity)
+        fullLog.push_back(ev);
+    else
+        ++fullDropped;
 }
 
 void
@@ -145,6 +245,17 @@ SpanLayer::flight(std::int32_t cell) const
     return rings[idx];
 }
 
+std::uint64_t
+SpanLayer::flight_dropped() const
+{
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+        std::lock_guard<std::mutex> lock(ringLocks[i]);
+        n += rings[i].dropped();
+    }
+    return n;
+}
+
 std::vector<SpanEvent>
 SpanLayer::flight_events(std::size_t maxPerCell) const
 {
@@ -164,61 +275,83 @@ SpanLayer::flight_events(std::size_t maxPerCell) const
 }
 
 std::string
-span_chrome_json(const std::vector<SpanEvent> &events)
+span_chrome_json(const std::vector<SpanEvent> &events,
+                 std::uint64_t dropped)
 {
-    // Same trace_event dialect as obs::Tracer::chrome_json(): one
-    // thread per cell, complete events, microsecond timestamps.
     std::string out = "{\"traceEvents\": [\n";
     bool first = true;
-
-    std::vector<std::int32_t> cells;
-    for (const SpanEvent &ev : events)
-        if (std::find(cells.begin(), cells.end(), ev.cell) ==
-            cells.end())
-            cells.push_back(ev.cell);
-    std::sort(cells.begin(), cells.end());
-    for (std::int32_t c : cells) {
-        std::string name =
-            c < 0 ? "machine" : strprintf("cell %d", c);
+    auto sep = [&]() {
         if (!first)
             out += ",\n";
         first = false;
+    };
+
+    std::set<std::int32_t> tracks;
+    for (const SpanEvent &ev : events)
+        tracks.insert(ev.cell);
+    for (std::int32_t t : tracks) {
+        sep();
         out += strprintf(
             "  {\"name\": \"thread_name\", \"ph\": \"M\", "
             "\"pid\": 1, \"tid\": %d, \"args\": {\"name\": "
             "\"%s\"}}",
-            c + 1, json_escape(name).c_str());
+            tid_of(t), track_name(t).c_str());
     }
 
     for (const SpanEvent &ev : events) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        std::string args = strprintf(
-            "{\"trace\": %llu",
-            static_cast<unsigned long long>(ev.traceId));
-        if (ev.op != SpanOp::none)
-            args += strprintf(", \"op\": \"%s\"", to_string(ev.op));
-        if (ev.aux != 0)
-            args += strprintf(", \"aux\": %u", ev.aux);
-        args += "}";
+        std::string name, args;
+        const char *cat = "span";
+        if (ev.name == 0) {
+            name = to_string(ev.stage);
+            args = strprintf(
+                "\"trace\": %llu",
+                static_cast<unsigned long long>(ev.traceId));
+            if (ev.op != SpanOp::none)
+                args += strprintf(", \"op\": \"%s\"",
+                                  to_string(ev.op));
+            if (ev.aux != 0)
+                args += strprintf(", \"aux\": %u", ev.aux);
+        } else {
+            const SpanName &n = span_name(ev.name);
+            name = json_escape(n.name);
+            cat = n.cat;
+            if (n.auxKey)
+                args = strprintf("\"%s\": %u", n.auxKey, ev.aux);
+            if (n.aux2Key)
+                args += strprintf("%s\"%s\": %u",
+                                  args.empty() ? "" : ", ",
+                                  n.aux2Key, ev.aux2);
+        }
+        std::string phase;
+        switch (ev.kind) {
+          case SpanKind::span:
+            phase = strprintf(
+                "\"ph\": \"X\", \"ts\": %s, \"dur\": %s",
+                json_number(ticks_to_us(ev.begin)).c_str(),
+                json_number(ticks_to_us(ev.end - ev.begin)).c_str());
+            break;
+          case SpanKind::instant:
+            phase = strprintf(
+                "\"ph\": \"i\", \"s\": \"t\", \"ts\": %s",
+                json_number(ticks_to_us(ev.begin)).c_str());
+            break;
+          case SpanKind::counter:
+            phase = strprintf(
+                "\"ph\": \"C\", \"ts\": %s",
+                json_number(ticks_to_us(ev.begin)).c_str());
+            break;
+        }
+        sep();
         out += strprintf(
-            "  {\"name\": \"%s\", \"cat\": \"span\", \"ph\": \"X\", "
-            "\"ts\": %s, \"dur\": %s, \"pid\": 1, \"tid\": %d, "
-            "\"args\": %s}",
-            to_string(ev.stage),
-            json_number(ticks_to_us(ev.begin)).c_str(),
-            json_number(ticks_to_us(ev.end - ev.begin)).c_str(),
-            ev.cell + 1, args.c_str());
+            "  {\"name\": \"%s\", \"cat\": \"%s\", %s, "
+            "\"pid\": 1, \"tid\": %d, \"args\": {%s}}",
+            name.c_str(), cat, phase.c_str(), tid_of(ev.cell),
+            args.c_str());
     }
-    out += "\n]}\n";
+    out += strprintf("\n], \"displayTimeUnit\": \"ms\", "
+                     "\"otherData\": {\"dropped\": %llu}}\n",
+                     static_cast<unsigned long long>(dropped));
     return out;
-}
-
-std::string
-span_text(const std::vector<SpanEvent> &events)
-{
-    return flight_text(events);
 }
 
 } // namespace ap::obs

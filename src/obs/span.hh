@@ -1,29 +1,41 @@
 /**
  * @file
- * Causal message-lifecycle spans.
+ * Causal message-lifecycle spans: the machine's one event stream.
  *
  * The paper's central claim is a latency breakdown (Figs. 7-8): a PUT
  * is 8 user-level stores, then MSC+ queueing, DMA send, T-net
- * transit, receive DMA and the flag update. The stats registry and
- * tracer (obs/stats_registry.hh, obs/tracer.hh) aggregate those
- * stages machine-wide but cannot say which stage dominated *one*
- * transfer. This layer can: every PUT/GET/SEND/broadcast gets a
- * machine-unique trace id stamped at command issue and propagated
- * through the MSC+ queues, the DMA engines, the network envelopes
- * (retransmits become child spans) and the GET reply, producing a
- * span set per operation with begin/end ticks per stage.
+ * transit, receive DMA and the flag update. The stats registry
+ * (obs/stats_registry.hh) aggregates those stages machine-wide but
+ * cannot say which stage dominated *one* transfer. This layer can:
+ * every PUT/GET/SEND/broadcast gets a machine-unique trace id stamped
+ * at command issue and propagated through the MSC+ queues, the DMA
+ * engines, the network envelopes (retransmits become child spans)
+ * and the GET reply, producing a span set per operation with
+ * begin/end ticks per stage.
+ *
+ * Besides those stage events the layer keeps *annotations*: named,
+ * untraced events on a track — injected faults, queue spills and
+ * refills, processor waits, collective phases, job attempts and
+ * kernel windows — as spans, instants or counter samples. They carry
+ * trace id 0, live only in the full log and never reach the flight
+ * rings or the critical-path profiler.
  *
  * Three modes:
  *  - off:    no ids, no events, probes cost one predictable branch;
- *  - flight: the default. Events land only in per-cell bounded rings
- *            (the flight recorder, obs/flight.hh) — a POD store into
- *            a preallocated array, cheap enough to leave on always;
- *  - full:   events are additionally appended to an in-order log the
- *            critical-path profiler (obs/critpath.hh) consumes.
+ *  - flight: the default. Stage events land only in per-cell bounded
+ *            rings (the flight recorder, obs/flight.hh) — a POD store
+ *            into a preallocated array, cheap enough to leave on
+ *            always;
+ *  - full:   stage events and annotations are also appended to an
+ *            in-order log, bounded at default_full_capacity events
+ *            with drops counted. The critical-path profiler
+ *            (obs/critpath.hh) and `--trace-out` read it.
  *
+ * span_chrome_json() is the one Chrome trace_event exporter: it
+ * renders the full log, the flight rings and the postmortem dump.
  * SpanEvent is deliberately POD (no strings, no allocation) so the
- * always-on flight path stays near-zero overhead; bench_trace_overhead
- * guards that budget in CI.
+ * always-on flight path stays near-zero overhead;
+ * bench_trace_overhead guards that budget in CI.
  */
 
 #ifndef AP_OBS_SPAN_HH
@@ -34,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/types.hh"
@@ -51,6 +64,20 @@ enum class SpanMode : std::uint8_t
 };
 
 const char *to_string(SpanMode mode);
+
+/** The machine-wide track, for events not owned by one cell. */
+constexpr std::int32_t machine_track = -1;
+
+/**
+ * Track of host worker (shard) @p w of the parallel kernel. Worker
+ * tracks live below machine_track so the cell id space stays
+ * untouched; span_chrome_json() names them "worker N".
+ */
+constexpr std::int32_t
+worker_track(int w)
+{
+    return -2 - w;
+}
 
 /** Pipeline stage one span event describes. */
 enum class SpanStage : std::uint8_t
@@ -90,30 +117,75 @@ constexpr int span_op_count = 9;
 
 const char *to_string(SpanOp op);
 
+/** What one SpanEvent records. */
+enum class SpanKind : std::uint8_t
+{
+    span,    ///< an interval [begin, end]
+    instant, ///< a point in time (begin == end)
+    counter, ///< a sampled value (aux) at begin
+};
+
 /**
- * One recorded lifecycle event. POD on purpose: the flight recorder
- * stores these by value in a preallocated ring and the record path
- * must not allocate.
+ * One recorded event: a stage of a traced operation (traceId != 0,
+ * name 0) or an annotation (traceId 0, an interned name). POD on
+ * purpose: the flight recorder stores these by value in a
+ * preallocated ring and the record path must not allocate.
  */
 struct SpanEvent
 {
     std::uint64_t traceId = 0; ///< machine-unique operation id
     Tick begin = 0;
     Tick end = 0;
-    std::int32_t cell = -1; ///< owning cell; -1 = machine-wide
+    /** Track: the owning cell, machine_track or a worker_track(). */
+    std::int32_t cell = -1;
+    /** Stage-specific detail: retransmit try count, 1 for a net
+     *  span whose message was dropped in flight. An annotation's
+     *  first number, a counter's value. */
+    std::uint32_t aux = 0;
+    std::uint32_t aux2 = 0; ///< an annotation's second number
     SpanStage stage = SpanStage::issue;
     SpanOp op = SpanOp::none; ///< set on issue-stage events only
-    /** Stage-specific detail: retransmit try count, 1 for a net
-     *  span whose message was dropped in flight. */
-    std::uint32_t aux = 0;
+    SpanKind kind = SpanKind::span;
+    std::uint8_t name = 0; ///< span_name() id; 0 on stage events
 };
 
-/** Render @p events as Chrome trace_event JSON (one thread per
- *  cell, complete "X" events, trace id and stage in args). */
-std::string span_chrome_json(const std::vector<SpanEvent> &events);
+/** What an annotation's interned name id stands for. */
+struct SpanName
+{
+    const char *cat = "";          ///< Chrome category ("fault", ...)
+    std::string name;              ///< event name ("forced_spill", ...)
+    const char *auxKey = nullptr;  ///< args key of aux; nullptr = none
+    const char *aux2Key = nullptr; ///< args key of aux2
+};
 
-/** Render @p events as a flat text table, one line per event. */
-std::string span_text(const std::vector<SpanEvent> &events);
+/** The entry behind interned annotation name @p id (>= 1). */
+const SpanName &span_name(std::uint8_t id);
+
+/** One numeric annotation argument, rendered as args.key. Values
+ *  saturate at 2^32 - 1. */
+struct SpanArg
+{
+    const char *key = nullptr; ///< nullptr = no argument
+    std::uint32_t value = 0;
+
+    SpanArg() = default;
+    SpanArg(const char *k, std::uint64_t v)
+        : key(k), value(v > UINT32_MAX ? UINT32_MAX
+                                       : static_cast<std::uint32_t>(v))
+    {
+    }
+};
+
+/**
+ * Render @p events as Chrome trace_event JSON: one thread per track
+ * ("machine", "cell N", "worker N"), spans as complete "X" events,
+ * instants as "i" and counters as "C"; stage events carry their
+ * trace id, op and aux in args, annotations their named numbers.
+ * @p dropped lands in otherData.dropped: the events the bound that
+ * produced @p events discarded.
+ */
+std::string span_chrome_json(const std::vector<SpanEvent> &events,
+                             std::uint64_t dropped);
 
 /**
  * The machine-wide span recorder. Owned by hw::Machine; hardware
@@ -141,6 +213,9 @@ class SpanLayer
     /** @return true when events are being recorded at all. */
     bool on() const { return mode_ != SpanMode::off; }
 
+    /** @return true when the full log (and annotations) is kept. */
+    bool full() const { return mode_ == SpanMode::full; }
+
     /** Allocate a machine-unique trace id; 0 while off. Atomic:
      *  cells on different shards mint ids concurrently. */
     std::uint64_t
@@ -162,7 +237,41 @@ class SpanLayer
                 SpanStage stage, Tick begin, Tick end,
                 SpanOp op = SpanOp::none, std::uint32_t aux = 0);
 
-    /** Events recorded since construction (all modes). */
+    /**
+     * Annotations: a named span, instant or counter sample on
+     * @p track, under category @p cat. Appended to the full log only
+     * (trace id 0, no flight ring, ignored by critpath); no-ops
+     * unless full(). Numbers go in @p a / @p b, never in @p name, so
+     * names stay a small interned set.
+     */
+    void
+    span(std::int32_t track, const char *cat, std::string_view name,
+         Tick begin, Tick end, SpanArg a = {}, SpanArg b = {})
+    {
+        if (full())
+            annotate(SpanKind::span, track, cat, name, begin, end, a,
+                     b);
+    }
+
+    void
+    instant(std::int32_t track, const char *cat,
+            std::string_view name, Tick at, SpanArg a = {})
+    {
+        if (full())
+            annotate(SpanKind::instant, track, cat, name, at, at, a,
+                     {});
+    }
+
+    void
+    counter(std::int32_t track, const char *cat,
+            std::string_view name, Tick at, std::uint64_t value)
+    {
+        if (full())
+            annotate(SpanKind::counter, track, cat, name, at, at,
+                     SpanArg("value", value), {});
+    }
+
+    /** Stage events recorded since construction (all modes). */
     std::uint64_t
     recorded() const
     {
@@ -174,6 +283,9 @@ class SpanLayer
 
     /** Full-log events dropped at the capacity bound. */
     std::uint64_t full_dropped() const { return fullDropped; }
+
+    /** Flight-ring events aged out, summed over every ring. */
+    std::uint64_t flight_dropped() const;
 
     /** Drop all recorded events (rings and full log). */
     void clear();
@@ -190,11 +302,16 @@ class SpanLayer
     flight_events(std::size_t maxPerCell = 0) const;
 
   private:
+    void annotate(SpanKind kind, std::int32_t track, const char *cat,
+                  std::string_view name, Tick begin, Tick end,
+                  SpanArg a, SpanArg b);
+    /** Append @p ev to the full log, or count it dropped. */
+    void append_full(const SpanEvent &ev);
+
     SpanMode mode_ = SpanMode::flight;
     std::atomic<std::uint64_t> lastTrace{0};
     std::atomic<std::uint64_t> recordedCount{0};
     std::uint64_t fullDropped = 0;
-    std::size_t fullCapacity = default_full_capacity;
     /** Guards the full-mode log (appended from every shard). */
     mutable std::mutex fullMutex;
     std::vector<SpanEvent> fullLog;

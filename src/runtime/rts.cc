@@ -238,8 +238,8 @@ Runtime::movewait()
         throw core::CommError(e.kind(), ctx.id(), e.peer(),
                               strprintf("movewait: %s", e.what()));
     }
-    if (auto *tr = ctx.owner().tracer())
-        tr->span(ctx.id(), "rts", "movewait", begin);
+    ctx.owner().spans().span(ctx.id(), "rts", "movewait", begin,
+                             ctx.owner().sim().now());
 }
 
 // -------------------------------------------------------- OVERLAP FIX

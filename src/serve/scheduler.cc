@@ -402,14 +402,13 @@ GangScheduler::finish_attempt_locked(Attempt &a)
     if (r.terminal())
         lastFinishTick = std::max(lastFinishTick, r.finishTick);
 
-    if (obs::Tracer *tr = machine.tracer())
-        tr->span_at(a.place.cells.front(), "serve",
-                    strprintf("job%d:%s a%llu %s", r.spec.id,
-                              kind_name(r.spec.kind),
-                              static_cast<unsigned long long>(
-                                  r.attempts),
-                              outcome),
-                    a.startTick, now);
+    if (machine.spans().full())
+        machine.spans().span(
+            a.place.cells.front(), "serve",
+            strprintf("%s:%s", kind_name(r.spec.kind), outcome),
+            a.startTick, now,
+            {"job", static_cast<std::uint64_t>(r.spec.id)},
+            {"attempt", r.attempts});
 
     try_admit_locked();
 }

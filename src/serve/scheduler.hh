@@ -30,8 +30,9 @@
  *    is reported terminal with the first error (postmortem text
  *    attached by the runtime) as its reason.
  *
- * Every job gets a `serve.job.<id>.*` stats subtree and a tracer
- * span per attempt; aggregate counters live under `serve.*`.
+ * Every job gets a `serve.job.<id>.*` stats subtree and, in full
+ * span mode, one "serve" annotation span per attempt (job id and
+ * attempt in its args); aggregate counters live under `serve.*`.
  *
  * Threading: all scheduler state is guarded by one mutex — entry
  * points are sim events (shard 0) and fiber completions / kill hooks

@@ -59,7 +59,8 @@ usage(const char *prog)
         "  --jobs-table       print the per-job outcome table\n"
         "  --report           print the machine report too\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
-        "  --trace-out=FILE   write a Chrome trace_event timeline\n"
+        "  --trace-out=FILE   record full spans, write them as a\n"
+        "                     Chrome trace_event timeline\n"
         "  --timeline-out=FILE  write the perf-timeline JSON\n"
         "  --debug-flags=A,B  narrate categories to stderr\n",
         prog);
@@ -147,10 +148,10 @@ main(int argc, char **argv)
 
     for (const auto &k : kills)
         cfg.faults.kills.push_back(k);
+    if (!obsOpt.traceOut.empty())
+        cfg.spanMode = obs::SpanMode::full;
 
     hw::Machine machine(cfg);
-    if (!obsOpt.traceOut.empty())
-        machine.enable_tracing();
     if (obsOpt.timeline_enabled())
         machine.enable_timeline(obsOpt.timelinePeriodUs);
 

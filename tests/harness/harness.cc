@@ -193,11 +193,11 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
     cfg.reliableNet = reliable;
     cfg.threads = threads;
     cfg.deterministic = deterministic;
+    if (!obs.traceOut.empty())
+        cfg.spanMode = obs::SpanMode::full;
     hw::Machine m(cfg);
     sim::TickHistory hist;
     m.sim().set_history(&hist);
-    if (!obs.traceOut.empty())
-        m.enable_tracing();
     if (obs.timeline_enabled())
         m.enable_timeline(obs.timelinePeriodUs);
 

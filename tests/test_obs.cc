@@ -3,8 +3,9 @@
  * Telemetry-layer tests: JSON emitter/validator, the stats registry
  * (paths, pattern queries, subtree removal, dumps, per-cell schema
  * rows, golden dumps of two 16-cell runs), debug-flag
- * parsing, the bounded tracer ring, and the end-to-end timeline of a
- * two-cell PUT program.
+ * parsing, span-layer annotations and the Chrome trace
+ * Machine::write_trace() renders from them, and the full-log
+ * timeline of a two-cell PUT program.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,8 @@
 #include "obs/cli.hh"
 #include "obs/debug.hh"
 #include "obs/json.hh"
+#include "obs/span.hh"
 #include "obs/stats_registry.hh"
-#include "obs/tracer.hh"
 #include "runtime/rts.hh"
 #include "sim/eventq.hh"
 
@@ -447,94 +448,150 @@ TEST(DebugFlags, ObsArgConsumption)
     EXPECT_FALSE(consume_obs_arg("stray", opt));
 }
 
-// ----------------------------------------------------------------- tracer
+// ------------------------------------------- span-layer annotations
 
-TEST(Tracer, RingBoundsRetainedRecords)
+TEST(Annotations, KeepSimulatedTimeAndTrack)
 {
-    sim::Simulator s;
-    Tracer tr(s, 8); // clamped to the 16-record minimum
-    EXPECT_EQ(tr.capacity(), 16u);
-    for (int i = 0; i < 20; ++i)
-        tr.instant(0, "test", strprintf("ev%d", i));
-    EXPECT_EQ(tr.size(), 16u);
-    EXPECT_EQ(tr.dropped(), 4u);
+    SpanLayer layer(4, 16);
+    // Flight mode keeps no annotations at all.
+    layer.instant(2, "test", "mark", us_to_ticks(1.0));
+    EXPECT_TRUE(layer.events().empty());
 
-    auto snap = tr.snapshot();
-    ASSERT_EQ(snap.size(), 16u);
-    // Oldest-first: the 4 oldest aged out.
-    EXPECT_EQ(snap.front().name, "ev4");
-    EXPECT_EQ(snap.back().name, "ev19");
+    layer.set_mode(SpanMode::full);
+    layer.span(2, "test", "work", us_to_ticks(1.0), us_to_ticks(5.0),
+               {"job", 7}, {"attempt", 2});
+    layer.instant(machine_track, "test", "mark", us_to_ticks(5.0));
+    layer.counter(worker_track(1), "test", "depth", us_to_ticks(6.0),
+                  42);
+
+    const std::vector<SpanEvent> &log = layer.events();
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log[0].kind, SpanKind::span);
+    EXPECT_EQ(log[0].begin, us_to_ticks(1.0));
+    EXPECT_EQ(log[0].end, us_to_ticks(5.0));
+    EXPECT_EQ(log[0].cell, 2);
+    EXPECT_EQ(log[0].aux, 7u);
+    EXPECT_EQ(log[0].aux2, 2u);
+    EXPECT_EQ(span_name(log[0].name).name, "work");
+    EXPECT_STREQ(span_name(log[0].name).cat, "test");
+    EXPECT_STREQ(span_name(log[0].name).auxKey, "job");
+    EXPECT_STREQ(span_name(log[0].name).aux2Key, "attempt");
+
+    EXPECT_EQ(log[1].kind, SpanKind::instant);
+    EXPECT_EQ(log[1].begin, us_to_ticks(5.0));
+    EXPECT_EQ(log[1].end, us_to_ticks(5.0));
+    EXPECT_EQ(log[1].cell, machine_track);
+    EXPECT_EQ(span_name(log[1].name).name, "mark");
+
+    EXPECT_EQ(log[2].kind, SpanKind::counter);
+    EXPECT_EQ(log[2].cell, worker_track(1));
+    EXPECT_EQ(log[2].aux, 42u);
+
+    // Annotations are untraced and stay out of the flight rings.
+    for (const SpanEvent &ev : log)
+        EXPECT_EQ(ev.traceId, 0u);
+    EXPECT_TRUE(layer.flight_events().empty());
+    EXPECT_EQ(layer.recorded(), 0u);
 }
-
-TEST(Tracer, SpansCarrySimulatedTime)
-{
-    sim::Simulator s;
-    Tracer tr(s, 64);
-    s.schedule(us_to_ticks(5.0), [&] {
-        tr.span(2, "test", "work", us_to_ticks(1.0));
-        tr.instant(machine_track, "test", "mark");
-    });
-    s.run();
-
-    auto snap = tr.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].ts, us_to_ticks(1.0));
-    EXPECT_EQ(snap[0].dur, us_to_ticks(4.0));
-    EXPECT_EQ(snap[0].track, 2);
-    EXPECT_FALSE(snap[0].instant);
-    EXPECT_TRUE(snap[1].instant);
-    EXPECT_EQ(snap[1].track, machine_track);
-
-    std::string err;
-    EXPECT_TRUE(json_valid(tr.chrome_json(), &err)) << err;
-}
-
-TEST(Tracer, ChromeJsonWritesToDisk)
-{
-    sim::Simulator s;
-    Tracer tr(s, 8);
-    tr.span_at(0, "test", "a", 0, us_to_ticks(2.0));
-    std::string path = testing::TempDir() + "ap_trace_rt.json";
-    ASSERT_TRUE(tr.write_chrome_json(path));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string err;
-    EXPECT_TRUE(json_valid(ss.str(), &err)) << err;
-    EXPECT_NE(ss.str().find("\"traceEvents\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-// ----------------------------------------------- end-to-end PUT timeline
 
 namespace
 {
 
-/** Names of interest of the PUT pipeline, in one filtered list. */
-std::vector<std::string>
-pipeline_names(const std::vector<TraceRecord> &recs)
+/** Read a whole file; empty when it cannot be opened. */
+std::string
+slurp(const std::string &path)
 {
-    static const std::vector<std::string> interest = {
-        "put",      "dma_send",       "flight:PUT",
-        "dma_recv", "flag_increment", "wait_flag",
-    };
-    std::vector<std::string> out;
-    for (const TraceRecord &r : recs)
-        for (const std::string &n : interest)
-            if (r.name == n)
-                out.push_back(r.name);
-    return out;
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Machine::write_trace() of @p m, read back from a temp file. */
+std::string
+trace_of(const hw::Machine &m, const char *file)
+{
+    std::string path = testing::TempDir() + file;
+    EXPECT_TRUE(m.write_trace(path));
+    std::string doc = slurp(path);
+    std::remove(path.c_str());
+    return doc;
 }
 
 } // namespace
 
-TEST(Tracer, TwoCellPutProducesThePipelineSpansInOrder)
+TEST(Annotations, WriteTraceHoldsSpansInstantsAndCounters)
+{
+    // Two kernel workers give window counters, a killed cell an
+    // instant, and the PUT traffic stage spans.
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.threads = 2;
+    cfg.spanMode = SpanMode::full;
+    cfg.faults.kills.push_back({3, 200.0});
+    hw::Machine m(cfg);
+    EXPECT_FALSE(hw::Machine(hw::MachineConfig::ap1000_plus(2))
+                     .write_trace(testing::TempDir() + "off.json"));
+
+    core::run_spmd(m, [](core::Context &ctx) {
+        Addr buf = ctx.alloc(64);
+        Addr rf = ctx.alloc_flag();
+        if (ctx.id() == 3)
+            return;
+        CellId peer = (ctx.id() + 1) % 3;
+        for (int i = 0; i < 4; ++i)
+            ctx.put(peer, buf, buf, 64, no_flag, rf);
+        ctx.wait_flag(rf, 4);
+    });
+
+    std::string doc = trace_of(m, "ap_trace_kinds.json");
+    std::string err;
+    EXPECT_TRUE(json_valid(doc, &err)) << err;
+    EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
+    EXPECT_NE(doc.find("\"ph\": \"i\""), std::string::npos);
+    EXPECT_NE(doc.find("\"ph\": \"C\""), std::string::npos);
+    EXPECT_NE(doc.find("\"name\": \"kill\""), std::string::npos);
+    EXPECT_NE(doc.find("\"args\": {\"cell\": 3}"), std::string::npos);
+    EXPECT_NE(doc.find("\"name\": \"worker 1\""), std::string::npos);
+    EXPECT_NE(doc.find("\"otherData\": {\"dropped\": 0}"),
+              std::string::npos);
+}
+
+TEST(Annotations, OverflowTraceShowsSpillsOnTheTimeline)
 {
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
     cfg.memBytesPerCell = 1 << 20;
+    cfg.faults = sim::FaultPlan::overflows(7);
+    cfg.spanMode = SpanMode::full;
     hw::Machine m(cfg);
-    m.enable_tracing();
+    auto r = core::run_spmd(m, [](core::Context &ctx) {
+        Addr buf = ctx.alloc(64);
+        Addr rf = ctx.alloc_flag();
+        if (ctx.id() == 0)
+            for (int i = 0; i < 16; ++i)
+                ctx.put(1, buf, buf, 64, no_flag, rf);
+        else
+            ctx.wait_flag(rf, 16);
+    });
+    ASSERT_FALSE(r.failed());
+
+    std::string doc = trace_of(m, "ap_trace_spill.json");
+    EXPECT_NE(doc.find("\"name\": \"spill:user_queue\", \"cat\": "
+                       "\"queue\", \"ph\": \"i\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"name\": \"forced_spill\", \"cat\": "
+                       "\"fault\", \"ph\": \"i\""),
+              std::string::npos);
+}
+
+// ----------------------------------------------- end-to-end PUT timeline
+
+TEST(Annotations, TwoCellPutFullLogReadsThePipelineInOrder)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.spanMode = SpanMode::full;
+    hw::Machine m(cfg);
 
     auto r = core::run_spmd(m, [](core::Context &ctx) {
         Addr buf = ctx.alloc(64);
@@ -545,19 +602,18 @@ TEST(Tracer, TwoCellPutProducesThePipelineSpansInOrder)
             ctx.wait_flag(rf, 1);
     });
     ASSERT_FALSE(r.deadlock);
-    ASSERT_NE(m.tracer(), nullptr);
 
-    // Golden recording order of one flagged PUT: the issuing MSC+
-    // finishes its gather DMA, hands the message to the T-net (the
-    // flight span is stamped at injection), closes the command span,
-    // then the receiving MSC+ scatters it and raises the flag, and
-    // the waiting processor's span closes last.
+    // Recording order of one flagged PUT: issue and queueing on the
+    // sender, its gather DMA, the T-net flight (stamped at
+    // injection), the receiving MSC+'s scatter and flag update, and
+    // last the waiting processor's annotation span.
+    std::vector<std::string> names;
+    for (const SpanEvent &ev : m.spans().events())
+        names.push_back(ev.name == 0 ? to_string(ev.stage)
+                                     : span_name(ev.name).name);
     std::vector<std::string> expect = {
-        "dma_send",       "flight:PUT", "put",
-        "dma_recv",       "flag_increment", "wait_flag",
+        "issue",    "queue", "dma_send", "net",
+        "dma_recv", "flag",  "wait_flag",
     };
-    EXPECT_EQ(pipeline_names(m.tracer()->snapshot()), expect);
-
-    std::string err;
-    EXPECT_TRUE(json_valid(m.tracer()->chrome_json(), &err)) << err;
+    EXPECT_EQ(names, expect);
 }

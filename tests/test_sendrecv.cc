@@ -150,7 +150,7 @@ TEST(SendRecv, ManySmallMessagesOverflowRingGracefully)
     EXPECT_GT(m.cell(1).ring().stats().growInterrupts, 0u);
 }
 
-TEST(SendRecv, TraceRecordsSendAndRecv)
+TEST(SendRecv, TraceLogsSendAndRecv)
 {
     hw::Machine m(small(2));
     Trace trace;

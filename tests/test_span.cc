@@ -3,8 +3,10 @@
  * Causal-span layer tests: trace-id propagation of PUT/GET/SEND
  * operations across cells (including reliable-layer retransmits and
  * GET replies), exact critical-path attribution on a synthetic span
- * DAG, flight-recorder ring wrap-around, and the postmortem dump
- * every CommError carries.
+ * DAG, flight-recorder ring wrap-around, the full log's drop count
+ * and its partial-profile report, full mode leaving the flight
+ * rings and the profile as flight mode has them, and the postmortem
+ * dump every CommError carries.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/program.hh"
@@ -27,6 +30,11 @@
 
 using namespace ap;
 using namespace ap::obs;
+
+// The flight path stores events by value in preallocated rings: the
+// record must stay plain data, and no larger than it has been.
+static_assert(std::is_trivially_copyable_v<SpanEvent>);
+static_assert(sizeof(SpanEvent) <= 40);
 
 namespace
 {
@@ -121,6 +129,40 @@ TEST(FlightRecorder, SpanLayerRingsWrapPerCell)
     EXPECT_EQ(merged.size(), 4u);
     for (std::size_t i = 1; i < merged.size(); ++i)
         EXPECT_LE(merged[i - 1].begin, merged[i].begin);
+}
+
+TEST(FullLog, CountsEventsDroppedAtItsBound)
+{
+    SpanLayer layer(1, 4);
+    layer.set_mode(SpanMode::full);
+    std::uint64_t id = layer.new_trace();
+    layer.record(0, id, SpanStage::issue, 0, 10, SpanOp::put);
+    layer.record(0, id, SpanStage::net, 10, 30);
+    // Fill the bound, and three events past it, with annotations:
+    // they count against the bound like any event.
+    for (Tick t = 2; t < SpanLayer::default_full_capacity + 3; ++t)
+        layer.instant(0, "test", "fill", t);
+    EXPECT_EQ(layer.events().size(), SpanLayer::default_full_capacity);
+    EXPECT_EQ(layer.full_dropped(), 3u);
+
+    CritPathReport rep =
+        analyze_spans(layer.events(), layer.full_dropped());
+    EXPECT_EQ(rep.dropped, 3u);
+    EXPECT_EQ(rep.traces, 1u);
+    EXPECT_NE(rep.text().find("PARTIAL: 3 span events dropped at the "
+                              "1048576-event bound"),
+              std::string::npos)
+        << rep.text();
+    std::string json = rep.json(false);
+    std::string err;
+    EXPECT_TRUE(json_valid(json, &err)) << err;
+    EXPECT_NE(json.find("\"dropped\": 3"), std::string::npos) << json;
+
+    // A complete log reports nothing partial.
+    CritPathReport whole = analyze_spans(layer.events());
+    EXPECT_EQ(whole.text().find("PARTIAL"), std::string::npos);
+    EXPECT_NE(whole.json(false).find("\"dropped\": 0"),
+              std::string::npos);
 }
 
 // ------------------------------------------------------- id propagation
@@ -353,6 +395,68 @@ TEST(CritPath, ReportRendersTextAndValidJson)
     EXPECT_NE(text.find("coverage"), std::string::npos);
     std::string err;
     EXPECT_TRUE(json_valid(rep.json(), &err)) << err;
+}
+
+// ------------------------------------------------ full vs flight mode
+
+namespace
+{
+
+bool
+same_event(const SpanEvent &a, const SpanEvent &b)
+{
+    return a.traceId == b.traceId && a.begin == b.begin &&
+           a.end == b.end && a.cell == b.cell && a.aux == b.aux &&
+           a.aux2 == b.aux2 && a.stage == b.stage && a.op == b.op &&
+           a.kind == b.kind && a.name == b.name;
+}
+
+/** A 16-cell run with PUTs, flag and ack waits and collectives, in
+ *  span mode @p mode; @p full receives the full log. */
+std::vector<SpanEvent>
+flight_of_run(SpanMode mode, std::vector<SpanEvent> *full)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(16);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.spanMode = mode;
+    hw::Machine m(cfg);
+    core::SpmdResult r = core::run_spmd(m, [](core::Context &ctx) {
+        Addr buf = ctx.alloc(256);
+        Addr rf = ctx.alloc_flag();
+        CellId next = (ctx.id() + 1) % ctx.nprocs();
+        ctx.put(next, buf, buf, 256, no_flag, rf, true);
+        ctx.wait_flag(rf, 1);
+        ctx.wait_all_acks();
+        ctx.barrier();
+        ctx.allreduce(ctx.id(), core::ReduceOp::sum);
+    });
+    EXPECT_FALSE(r.failed());
+    if (full)
+        *full = m.spans().events();
+    return m.spans().flight_events();
+}
+
+} // namespace
+
+TEST(FullMode, KeepsFlightRingsAndCritPathAsInFlightMode)
+{
+    std::vector<SpanEvent> full;
+    std::vector<SpanEvent> flight = flight_of_run(SpanMode::flight,
+                                                  nullptr);
+    std::vector<SpanEvent> withFull = flight_of_run(SpanMode::full,
+                                                    &full);
+    ASSERT_FALSE(flight.empty());
+    ASSERT_EQ(flight.size(), withFull.size());
+    for (std::size_t i = 0; i < flight.size(); ++i)
+        EXPECT_TRUE(same_event(flight[i], withFull[i])) << "event " << i;
+
+    // The full log carries annotations, and critpath never sees them.
+    std::vector<SpanEvent> stagesOnly;
+    for (const SpanEvent &e : full)
+        if (e.traceId != 0)
+            stagesOnly.push_back(e);
+    ASSERT_LT(stagesOnly.size(), full.size());
+    EXPECT_EQ(analyze_spans(full).json(), analyze_spans(stagesOnly).json());
 }
 
 // ----------------------------------------------------------- postmortem

@@ -5,9 +5,12 @@ Three document kinds:
 
   profile   critical-path breakdown written by `ap_run --profile-json=F`
             and `bench_micro_putget --profile-out=F`
-            (obs/critpath.hh: coverage, stages.<name>, ops.<name>)
-  chrome    Chrome trace_event JSON written by the flight recorder
-            (`--flight-dump=F`, `--span-trace-out=F`)
+            (obs/critpath.hh: coverage, dropped, stages.<name>,
+            ops.<name>); a nonzero `dropped` means a partial profile,
+            which fails any --min-coverage bar
+  chrome    Chrome trace_event JSON from the span layer's one exporter
+            (`--trace-out=F`, `--flight-dump=F`, `--span-trace-out=F`,
+            `--postmortem-out=F`), with otherData.dropped
   timeline  perf-timeline JSON written by `--timeline-out=F`
             (obs/sampler.hh: series/level lists plus samples rows
             with strictly increasing t_us)
@@ -50,7 +53,7 @@ def is_num(v):
 def check_profile(path, doc, min_coverage):
     rc = 0
     for key in ("traces", "events", "end_to_end_us",
-                "attributed_us", "coverage"):
+                "attributed_us", "coverage", "dropped"):
         if not is_num(doc.get(key)):
             rc |= fail(path, f"missing numeric field '{key}'")
     cov = doc.get("coverage")
@@ -60,6 +63,12 @@ def check_profile(path, doc, min_coverage):
         rc |= fail(
             path,
             f"coverage {cov:.3f} below required {min_coverage}")
+    dropped = doc.get("dropped")
+    if min_coverage > 0 and is_num(dropped) and dropped != 0:
+        rc |= fail(
+            path,
+            f"partial profile: {dropped} span events dropped, so "
+            f"coverage cannot meet {min_coverage}")
 
     stages = doc.get("stages")
     if not isinstance(stages, dict):
@@ -115,6 +124,9 @@ def check_chrome(path, doc):
                         f"numeric '{key}'")
     if not seen_x:
         rc |= fail(path, "no complete ('X') span events")
+    other = doc.get("otherData")
+    if not isinstance(other, dict) or not is_num(other.get("dropped")):
+        rc |= fail(path, "missing numeric 'otherData.dropped'")
     return rc
 
 
