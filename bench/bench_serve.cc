@@ -87,10 +87,7 @@ run_scenario(const Scenario &sc)
             CellId victim = sched.pick_busy_cell(sc.seed);
             if (victim < 0)
                 return;
-            m.sim().schedule_after_for(victim, us_to_ticks(5.0),
-                                       [&m, victim] {
-                                           m.fail_cell(victim);
-                                       });
+            m.kill_cell(victim, m.sim().now() + us_to_ticks(5.0));
         });
     }
 

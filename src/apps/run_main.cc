@@ -75,10 +75,8 @@ usage(const char *prog)
         "  --reliable         reliable-delivery protocol layer on\n"
         "  --threads=N        event-kernel worker threads (default 1\n"
         "                     = sequential kernel; N>1 shards the\n"
-        "                     event queue per cell region)\n"
-        "  --deterministic    with --threads>1: canonical-order merge\n"
-        "                     of same-tick cross-shard deliveries, so\n"
-        "                     the run is byte-identical to --threads=1\n"
+        "                     event queue per cell region; every N\n"
+        "                     gives the same run as --threads=1)\n"
         "  --kill=CELL@US     fail-stop CELL at US microseconds\n"
         "                     (survivors reconfigure; repeatable)\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
@@ -235,7 +233,6 @@ main(int argc, char **argv)
     bool statsText = false;
     bool reliable = false;
     int threads = 1;
-    bool deterministic = false;
     bool profile = false;
     bool phaseStats = false;
     std::string profileJson;
@@ -258,8 +255,6 @@ main(int argc, char **argv)
             reliable = true;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
             threads = std::atoi(a + 10);
-        } else if (std::strcmp(a, "--deterministic") == 0) {
-            deterministic = true;
         } else if (std::strncmp(a, "--kill=", 7) == 0) {
             sim::FaultPlan::CellKill k{};
             char *at = nullptr;
@@ -301,7 +296,6 @@ main(int argc, char **argv)
     cfg.faults.kills = kills;
     cfg.reliableNet = reliable;
     cfg.threads = threads;
-    cfg.deterministic = deterministic;
     // A kill parks peers in waits that can never complete; the
     // watchdog converts those into typed errors with a wait graph.
     if (!kills.empty() && !cfg.retry.watchdog_enabled())

@@ -357,7 +357,7 @@ Context::issue(hw::Command cmd)
     // Writing the 8 parameter words to the MSC+ special address.
     Tick t0 = machine.sim().now();
     proc.delay(us_to_ticks(machine.config().timings.enqueueUs));
-    if ((cmd.traceId = machine.spans().new_trace()) != 0) {
+    if ((cmd.traceId = machine.spans().new_trace(cellId)) != 0) {
         obs::SpanOp op = obs::SpanOp::none;
         switch (cmd.kind) {
           case hw::CommandKind::put:
@@ -873,7 +873,7 @@ Context::broadcast(CellId root, Addr laddr, std::uint32_t size,
     msg.raddr = laddr;
     msg.destFlag = recv_flag;
     msg.payload = std::move(payload);
-    if ((msg.traceId = machine.spans().new_trace()) != 0)
+    if ((msg.traceId = machine.spans().new_trace(cellId)) != 0)
         machine.spans().record(cellId, msg.traceId,
                                obs::SpanStage::issue, t0,
                                machine.sim().now(),

@@ -1,7 +1,6 @@
 #include "core/program.hh"
 
 #include <memory>
-#include <mutex>
 
 #include "base/logging.hh"
 
@@ -25,8 +24,9 @@ run_spmd(hw::Machine &machine, const SpmdBody &body, Trace *trace)
         static_cast<std::size_t>(n));
     std::vector<std::unique_ptr<Context>> contexts(
         static_cast<std::size_t>(n));
-    // Cell fibers on different shards may fail concurrently.
-    std::mutex errMutex;
+    // One slot per cell (fibers on different shards fail
+    // concurrently), reported in cell order.
+    std::vector<std::string> cellErrors(static_cast<std::size_t>(n));
 
     for (int i = 0; i < n; ++i) {
         auto idx = static_cast<std::size_t>(i);
@@ -41,10 +41,9 @@ run_spmd(hw::Machine &machine, const SpmdBody &body, Trace *trace)
                 } catch (const CommError &e) {
                     // A fail-stop cell's own demise is not a program
                     // error; its fate is reported via failedCells.
-                    if (!machine.cell_failed(i)) {
-                        std::lock_guard<std::mutex> lock(errMutex);
-                        result.errors.push_back(e.what());
-                    }
+                    if (!machine.cell_failed(i))
+                        cellErrors[static_cast<std::size_t>(i)] =
+                            e.what();
                 }
                 result.cellFinish[static_cast<std::size_t>(i)] =
                     p.simulator().now();
@@ -62,6 +61,8 @@ run_spmd(hw::Machine &machine, const SpmdBody &body, Trace *trace)
     for (int i = 0; i < n; ++i) {
         auto idx = static_cast<std::size_t>(i);
         result.cellBlocked[idx] = procs[idx]->blocked_ticks();
+        if (!cellErrors[idx].empty())
+            result.errors.push_back(std::move(cellErrors[idx]));
         if (machine.cell_failed(i)) {
             result.failedCells.push_back(i);
         } else if (!procs[idx]->finished()) {

@@ -41,8 +41,9 @@ struct SpmdResult
     /**
      * Communication errors, one entry per cell whose body ended with
      * an uncaught CommError (hardened runtime paths under a fault
-     * plan). The cell stops cleanly — the machine keeps draining —
-     * and the error is reported here instead of hanging the run.
+     * plan), in cell order. The cell stops cleanly — the machine
+     * keeps draining — and the error is reported here instead of
+     * hanging the run.
      */
     std::vector<std::string> errors;
     /**

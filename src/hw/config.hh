@@ -133,23 +133,11 @@ struct MachineConfig
      * Host worker threads driving the event kernel. 1 selects the
      * sequential kernel (sim/eventq.hh); N > 1 shards the event
      * queue over min(N, cells) workers with conservative windows
-     * (sim/shardq.hh). Cells map to shards in contiguous blocks.
+     * (sim/shardq.hh). Cells map to shards in contiguous blocks. The
+     * result does not depend on N: every run reproduces threads = 1
+     * byte for byte (tnet.linkContention needs threads = 1).
      */
     int threads = 1;
-    /**
-     * With threads > 1: execute events serially in the sequential
-     * kernel's global order while keeping all shard routing and
-     * handoff accounting — tick histories and stats dumps become
-     * byte-identical to a threads=1 run (see sim/shardq.hh).
-     */
-    bool deterministic = false;
-    /**
-     * Conservative lookahead in microseconds. 0 (the default)
-     * derives the minimum cross-cell latency from the network
-     * parameters: min(T-net prolog + one hop + epilog, B-net
-     * prolog, S-net release).
-     */
-    double lookaheadUs = 0.0;
 
     /** Fault-injection plan; the default plan injects nothing and
      *  leaves every fast path untouched. */

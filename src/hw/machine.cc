@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 
 #include "base/logging.hh"
 #include "obs/json.hh"
@@ -17,22 +18,42 @@ namespace
 /**
  * The conservative lookahead of this configuration: the minimum
  * model-time distance of any cross-cell effect. A T-net message pays
- * at least prolog + one hop + epilog before touching another cell, a
- * B-net broadcast pays the bus prolog, an S-net release pays the
- * combine latency. cfg.lookaheadUs overrides the derivation.
+ * at least prolog + one hop + epilog before touching another cell; a
+ * B-net broadcast pays the bus prolog to reach the bus event on the
+ * machine timeline and then at least its 32 header bytes' transfer
+ * time to reach the receivers; an S-net release pays the combine
+ * latency.
  */
 Tick
 derive_lookahead(const MachineConfig &cfg)
 {
-    double us = cfg.lookaheadUs;
-    if (us <= 0.0) {
-        us = cfg.tnet.prologUs + cfg.tnet.delayPerHopUs +
-             cfg.tnet.epilogUs;
-        us = std::min(us, cfg.bnet.prologUs);
-        us = std::min(us, cfg.snet.releaseUs);
-    }
+    double us = cfg.tnet.prologUs + cfg.tnet.delayPerHopUs +
+                cfg.tnet.epilogUs;
+    us = std::min(us, cfg.bnet.prologUs);
+    us = std::min(us, cfg.bnet.perByteUs *
+                          static_cast<double>(net::Message::header_bytes));
+    us = std::min(us, cfg.snet.releaseUs);
     Tick l = us_to_ticks(us);
     return l < 1 ? 1 : l;
+}
+
+/** Kernel shards of this configuration (1: the sequential kernel). */
+int
+shard_count(const MachineConfig &cfg)
+{
+    return cfg.threads <= 1 ? 1 : std::min(cfg.threads, cfg.cells);
+}
+
+/**
+ * The shard that runs cell @p cell 's events: contiguous cell blocks.
+ * squarest() numbers cells row-major, so a block is a band of torus
+ * rows and most single-hop neighbours stay shard-local.
+ */
+int
+shard_of_cell(int cell, int shards, int cells)
+{
+    return static_cast<int>(static_cast<long long>(cell) * shards /
+                            cells);
 }
 
 std::unique_ptr<sim::Simulator>
@@ -40,20 +61,22 @@ make_kernel(const MachineConfig &cfg)
 {
     if (cfg.threads <= 1)
         return std::make_unique<sim::Simulator>();
+    // Contention reserves links in one machine-wide table, in the
+    // order senders inject: that order is a property of one host
+    // thread, so contention runs on the sequential kernel only.
+    if (cfg.tnet.linkContention)
+        fatal("tnet.linkContention needs threads = 1 (got threads = "
+              "%d): link reservations are machine-global state",
+              cfg.threads);
     sim::ShardConfig sc;
-    sc.shards = std::min(cfg.threads, cfg.cells);
+    sc.shards = shard_count(cfg);
     sc.lookahead = derive_lookahead(cfg);
-    sc.deterministic = cfg.deterministic;
-    // Contiguous cell blocks per shard: squarest() numbers cells
-    // row-major, so a block is a band of torus rows and most
-    // single-hop neighbours stay shard-local.
     sc.affinityMap = [cells = cfg.cells, shards = sc.shards](int a) {
         if (a < 0)
             return 0; // machine-wide work runs on the coordinator
         if (a >= cells)
             return shards - 1;
-        return static_cast<int>(static_cast<long long>(a) * shards /
-                                cells);
+        return shard_of_cell(a, shards, cells);
     };
     return std::make_unique<sim::ShardedSimulator>(sc);
 }
@@ -173,26 +196,34 @@ Machine::sharded() const
 }
 
 Machine::Machine(MachineConfig config)
-    : cfg(config), faultInj(cfg.faults), simOwner(make_kernel(cfg)),
+    : cfg(config), lookaheadTicks(derive_lookahead(cfg)),
+      faultInj(cfg.faults), simOwner(make_kernel(cfg)),
       simulator(*simOwner),
       tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.tnet),
       bnetNet(simulator, cfg.cells, cfg.bnet),
       snetNet(simulator, cfg.cells, cfg.snet),
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
-      cellFailed(static_cast<std::size_t>(cfg.cells)),
-      waitInfos(static_cast<std::size_t>(cfg.cells)),
+      failTicks(static_cast<std::size_t>(cfg.cells)),
+      killed(static_cast<std::size_t>(cfg.cells), 0),
+      waitLogs(static_cast<std::size_t>(cfg.cells)),
+      waitLocks(std::make_unique<std::mutex[]>(
+          static_cast<std::size_t>(cfg.cells))),
       spanLayer(cfg.cells, cfg.flightEvents)
 {
     spanLayer.set_mode(cfg.spanMode);
+    for (std::atomic<Tick> &t : failTicks)
+        t.store(max_tick, std::memory_order_relaxed);
     // Wire fault injection only when the plan injects something: a
     // machine built with the default (empty) plan runs the exact same
     // code paths as before the fault layer existed.
     if (cfg.faults.any()) {
         tnetNet.set_fault_injector(&faultInj);
         faultInj.set_cells(cfg.cells);
+        // Kernel jitter is keyed by the timeline that schedules.
         if (cfg.faults.jitterMaxUs > 0.0)
-            simulator.set_delay_jitter(
-                [this](Tick) { return faultInj.jitter(); });
+            simulator.set_delay_jitter([this](Tick) {
+                return faultInj.jitter(simulator.current_affinity());
+            });
     }
     if (cfg.reliableNet)
         rnetNet = std::make_unique<net::ReliableNet>(
@@ -221,20 +252,21 @@ Machine::Machine(MachineConfig config)
     // Sealed fast path: with no reliable layer the link IS the final
     // T-net, so the MSC+ can bypass the Link vtable on every send.
     net::Tnet *direct = rnetNet ? nullptr : &tnetNet;
-    // One payload pool per kernel shard, shared by that shard's
-    // cells. The cell->pool mapping must match make_kernel's
-    // affinity map so each pool is only touched from its own shard.
-    int poolCount = sharded() ? sharded()->shards() : 1;
-    payloadPools.reserve(static_cast<std::size_t>(poolCount));
-    for (int s = 0; s < poolCount; ++s)
+    // One payload pool and one T-net send row per kernel shard, shared
+    // by that shard's cells, so each is only touched from its shard.
+    int shards = shard_count(cfg);
+    payloadPools.reserve(static_cast<std::size_t>(shards));
+    for (int s = 0; s < shards; ++s)
         payloadPools.push_back(std::make_unique<BufferPool>());
+    std::vector<std::uint32_t> shardOfCell(
+        static_cast<std::size_t>(cfg.cells));
+    for (int i = 0; i < cfg.cells; ++i)
+        shardOfCell[static_cast<std::size_t>(i)] =
+            static_cast<std::uint32_t>(shard_of_cell(i, shards, cfg.cells));
+    tnetNet.set_shards(shardOfCell);
     cells.reserve(static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i) {
-        int shard =
-            poolCount > 1
-                ? static_cast<int>(static_cast<long long>(i) *
-                                   poolCount / cfg.cells)
-                : 0;
+        std::uint32_t shard = shardOfCell[static_cast<std::size_t>(i)];
         cells.push_back(std::make_unique<Cell>(
             simulator, cfg, i, link,
             *payloadPools[static_cast<std::size_t>(shard)], direct));
@@ -254,14 +286,8 @@ Machine::Machine(MachineConfig config)
             tnetNet.attach(i, deliver);
         bnetNet.attach(i, deliver);
     }
-    for (const sim::FaultPlan::CellKill &k : cfg.faults.kills) {
-        if (k.cell < 0 || k.cell >= cfg.cells)
-            panic("kill plan names cell %d outside machine of %d",
-                  k.cell, cfg.cells);
-        simulator.schedule_for(
-            k.cell, us_to_ticks(k.atUs),
-            [this, id = k.cell]() { fail_cell(id); });
-    }
+    for (const sim::FaultPlan::CellKill &k : cfg.faults.kills)
+        kill_cell(k.cell, us_to_ticks(k.atUs));
     // Kernel telemetry taps: the sharded kernel reports each parallel
     // window through this hook (fired on the coordinator while every
     // worker is parked) and the machine forwards it to the span
@@ -277,6 +303,7 @@ Machine::Machine(MachineConfig config)
 void
 Machine::on_window(const sim::WindowRecord &w)
 {
+    tnetNet.fold_stats();
     int shards = static_cast<int>(w.shards.size());
     // Idle (barrier_wait) attribution in model time: the window ends
     // when its busiest shard executes its last event; every other
@@ -285,8 +312,13 @@ Machine::on_window(const sim::WindowRecord &w)
     Tick windowDone = 0;
     for (const sim::WindowShard &ws : w.shards)
         windowDone = std::max(windowDone, ws.last);
+    // Everything recorded here exists only because the run was
+    // parallel: count it apart so spans.* match a sequential run.
+    std::uint64_t recorded0 = spanLayer.recorded();
+    std::uint64_t logged0 = spanLayer.events().size();
+    std::uint64_t dropped0 = spanLayer.full_dropped();
     if (spanLayer.on() && shards > 1 && windowDone > 0) {
-        std::uint64_t tid = spanLayer.new_trace();
+        std::uint64_t tid = spanLayer.new_trace(obs::machine_track);
         for (int s = 0; s < shards; ++s) {
             const sim::WindowShard &ws =
                 w.shards[static_cast<std::size_t>(s)];
@@ -314,14 +346,41 @@ Machine::on_window(const sim::WindowRecord &w)
         spanLayer.counter(obs::machine_track, "kernel",
                           "barrier_wait_ns", w.start, w.barrierWaitNs);
     }
+    windowSpans.recorded += spanLayer.recorded() - recorded0;
+    windowSpans.logged += spanLayer.events().size() - logged0;
+    windowSpans.dropped += spanLayer.full_dropped() - dropped0;
+}
+
+void
+Machine::kill_cell(CellId id, Tick at)
+{
+    if (id < 0 || id >= cfg.cells)
+        panic("kill names cell %d outside machine of %d", id,
+              cfg.cells);
+    // Outside any event nothing runs concurrently; inside one, the
+    // kill tick must be one lookahead out so that every shard sees
+    // it recorded before any of them reaches it.
+    if (simulator.executing() && at < simulator.now() + lookaheadTicks)
+        panic("kill of cell %d at %llu is closer than the lookahead "
+              "(%llu ticks) to now (%llu)",
+              id, static_cast<unsigned long long>(at),
+              static_cast<unsigned long long>(lookaheadTicks),
+              static_cast<unsigned long long>(simulator.now()));
+    std::atomic<Tick> &t = failTicks[static_cast<std::size_t>(id)];
+    if (at < t.load(std::memory_order_relaxed))
+        t.store(at, std::memory_order_relaxed);
+    if (at < firstFailTick.load(std::memory_order_relaxed))
+        firstFailTick.store(at, std::memory_order_relaxed);
+    simulator.schedule_for(id, at, [this, id]() { fail_cell(id); });
 }
 
 void
 Machine::fail_cell(CellId id)
 {
-    if (cell_failed(id))
+    char &dead = killed[static_cast<std::size_t>(id)];
+    if (dead)
         return;
-    cellFailed[static_cast<std::size_t>(id)] = 1;
+    dead = 1;
     ++cellKills;
     warn("cell %d declared failed at t=%.1f us", id,
          ticks_to_us(simulator.now()));
@@ -341,34 +400,63 @@ Machine::set_kill_hook(std::function<void(CellId)> hook)
     killHook = std::move(hook);
 }
 
+void
+Machine::set_wait(CellId id, const char *what, Addr addr,
+                  std::uint64_t target)
+{
+    auto idx = static_cast<std::size_t>(id);
+    Tick now = simulator.now();
+    std::lock_guard<std::mutex> lock(waitLocks[idx]);
+    std::deque<WaitInfo> &log = waitLogs[idx];
+    // Keep what a view one lookahead back, taken by a cell up to one
+    // lookahead behind this one, can still ask for.
+    while (!log.empty() && log.front().until != max_tick &&
+           log.front().until + 2 * lookaheadTicks < now)
+        log.pop_front();
+    log.push_back({what, addr, target, now, max_tick});
+}
+
+void
+Machine::clear_wait(CellId id)
+{
+    auto idx = static_cast<std::size_t>(id);
+    std::lock_guard<std::mutex> lock(waitLocks[idx]);
+    std::deque<WaitInfo> &log = waitLogs[idx];
+    if (!log.empty() && log.back().until == max_tick)
+        log.back().until = simulator.now();
+}
+
 std::string
 Machine::wait_graph()
 {
+    Tick now = simulator.now();
+    Tick asOf = now > lookaheadTicks ? now - lookaheadTicks : 0;
     std::string out = strprintf(
-        "wait graph at t=%.1f us (%d cells):\n",
-        ticks_to_us(simulator.now()), cfg.cells);
+        "wait graph at t=%.1f us (%d cells, as of t=%.1f us):\n",
+        ticks_to_us(now), cfg.cells, ticks_to_us(asOf));
     for (int i = 0; i < cfg.cells; ++i) {
-        const WaitInfo &w = waitInfos[static_cast<std::size_t>(i)];
         if (cell_failed(i)) {
             out += strprintf("  cell %d: FAILED\n", i);
             continue;
         }
-        if (!w.what) {
+        auto idx = static_cast<std::size_t>(i);
+        std::optional<WaitInfo> w;
+        {
+            std::lock_guard<std::mutex> lock(waitLocks[idx]);
+            for (const WaitInfo &r : waitLogs[idx])
+                if (r.since <= asOf && asOf < r.until)
+                    w = r;
+        }
+        if (!w) {
             out += strprintf("  cell %d: running\n", i);
             continue;
         }
-        Cell &c = *cells[static_cast<std::size_t>(i)];
-        std::uint64_t live =
-            w.addr != no_flag
-                ? c.mc().read_flag(w.addr)
-                : static_cast<std::uint64_t>(c.msc().ack_count());
-        out += strprintf("  cell %d: blocked on %s addr=%#llx "
-                         "(have %llu, want %llu) since t=%.1f us\n",
-                         i, w.what,
-                         static_cast<unsigned long long>(w.addr),
-                         static_cast<unsigned long long>(live),
-                         static_cast<unsigned long long>(w.target),
-                         ticks_to_us(w.since));
+        out += strprintf("  cell %d: blocked on %s addr=%#llx (want "
+                         "%llu) since t=%.1f us\n",
+                         i, w->what,
+                         static_cast<unsigned long long>(w->addr),
+                         static_cast<unsigned long long>(w->target),
+                         ticks_to_us(w->since));
     }
     return out;
 }
@@ -399,24 +487,31 @@ Machine::register_stats()
     statsReg.add_gauge("snet.episodes",
                        [this]() { return snetNet.total_episodes(); });
 
-    statsReg.add_gauge("spans.recorded",
-                       [this]() { return spanLayer.recorded(); });
-    statsReg.add_gauge("spans.full_log_events", [this]() {
-        return static_cast<std::uint64_t>(spanLayer.events().size());
+    // What the window hook recorded is counted under sim.window.
+    statsReg.add_gauge("spans.recorded", [this]() {
+        return spanLayer.recorded() - windowSpans.recorded;
     });
-    statsReg.add_gauge("spans.full_dropped",
-                       [this]() { return spanLayer.full_dropped(); });
+    statsReg.add_gauge("spans.full_log_events", [this]() {
+        return spanLayer.events().size() - windowSpans.logged;
+    });
+    statsReg.add_gauge("spans.full_dropped", [this]() {
+        return spanLayer.full_dropped() - windowSpans.dropped;
+    });
 
-    const sim::FaultStats &f = faultInj.stats();
-    statsReg.add_counter("faults.drops", &f.drops);
-    statsReg.add_counter("faults.duplicates", &f.duplicates);
-    statsReg.add_counter("faults.reorders", &f.reorders);
-    statsReg.add_counter("faults.forced_spills", &f.forcedSpills);
-    statsReg.add_counter("faults.injected_page_faults",
-                         &f.injectedPageFaults);
-    statsReg.add_counter("faults.jittered_events", &f.jitteredEvents);
-    statsReg.add_gauge("faults.jitter_ticks", &f.jitterTicks);
-    statsReg.add_counter("faults.corruptions", &f.corruptions);
+    // Fault counts live in the injector's per-cell rows.
+    using F = sim::FaultStats;
+    auto total = [this](const char *path, std::uint64_t F::*field) {
+        statsReg.add_gauge(path,
+                           [this, field] { return faultInj.stats().*field; });
+    };
+    total("faults.drops", &F::drops);
+    total("faults.duplicates", &F::duplicates);
+    total("faults.reorders", &F::reorders);
+    total("faults.forced_spills", &F::forcedSpills);
+    total("faults.injected_page_faults", &F::injectedPageFaults);
+    total("faults.jittered_events", &F::jitteredEvents);
+    total("faults.jitter_ticks", &F::jitterTicks);
+    total("faults.corruptions", &F::corruptions);
     statsReg.add_gauge("faults.cell_kills",
                        [this]() { return cellKills.load(); });
     // Monotonic, but registered as a gauge: counters bind to plain
@@ -528,11 +623,6 @@ Machine::register_kernel_stats()
     });
     statsReg.add_gauge("sim.kernel.lookahead_ticks",
                        [sh]() { return sh->lookahead(); });
-    statsReg.add_gauge("sim.kernel.deterministic", [sh]() {
-        return static_cast<std::uint64_t>(sh->deterministic());
-    });
-    statsReg.add_gauge("sim.kernel.lookahead_violations",
-                       [sh]() { return sh->lookahead_violations(); });
 
     const sim::WindowAgg &w = sh->window_stats();
     statsReg.add_gauge("sim.window.count", &w.windows);
@@ -551,6 +641,12 @@ Machine::register_kernel_stats()
     statsReg.add_gauge("sim.window.imbalance_avg_x1000", [&w]() {
         return w.windows ? w.imbalanceSumX1000 / w.windows : 0;
     });
+    statsReg.add_gauge("sim.window.spans.recorded",
+                       &windowSpans.recorded);
+    statsReg.add_gauge("sim.window.spans.full_log_events",
+                       &windowSpans.logged);
+    statsReg.add_gauge("sim.window.spans.full_dropped",
+                       &windowSpans.dropped);
 
     for (int s = 0; s < sh->shards(); ++s) {
         const sim::ShardStats &st = sh->shard_stats(s);
@@ -629,13 +725,16 @@ Machine::write_trace(const std::string &path) const
 std::string
 Machine::postmortem(std::size_t maxPerCell)
 {
+    // Like the wait graph, other cells are shown as of one lookahead
+    // back, which every kernel shard is sure to have reached.
+    Tick now = simulator.now();
+    Tick asOf = now > lookaheadTicks ? now - lookaheadTicks : 0;
     std::string out = strprintf(
-        "flight recorder (span mode %s, %llu events recorded, last "
-        "%zu per cell):\n",
-        obs::to_string(spanLayer.mode()),
-        static_cast<unsigned long long>(spanLayer.recorded()),
-        maxPerCell);
-    out += obs::flight_text(spanLayer.flight_events(maxPerCell));
+        "flight recorder (span mode %s, last %zu per cell ended by "
+        "t=%.2f us):\n",
+        obs::to_string(spanLayer.mode()), maxPerCell,
+        ticks_to_us(asOf));
+    out += obs::flight_text(spanLayer.flight_events(maxPerCell, asOf));
     if (!cfg.postmortemOut.empty()) {
         if (dump_flight_recorder(cfg.postmortemOut))
             out += strprintf("full flight rings dumped to %s\n",
@@ -761,23 +860,6 @@ Machine::report() const
                      llu(r.sum("*.ring.copies")),
                      llu(r.sum("*.ring.in_place_reads")),
                      llu(r.sum("*.ring.grow_interrupts")));
-    if (r.find("sim.kernel.shards"))
-        out += strprintf(
-            "kernel: %llu shards, %llu events, %llu windows, "
-            "%llu handoffs, barrier wait %.2f ms, merge %.2f ms, "
-            "imbalance max %.2fx\n",
-            llu(r.value("sim.kernel.shards")),
-            llu(r.value("sim.executed_events")),
-            llu(r.value("sim.window.count")),
-            llu(r.sum("sim.shard.*.handoffs_out")),
-            static_cast<double>(
-                r.value("sim.window.barrier_wait_ns")) /
-                1e6,
-            static_cast<double>(r.value("sim.window.merge_ns")) /
-                1e6,
-            static_cast<double>(
-                r.value("sim.window.imbalance_max_x1000")) /
-                1000.0);
 
     std::string who;
     std::uint64_t busiest_sent =

@@ -7,8 +7,10 @@
 #define AP_HW_MACHINE_HH
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -92,32 +94,52 @@ class Machine
 
     // -- fail-stop cells -----------------------------------------------
 
-    /** @return true when @p id has been declared failed. */
-    bool
-    cell_failed(CellId id) const
+    /** @return true when @p id is fail-stop at the current model
+     *  time (its recorded kill tick has been reached): every shard
+     *  gives the same answer. */
+    bool cell_failed(CellId id) const
     {
-        return cellFailed[static_cast<std::size_t>(id)] != 0;
+        return failed_by(id, simulator.now());
     }
 
-    /** @return true when any cell has been declared failed. */
-    bool any_failed() const { return cellKills.load() > 0; }
+    /** @return true when @p id is fail-stop at model tick @p t. */
+    bool
+    failed_by(CellId id, Tick t) const
+    {
+        return t >= failTicks[static_cast<std::size_t>(id)].load(
+                        std::memory_order_relaxed);
+    }
+
+    /** @return true when any cell is fail-stop at the current time. */
+    bool
+    any_failed() const
+    {
+        return simulator.now() >=
+               firstFailTick.load(std::memory_order_relaxed);
+    }
 
     /**
-     * Declare @p id failed (fail-stop, idempotent): its traffic is
-     * discarded, queued reliable-layer messages to/from it abort,
-     * and barriers release without it. Scheduled automatically for
-     * every FaultPlan::kills entry.
+     * Fail-stop @p id at tick @p at (the earliest kill wins): its
+     * traffic is discarded, its queued reliable-layer messages abort,
+     * and barriers release without it. The tick is recorded now, so
+     * inside an event @p at must be at least lookahead() ahead, and
+     * no shard can reach it before seeing it. FaultPlan::kills are
+     * scheduled this way at construction.
      */
-    void fail_cell(CellId id);
+    void kill_cell(CellId id, Tick at);
 
     /**
-     * Install a fail-stop observer: called at the end of every
-     * effective fail_cell() with the dead cell's id (on the dying
-     * cell's shard under the sharded kernel). One hook; set it while
-     * the machine is quiescent, pass nullptr to detach. The serving
-     * layer uses it to doom and reschedule affected gangs.
+     * Install a fail-stop observer, called on the dying cell's
+     * timeline at its kill tick. One hook; set it while the machine
+     * is quiescent, nullptr detaches. The serving layer uses it to
+     * finish gangs waiting only on the dead cell.
      */
     void set_kill_hook(std::function<void(CellId)> hook);
+
+    /** The least model time any cross-cell effect takes: the sharded
+     *  kernel's window, and the least delay from a decision on one
+     *  timeline to its effect on another. */
+    Tick lookahead() const { return lookaheadTicks; }
 
     /**
      * Count one exhausted communication retry budget. Called by the
@@ -128,39 +150,30 @@ class Machine
 
     // -- watchdog wait registry ----------------------------------------
 
-    /** What one cell is currently parked on (for wait_graph()). */
+    /** One blocking wait of one cell (for wait_graph()). */
     struct WaitInfo
     {
         const char *what = nullptr; ///< "wait_flag", "ack", ...
         Addr addr = 0;
         std::uint64_t target = 0;
         Tick since = 0;
+        Tick until = max_tick; ///< max_tick while still blocked
     };
 
     /** Record that @p id is blocked on @p what (watchdog support). */
-    void
-    set_wait(CellId id, const char *what, Addr addr,
-             std::uint64_t target)
-    {
-        WaitInfo &w = waitInfos[static_cast<std::size_t>(id)];
-        w.what = what;
-        w.addr = addr;
-        w.target = target;
-        w.since = simulator.now();
-    }
+    void set_wait(CellId id, const char *what, Addr addr,
+                  std::uint64_t target);
 
-    /** Clear @p id 's wait record (the wait completed). */
-    void
-    clear_wait(CellId id)
-    {
-        waitInfos[static_cast<std::size_t>(id)].what = nullptr;
-    }
+    /** End @p id 's current wait (it completed or timed out). */
+    void clear_wait(CellId id);
 
     /**
-     * Render a machine-wide wait-graph dump: every cell's current
-     * blocked operation with the live value of the awaited flag/ack
-     * counter, plus failed cells. Attached to watchdog CommErrors so
-     * a stuck run explains itself instead of hanging.
+     * Render a machine-wide wait-graph dump: every cell's blocked
+     * operation, plus failed cells. Attached to watchdog CommErrors
+     * so a stuck run explains itself instead of hanging. Other cells
+     * are shown as of one lookahead before now — the latest state
+     * every kernel shard is sure to have reached — so the dump reads
+     * the same at any thread count.
      */
     std::string wait_graph();
 
@@ -250,7 +263,9 @@ class Machine
 
     /**
      * The black box: render the merged flight rings (last
-     * @p maxPerCell events per cell) as a postmortem text block.
+     * @p maxPerCell events per cell that ended by one lookahead
+     * before now, so the block reads the same at any kernel thread
+     * count) as a postmortem text block.
      * When cfg.postmortemOut is set, the full merged rings are also
      * written there as Chrome trace JSON and the path is named in
      * the text. Appended to every CommError the runtime raises.
@@ -270,8 +285,11 @@ class Machine
     void register_stats();
     void register_kernel_stats();
     void on_window(const sim::WindowRecord &w);
+    /** The kill event: runs on @p id 's timeline at its kill tick. */
+    void fail_cell(CellId id);
 
     MachineConfig cfg;
+    Tick lookaheadTicks;
     sim::FaultInjector faultInj;
     /** The kernel chosen by cfg.threads; everything below holds the
      *  `simulator` reference only. */
@@ -287,16 +305,32 @@ class Machine
      *  MSC+ pool references outlive their users. */
     std::vector<std::unique_ptr<BufferPool>> payloadPools;
     std::vector<std::unique_ptr<Cell>> cells;
-    /** Atomic: written by fail_cell() on the dying cell's shard,
-     *  read by liveness checks on every sending cell's shard. */
-    std::vector<std::atomic<char>> cellFailed;
-    std::vector<WaitInfo> waitInfos;
+    /** Kill tick per cell (max_tick: alive). Atomic: recorded by
+     *  kill_cell() at least a lookahead ahead, read by liveness
+     *  checks on every shard. */
+    std::vector<std::atomic<Tick>> failTicks;
+    std::atomic<Tick> firstFailTick{max_tick};
+    /** Set by fail_cell() on the dead cell's own timeline. */
+    std::vector<char> killed;
+    /** Per cell: its waits of the last two lookaheads, newest last,
+     *  written by the cell's own timeline, read by wait_graph() on
+     *  any, under the cell's lock. */
+    std::vector<std::deque<WaitInfo>> waitLogs;
+    std::unique_ptr<std::mutex[]> waitLocks;
     std::atomic<std::uint64_t> cellKills{0};
     std::atomic<std::uint64_t> retryGiveups{0};
     std::function<void(CellId)> killHook;
     obs::StatsRegistry statsReg;
     std::unique_ptr<obs::TimelineSampler> samplerPtr;
     obs::SpanLayer spanLayer;
+    /** Span-layer events the window hook added (parallel runs only),
+     *  kept out of spans.* and reported under sim.window.spans.*. */
+    struct
+    {
+        std::uint64_t recorded = 0;
+        std::uint64_t logged = 0;
+        std::uint64_t dropped = 0;
+    } windowSpans;
 };
 
 } // namespace ap::hw

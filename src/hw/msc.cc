@@ -27,7 +27,7 @@ bool
 Msc::injected_fault()
 {
     bool hit = faults && faults->active() &&
-               faults->inject_page_fault();
+               faults->inject_page_fault(cell.id());
     if (hit) {
         note("fault", "injected_page_fault");
         AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
@@ -64,7 +64,7 @@ Msc::enqueue(CommandQueue &q, Command cmd)
 {
     cmd.issuedAt = sim.now();
     bool force = faults && faults->active() &&
-                 faults->force_overflow();
+                 faults->force_overflow(cell.id());
     if (force) {
         note("fault", "forced_spill");
         AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
@@ -105,7 +105,7 @@ Msc::issue_remote_load(CellId dst, Addr raddr, std::uint32_t size)
     cmd.remoteStride = net::StrideSpec::contiguous(size);
     cmd.token = nextLoadToken++;
     std::uint64_t token = cmd.token;
-    if (spans && (cmd.traceId = spans->new_trace()))
+    if (spans && (cmd.traceId = spans->new_trace(cell.id())))
         spans->record(cell.id(), cmd.traceId, obs::SpanStage::issue,
                       sim.now(), sim.now(), obs::SpanOp::remote_load);
     enqueue(remoteQ, std::move(cmd));
@@ -133,7 +133,7 @@ Msc::issue_remote_store(CellId dst, Addr raddr,
     cmd.dst = dst;
     cmd.raddr = raddr;
     cmd.inlineData = std::move(data);
-    if (spans && (cmd.traceId = spans->new_trace()))
+    if (spans && (cmd.traceId = spans->new_trace(cell.id())))
         spans->record(cell.id(), cmd.traceId, obs::SpanStage::issue,
                       sim.now(), sim.now(),
                       obs::SpanOp::remote_store);

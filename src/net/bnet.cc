@@ -1,5 +1,6 @@
 #include "net/bnet.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/logging.hh"
@@ -21,13 +22,20 @@ Bnet::attach(CellId id, Deliver deliver)
     handlers[static_cast<std::size_t>(id)] = std::move(deliver);
 }
 
-Tick
+void
 Bnet::broadcast(Message msg)
 {
-    // The bus-occupancy clamp and the aggregate stats are shared by
-    // every broadcasting cell's shard.
-    std::lock_guard<std::mutex> lock(busMutex);
-    Tick start = std::max(sim.now(), busyUntil);
+    Tick issued = sim.now();
+    sim.schedule_for(-1, issued + us_to_ticks(prm.prologUs),
+                     [this, issued, msg = std::move(msg)]() mutable {
+                         arbitrate(std::move(msg), issued);
+                     });
+}
+
+void
+Bnet::arbitrate(Message msg, Tick issued)
+{
+    Tick start = std::max(issued, busyUntil);
     Tick occupy = us_to_ticks(
         prm.prologUs +
         prm.perByteUs * static_cast<double>(msg.wire_bytes()));
@@ -57,7 +65,6 @@ Bnet::broadcast(Message msg)
                 std::move(copy));
         });
     }
-    return arrive;
 }
 
 } // namespace ap::net

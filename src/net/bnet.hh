@@ -5,13 +5,17 @@
  * Used for program/data distribution and host communication. Modelled
  * as a single serialized channel: one broadcast occupies the bus for
  * size / bandwidth and is then delivered to every attached cell.
+ * The bus is arbitrated on the machine timeline: a broadcast issued
+ * at tick t becomes a bus event at t + prolog carrying t, and bus
+ * events claim the bus in (tick, key) order; the arrival formula is
+ * unchanged (start = max(t, bus free)). The prolog and the header's
+ * transfer time bound the kernel lookahead (hw/machine.cc).
  */
 
 #ifndef AP_NET_BNET_HH
 #define AP_NET_BNET_HH
 
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "base/stats.hh"
@@ -59,12 +63,12 @@ class Bnet
     void attach(CellId id, Deliver deliver);
 
     /**
-     * Broadcast @p msg from msg.src to every other cell.
-     * @return the delivery tick (same for all receivers).
+     * Broadcast @p msg from msg.src to every other cell. The bus
+     * event decides the delivery tick (the same for all receivers).
      */
-    Tick broadcast(Message msg);
+    void broadcast(Message msg);
 
-    /** Number of broadcasts so far. */
+    /** Number of broadcasts that have claimed the bus so far. */
     std::uint64_t count() const { return netStats.broadcasts; }
 
     const BnetStats &stats() const { return netStats; }
@@ -73,12 +77,13 @@ class Bnet
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
+    /** The bus event: claim the bus, schedule the deliveries. */
+    void arbitrate(Message msg, Tick issued);
+
     sim::Simulator &sim;
     BnetParams prm;
     std::vector<Deliver> handlers;
-    /** Serializes broadcast(): the bus clamp and stats are shared
-     *  by every broadcasting cell's shard. */
-    std::mutex busMutex;
+    /** Bus free-at tick; machine timeline only. */
     Tick busyUntil = 0;
     BnetStats netStats;
     obs::SpanLayer *spans = nullptr;

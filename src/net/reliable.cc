@@ -67,12 +67,15 @@ ReliableNet::send(Message msg)
 {
     std::lock_guard<std::recursive_mutex> lock(mu);
     CellId src = msg.src, dst = msg.dst;
+    SendChannel &ch = send_channel(src, dst);
     if (is_dead(src) || is_dead(dst)) {
+        // A sender drops its channel to a dead peer itself (the
+        // peer's flush only clears the peer's own channels).
+        abort_channel(ch, src);
         ++stats_of(src).abortedMsgs;
         return sim.now();
     }
 
-    SendChannel &ch = send_channel(src, dst);
     msg.reliable = true;
     msg.seq = ch.nextSeq++;
     stamp_ack(msg);
@@ -141,12 +144,9 @@ ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
         return;
     }
     if (is_dead(src) || is_dead(dst)) {
-        // flush_cell normally handles this; defensive sweep in case
-        // the liveness transition raced the timer.
-        stats_of(src).abortedMsgs +=
-            ch.window.size() + ch.backlog.size();
-        ch.window.clear();
-        ch.backlog.clear();
+        // A live sender's channel to a dead peer ends here (or at
+        // its next send).
+        abort_channel(ch, src);
         return;
     }
 
@@ -330,30 +330,32 @@ ReliableNet::deliver_up(Message msg)
 }
 
 void
+ReliableNet::abort_channel(SendChannel &ch, CellId src)
+{
+    stats_of(src).abortedMsgs += ch.window.size() + ch.backlog.size();
+    ch.window.clear();
+    ch.backlog.clear();
+}
+
+void
 ReliableNet::flush_cell(CellId dead)
 {
+    // Only the dead cell's own channels: its send channels and its
+    // receive channels. A live peer's channels belong to the peer's
+    // timeline, which drops them at its next timer or send.
     std::lock_guard<std::recursive_mutex> lock(mu);
     for (auto &[key, ch] : sendChans) {
-        CellId src = static_cast<CellId>(
-            key / static_cast<std::uint64_t>(cells));
-        CellId dst = static_cast<CellId>(
-            key % static_cast<std::uint64_t>(cells));
-        if (src != dead && dst != dead)
+        if (static_cast<CellId>(key / static_cast<std::uint64_t>(
+                cells)) != dead)
             continue;
-        stats_of(src).abortedMsgs +=
-            ch.window.size() + ch.backlog.size();
-        ch.window.clear();
-        ch.backlog.clear();
+        abort_channel(ch, dead);
         ++ch.timerSeq; // invalidate any scheduled timer
         ch.timerArmed = false;
         ch.rtoUs = prm.rtoUs;
     }
     for (auto &[key, rc] : recvChans) {
-        CellId src = static_cast<CellId>(
-            key / static_cast<std::uint64_t>(cells));
-        CellId dst = static_cast<CellId>(
-            key % static_cast<std::uint64_t>(cells));
-        if (src != dead && dst != dead)
+        if (static_cast<CellId>(key % static_cast<std::uint64_t>(
+                cells)) != dead)
             continue;
         rc.ooo.clear();
         rc.ackPending = false;

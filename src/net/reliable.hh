@@ -122,8 +122,10 @@ class ReliableNet : public Link
         alive = std::move(aliveFn);
     }
 
-    /** Abort all queued traffic to and from a failed cell so
-     *  retransmit timers stop and the event queue can drain. */
+    /** Abort the queued traffic of a failed cell (its own channels;
+     *  live senders drop theirs to it at their next timer or send)
+     *  so retransmit timers stop and the event queue can drain.
+     *  Runs on the dead cell's timeline. */
     void flush_cell(CellId dead);
 
     /** Stats of cell @p id (valid for the topology's cells). */
@@ -185,6 +187,8 @@ class ReliableNet : public Link
 
     void arm_timer(SendChannel &ch, CellId src, CellId dst,
                    double delayUs);
+    /** Drop @p ch 's window and backlog, counted against @p src. */
+    void abort_channel(SendChannel &ch, CellId src);
     void on_timer(CellId src, CellId dst, std::uint64_t expect);
 
     /** T-net delivery tap: runs the full receiver protocol. */
@@ -201,11 +205,13 @@ class ReliableNet : public Link
     sim::Simulator &sim;
     Tnet &tnet;
     ReliableParams prm;
-    /** Serializes the protocol state: a (src, dst) channel pair is
-     *  driven from the sender's shard (send, retransmit timers, ack
-     *  processing) and the receiver's shard (delivery, delayed
-     *  acks), and the channel maps rehash on insert. Recursive
-     *  because deliver_up() may re-enter send() (GET replies). */
+    /** Serializes the channel maps, which rehash on insert from
+     *  any shard. Each channel has one owner timeline: a (src, dst)
+     *  send channel is driven by src's events (send, retransmit
+     *  timers, ack processing), its receive channel by dst's
+     *  (delivery, delayed acks), so the protocol's decisions do not
+     *  depend on lock order. Recursive because deliver_up() may
+     *  re-enter send() (GET replies). */
     std::recursive_mutex mu;
     int cells = 0;
     std::vector<Deliver> handlers;

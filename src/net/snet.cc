@@ -10,7 +10,7 @@ namespace ap::net
 
 Snet::Snet(sim::Simulator &sim, int cells, SnetParams params)
     : sim(sim), numCells(cells), prm(params),
-      failedCells(static_cast<std::size_t>(cells), false)
+      failedAt(static_cast<std::size_t>(cells), max_tick)
 {
 }
 
@@ -31,6 +31,7 @@ Snet::create_context(std::vector<CellId> members)
     ctx.members = std::move(members);
     ctx.arrived.assign(static_cast<std::size_t>(numCells), false);
     std::lock_guard<std::mutex> lock(ctxMutex);
+    ctx.id = static_cast<std::uint32_t>(contexts.size());
     contexts.push_back(std::move(ctx));
     return static_cast<ContextId>(contexts.size()) - 1;
 }
@@ -51,11 +52,11 @@ Snet::arrive(ContextId id, CellId cell, std::function<void()> on_release)
     if (ctx.arrived[static_cast<std::size_t>(cell)])
         panic("cell %d arrived twice at barrier context %d", cell, id);
 
+    Tick now = sim.now();
     ctx.arrived[static_cast<std::size_t>(cell)] = true;
-    ctx.callbacks.emplace_back(cell, std::move(on_release));
-    if (ctx.count == 0)
-        ctx.episodeBegin = sim.now();
-    ctx.count++;
+    ctx.waiters.push_back({cell, sim.next_key(), std::move(on_release)});
+    ctx.episodeBegin = std::min(ctx.episodeBegin, now);
+    ctx.lastArrival = std::max(ctx.lastArrival, now);
 
     maybe_release(ctx);
 }
@@ -63,31 +64,41 @@ Snet::arrive(ContextId id, CellId cell, std::function<void()> on_release)
 void
 Snet::maybe_release(Context &ctx)
 {
-    if (ctx.callbacks.empty())
+    if (ctx.waiters.empty())
         return;
     // Release once every live member has arrived. With no failed
     // cells this is exactly the classic "count == members" condition.
-    for (CellId m : ctx.members)
-        if (!ctx.arrived[static_cast<std::size_t>(m)] &&
-            !failedCells[static_cast<std::size_t>(m)])
+    // A member that died without arriving holds the episode open
+    // until its failure tick.
+    Tick last = ctx.lastArrival;
+    for (CellId m : ctx.members) {
+        if (ctx.arrived[static_cast<std::size_t>(m)])
+            continue;
+        Tick died = failedAt[static_cast<std::size_t>(m)];
+        if (died == max_tick)
             return;
+        last = std::max(last, died);
+    }
 
-    Tick release = sim.now() + us_to_ticks(prm.releaseUs);
+    Tick release = last + us_to_ticks(prm.releaseUs);
     if (spans)
-        if (std::uint64_t tid = spans->new_trace())
+        if (std::uint64_t tid =
+                spans->episode_trace(ctx.id, ctx.completed))
             spans->record(-1, tid, obs::SpanStage::barrier,
                           ctx.episodeBegin, release,
                           obs::SpanOp::barrier);
-    std::vector<std::pair<CellId, std::function<void()>>> cbs;
-    cbs.swap(ctx.callbacks);
-    ctx.count = 0;
+    std::vector<Waiter> waiters;
+    waiters.swap(ctx.waiters);
     ctx.completed++;
+    ctx.episodeBegin = max_tick;
+    ctx.lastArrival = 0;
     for (CellId m : ctx.members)
         ctx.arrived[static_cast<std::size_t>(m)] = false;
     // Each release callback resumes its own cell: route it to that
     // cell's shard, not the shard of whichever arrival released us.
-    for (auto &cb : cbs)
-        sim.schedule_for(cb.first, release, std::move(cb.second));
+    for (Waiter &w : waiters)
+        sim.schedule_keyed(w.cell, release, w.key,
+                           std::move(w.onRelease));
 }
 
 void
@@ -97,7 +108,7 @@ Snet::fail_cell(CellId cell)
         panic("fail_cell %d outside machine of %d cells", cell,
               numCells);
     std::lock_guard<std::mutex> lock(ctxMutex);
-    failedCells[static_cast<std::size_t>(cell)] = true;
+    failedAt[static_cast<std::size_t>(cell)] = sim.now();
     // Contexts already blocked only on the dead cell release now.
     for (Context &ctx : contexts)
         maybe_release(ctx);

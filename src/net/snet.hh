@@ -7,6 +7,12 @@
  * supports arbitrary member sets so both modes and the group
  * extension can be exercised. A barrier context collects arrivals and
  * releases every member a fixed latency after the last arrival.
+ * Members arrive on their own timelines, possibly on different
+ * host threads, so nothing depends on which arrival the host
+ * processes last: the release tick is the latest arrival tick (or
+ * failure tick of a member that died without arriving) plus the
+ * latency, and each release carries the key its member reserved at
+ * arrival.
  */
 
 #ifndef AP_NET_SNET_HH
@@ -71,10 +77,9 @@ class Snet
     std::uint64_t total_episodes() const;
 
     /**
-     * Declare @p cell failed: every context releases as soon as all
-     * its *live* members have arrived, so surviving cells complete
-     * their barriers instead of waiting on the dead one forever.
-     * Contexts already waiting only on @p cell release immediately.
+     * Declare @p cell failed (on its own timeline, at its kill tick):
+     * contexts release once all their *live* members have arrived; a
+     * member that dies without arriving counts as arriving then.
      */
     void fail_cell(CellId cell);
 
@@ -84,17 +89,23 @@ class Snet
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
+    /** One member's pending release. */
+    struct Waiter
+    {
+        CellId cell;
+        std::uint64_t key; ///< reserved by the member at arrival
+        std::function<void()> onRelease;
+    };
+
     struct Context
     {
+        std::uint32_t id = 0;
         std::vector<CellId> members;
         std::vector<bool> arrived;
-        /** (arriving cell, its release callback): the callback is
-         *  scheduled on the arriver's own shard at release time. */
-        std::vector<std::pair<CellId, std::function<void()>>>
-            callbacks;
-        int count = 0;
+        std::vector<Waiter> waiters;
         std::uint64_t completed = 0;
-        Tick episodeBegin = 0; ///< first arrival of this episode
+        Tick episodeBegin = max_tick; ///< earliest arrival
+        Tick lastArrival = 0;         ///< latest arrival
     };
 
     /** Release @p ctx when every live member has arrived. */
@@ -110,7 +121,7 @@ class Snet
     /** Deque, not vector: growth must not invalidate references a
      *  concurrent arrive() holds across maybe_release(). */
     std::deque<Context> contexts;
-    std::vector<bool> failedCells;
+    std::vector<Tick> failedAt; ///< per cell; max_tick while alive
     obs::SpanLayer *spans = nullptr;
 };
 

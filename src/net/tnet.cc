@@ -11,8 +11,42 @@ namespace ap::net
 
 Tnet::Tnet(sim::Simulator &sim, Torus topo, TnetParams params)
     : sim(sim), topo(topo), prm(params),
-      handlers(static_cast<std::size_t>(topo.size()))
+      handlers(static_cast<std::size_t>(topo.size())), rows(1),
+      rowOf(static_cast<std::size_t>(topo.size()), 0)
 {
+}
+
+void
+Tnet::set_shards(std::vector<std::uint32_t> shardOfCell)
+{
+    if (shardOfCell.size() != rowOf.size())
+        panic("T-net shard map covers %zu of %zu cells",
+              shardOfCell.size(), rowOf.size());
+    rowOf = std::move(shardOfCell);
+    std::uint32_t n = 0;
+    for (std::uint32_t s : rowOf)
+        n = std::max(n, s + 1);
+    rows.resize(n);
+}
+
+void
+Tnet::fold_stats()
+{
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        TnetStats &r = rows[i].stats;
+        netStats.messages += r.messages;
+        netStats.payloadBytes += r.payloadBytes;
+        netStats.wireBytes += r.wireBytes;
+        netStats.dropped += r.dropped;
+        netStats.duplicated += r.duplicated;
+        netStats.reordered += r.reordered;
+        netStats.corrupted += r.corrupted;
+        netStats.deadCellDrops += r.deadCellDrops;
+        netStats.distance.merge(r.distance);
+        netStats.messageSize.merge(r.messageSize);
+        netStats.latencyUs.merge(r.latencyUs);
+        r = TnetStats{};
+    }
 }
 
 void
@@ -69,17 +103,6 @@ Tnet::schedule_delivery(Message msg, Tick arrive)
 }
 
 void
-Tnet::schedule_held_delivery(Message msg, Tick arrive)
-{
-    CellId dst = msg.dst;
-    sim.schedule_for(dst, arrive,
-                     [this, msg = std::move(msg)]() mutable {
-        faults->release_hold(msg.dst);
-        handlers[static_cast<std::size_t>(msg.dst)](std::move(msg));
-    });
-}
-
-void
 Tnet::note_fault(const char *what, MsgKind kind)
 {
     if (spans && spans->full())
@@ -93,15 +116,14 @@ Tnet::send(Message msg)
     if (!topo.valid(msg.src) || !topo.valid(msg.dst))
         panic("send between invalid cells %d -> %d", msg.src, msg.dst);
 
-    // One lock covers the whole injection: FIFO clamp, contention
-    // table, stats and fault draws are machine-global, and senders on
-    // different shards may inject concurrently.
-    std::lock_guard<std::mutex> lock(sendMutex);
+    std::uint32_t r = rowOf[static_cast<std::size_t>(msg.src)];
+    SendRow &row = rows[r];
+    TnetStats &st = r == 0 ? netStats : row.stats;
 
     // Fail-stop cells neither send nor receive: discard silently so
     // retransmission logic above (or a watchdog) surfaces the loss.
     if (alive && (!alive(msg.src) || !alive(msg.dst))) {
-        ++netStats.deadCellDrops;
+        ++st.deadCellDrops;
         return sim.now();
     }
 
@@ -117,26 +139,29 @@ Tnet::send(Message msg)
     // so a jitter-only fault plan perturbs timing without ever
     // breaking in-order delivery.
     bool inject_faults = faults && faults->active();
-    if (inject_faults)
-        arrive += faults->jitter();
+    sim::FaultInjector::SendFaults f;
+    if (inject_faults) {
+        f = faults->on_send(msg.src);
+        arrive += f.jitter;
+    }
 
     // Enforce FIFO per source-destination pair: a later injection may
     // never arrive before an earlier one.
-    std::uint64_t key = static_cast<std::uint64_t>(msg.src) *
-                            static_cast<std::uint64_t>(topo.size()) +
-                        static_cast<std::uint64_t>(msg.dst);
-    Tick &last = lastArrival[key];
+    Tick &last = row.lastArrival[static_cast<std::uint64_t>(msg.src) *
+                                     static_cast<std::uint64_t>(
+                                         topo.size()) +
+                                 static_cast<std::uint64_t>(msg.dst)];
     if (arrive < last)
         arrive = last;
     last = arrive;
 
-    netStats.messages++;
-    netStats.payloadBytes += msg.payload.size();
-    netStats.wireBytes += msg.wire_bytes();
-    netStats.distance.sample(
+    st.messages++;
+    st.payloadBytes += msg.payload.size();
+    st.wireBytes += msg.wire_bytes();
+    st.distance.sample(
         static_cast<std::uint64_t>(topo.distance(msg.src, msg.dst)));
-    netStats.messageSize.sample(msg.payload.size());
-    netStats.latencyUs.sample(
+    st.messageSize.sample(msg.payload.size());
+    st.latencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(arrive - inject)));
 
     auto &handler = handlers[static_cast<std::size_t>(msg.dst)];
@@ -149,10 +174,11 @@ Tnet::send(Message msg)
                ticks_to_us(arrive - inject));
 
     if (inject_faults) {
-        if (faults->drop_message()) {
+        using Hold = sim::FaultInjector::HoldKind;
+        if (f.drop) {
             // The wire was used (stats above) but nothing arrives.
             // aux=1 marks the flight as lost for the span layer.
-            ++netStats.dropped;
+            ++st.dropped;
             if (spans && msg.traceId != 0)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject, arrive,
@@ -162,37 +188,33 @@ Tnet::send(Message msg)
                        to_string(msg.kind), msg.src, msg.dst);
             return arrive;
         }
-        if (faults->duplicate_message() &&
-            faults->try_hold(msg.dst,
-                             sim::FaultInjector::HoldKind::duplicate)) {
-            ++netStats.duplicated;
+        if (f.duplicate &&
+            faults->try_hold(msg.src, Hold::duplicate, inject, arrive)) {
+            ++st.duplicated;
             note_fault("duplicate:", msg.kind);
             AP_DPRINTF(Fault, "duplicated %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
-            schedule_held_delivery(msg, arrive);
+            schedule_delivery(msg, arrive);
         }
-        if (faults->reorder_message() &&
-            faults->try_hold(msg.dst,
-                             sim::FaultInjector::HoldKind::reorder)) {
+        Tick late = arrive + faults->reorder_delay();
+        if (f.reorder &&
+            faults->try_hold(msg.src, Hold::reorder, inject, late)) {
             // Held back past the FIFO clamp already recorded in
             // `last`: later same-pair traffic overtakes this message.
-            ++netStats.reordered;
+            ++st.reordered;
             note_fault("reorder:", msg.kind);
             AP_DPRINTF(Fault, "reordered %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             if (spans && msg.traceId != 0)
                 spans->record(msg.dst, msg.traceId,
-                              obs::SpanStage::net, inject,
-                              arrive + faults->reorder_delay());
-            schedule_held_delivery(std::move(msg),
-                                   arrive + faults->reorder_delay());
+                              obs::SpanStage::net, inject, late);
+            schedule_delivery(std::move(msg), late);
             return arrive;
         }
-        if (faults->corrupt_message()) {
-            ++netStats.corrupted;
+        if (f.corrupt) {
+            ++st.corrupted;
             if (!msg.payload.empty())
-                msg.payload[faults->corrupt_index(
-                    msg.payload.size())] ^= 0xFF;
+                msg.payload[f.pick % msg.payload.size()] ^= 0xFF;
             else
                 msg.checksum ^= 1;
             note_fault("corrupt:", msg.kind);

@@ -15,14 +15,18 @@
  *
  * An optional link-contention mode (beyond the paper's MLSim, which
  * has no contention model) serializes messages over each directed
- * torus link at the link bandwidth.
+ * torus link at the link bandwidth, in one machine-wide table: it
+ * needs the sequential kernel (hw::Machine refuses it otherwise).
+ * Everything else a send touches belongs to the sender's kernel
+ * shard (set_shards()) or, for fault decisions, the sender itself,
+ * so senders on different shards share nothing and take no lock.
  */
 
 #ifndef AP_NET_TNET_HH
 #define AP_NET_TNET_HH
 
+#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -94,6 +98,11 @@ class Tnet final : public Link
     /** Register the receive handler for cell @p id. */
     void attach(CellId id, Deliver deliver);
 
+    /** Give each kernel shard its own FIFO clamp and stats row;
+     *  @p shardOfCell maps a cell to the shard running its events.
+     *  Call before the first send (default: one row). */
+    void set_shards(std::vector<std::uint32_t> shardOfCell);
+
     /**
      * Inject @p msg now. @return the arrival tick at the destination.
      * Messages between the same pair never reorder.
@@ -104,7 +113,11 @@ class Tnet final : public Link
     Tick latency(CellId src, CellId dst, std::uint64_t bytes) const;
 
     const Torus &topology() const { return topo; }
+
+    /** Machine-wide totals: shard 0 writes them directly, the other
+     *  shards at each fold_stats() (every window barrier). */
     const TnetStats &stats() const { return netStats; }
+    void fold_stats();
     const TnetParams &params() const { return prm; }
 
     /**
@@ -112,7 +125,8 @@ class Tnet final : public Link
      * drop (message vanishes in the network), duplicate (delivered
      * twice), reorder (held back without advancing the FIFO clamp, so
      * later same-pair traffic overtakes it), and latency jitter
-     * applied before the FIFO clamp (timing-only, order-preserving).
+     * applied before the FIFO clamp (timing-only, order-preserving),
+     * all decided by the sender's count of sends.
      */
     void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
 
@@ -132,13 +146,17 @@ class Tnet final : public Link
     }
 
   private:
+    /** What one shard's senders write; only that shard touches it. */
+    struct SendRow
+    {
+        /** Last arrival per (src * size + dst) pair: the FIFO clamp. */
+        std::unordered_map<std::uint64_t, Tick> lastArrival;
+        TnetStats stats; ///< unfolded (row 0 writes netStats)
+    };
+
     Tick contention_arrival(const Message &msg, Tick inject);
 
     void schedule_delivery(Message msg, Tick arrive);
-
-    /** Like schedule_delivery, but retires the injector hold slot
-     *  admitted for this duplicated/reordered message on delivery. */
-    void schedule_held_delivery(Message msg, Tick arrive);
 
     /** Annotate injected fault "@p what<kind>" on the machine track
      *  (full span mode only). */
@@ -150,13 +168,8 @@ class Tnet final : public Link
     sim::FaultInjector *faults = nullptr;
     std::function<bool(CellId)> alive;
     std::vector<Deliver> handlers;
-    /** Serializes send(): the FIFO clamp, the link-contention table
-     *  and the aggregate stats are machine-global state touched by
-     *  every sending cell's shard. Delivery itself needs no lock —
-     *  the handler runs as an event on the destination's shard. */
-    std::mutex sendMutex;
-    /** last arrival tick per (src * size + dst) pair, for FIFO. */
-    std::unordered_map<std::uint64_t, Tick> lastArrival;
+    std::vector<SendRow> rows;         ///< one per kernel shard
+    std::vector<std::uint32_t> rowOf; ///< cell -> row
     /** per directed link (from * size + to) busy-until (contention). */
     std::unordered_map<std::uint64_t, Tick> linkBusy;
     TnetStats netStats;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <set>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "obs/json.hh"
@@ -164,6 +165,7 @@ SpanLayer::SpanLayer(int cells, std::size_t flightCapacity)
         rings.emplace_back(flightCapacity);
     ringLocks =
         std::make_unique<std::mutex[]>(rings.size());
+    traceSeq = std::make_unique<std::uint64_t[]>(rings.size());
 }
 
 void
@@ -183,10 +185,11 @@ SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
     ev.aux = aux;
     recordedCount.fetch_add(1, std::memory_order_relaxed);
 
-    std::size_t idx = static_cast<std::size_t>(cell + 1);
-    if (idx >= rings.size())
-        idx = 0; // out-of-range track lands on the machine ring
-    {
+    // Window barrier waits are kernel telemetry of parallel runs
+    // only: they stay out of the black box, which must read the same
+    // at any thread count.
+    if (stage != SpanStage::barrier_wait) {
+        std::size_t idx = ring_of(cell);
         std::lock_guard<std::mutex> lock(ringLocks[idx]);
         rings[idx].push(ev);
     }
@@ -257,20 +260,32 @@ SpanLayer::flight_dropped() const
 }
 
 std::vector<SpanEvent>
-SpanLayer::flight_events(std::size_t maxPerCell) const
+SpanLayer::flight_events(std::size_t maxPerCell, Tick asOf) const
 {
+    // Select and merge by time, never by push order: remote senders
+    // push net spans into a cell's ring from their own shards.
+    auto earlier = [](const SpanEvent &a, const SpanEvent &b) {
+        return std::tie(a.begin, a.end, a.traceId, a.stage) <
+               std::tie(b.begin, b.end, b.traceId, b.stage);
+    };
     std::vector<SpanEvent> out;
     for (std::size_t i = 0; i < rings.size(); ++i) {
-        std::lock_guard<std::mutex> lock(ringLocks[i]);
-        std::vector<SpanEvent> part = rings[i].snapshot(maxPerCell);
-        out.insert(out.end(), part.begin(), part.end());
+        std::vector<SpanEvent> part;
+        {
+            std::lock_guard<std::mutex> lock(ringLocks[i]);
+            part = rings[i].snapshot(0);
+        }
+        std::erase_if(part, [asOf](const SpanEvent &ev) {
+            return ev.end > asOf;
+        });
+        std::sort(part.begin(), part.end(), earlier);
+        std::size_t keep = maxPerCell == 0
+                               ? part.size()
+                               : std::min(maxPerCell, part.size());
+        out.insert(out.end(), part.end() - static_cast<std::ptrdiff_t>(keep),
+                   part.end());
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const SpanEvent &a, const SpanEvent &b) {
-                         if (a.begin != b.begin)
-                             return a.begin < b.begin;
-                         return a.traceId < b.traceId;
-                     });
+    std::stable_sort(out.begin(), out.end(), earlier);
     return out;
 }
 

@@ -190,9 +190,10 @@ std::string span_chrome_json(const std::vector<SpanEvent> &events,
 /**
  * The machine-wide span recorder. Owned by hw::Machine; hardware
  * components hold a pointer and guard every probe with a null check
- * plus on(). Trace ids come from one central counter so an id is
- * unique machine-wide and an event stream from any cell can be
- * grouped by operation.
+ * plus on(). A trace id is (minting cell, that cell's count), so it
+ * is unique machine-wide, an event stream from any cell can be
+ * grouped by operation, and a cell's ids do not depend on what cells
+ * on other kernel shards did first.
  */
 class SpanLayer
 {
@@ -216,14 +217,26 @@ class SpanLayer
     /** @return true when the full log (and annotations) is kept. */
     bool full() const { return mode_ == SpanMode::full; }
 
-    /** Allocate a machine-unique trace id; 0 while off. Atomic:
-     *  cells on different shards mint ids concurrently. */
+    /** Allocate a machine-unique trace id for an operation cell
+     *  @p cell starts (-1: the machine); 0 while off. Only @p cell 's
+     *  own events may call this. */
     std::uint64_t
-    new_trace()
+    new_trace(std::int32_t cell)
     {
-        return on() ? lastTrace.fetch_add(
-                          1, std::memory_order_relaxed) +
-                          1
+        if (!on())
+            return 0;
+        std::size_t idx = ring_of(cell);
+        return static_cast<std::uint64_t>(idx) << 32 | ++traceSeq[idx];
+    }
+
+    /** The trace id of episode @p episode of barrier context @p ctx
+     *  (an id no cell mints); 0 while off. */
+    std::uint64_t
+    episode_trace(std::uint32_t ctx, std::uint64_t episode) const
+    {
+        return on() ? (std::uint64_t{1} << 52 |
+                       static_cast<std::uint64_t>(ctx) << 32 |
+                       (episode & 0xffffffffu))
                     : 0;
     }
 
@@ -295,11 +308,15 @@ class SpanLayer
 
     /**
      * Merged snapshot of every flight ring, ordered by begin tick —
-     * the postmortem view: the last N events each cell saw.
-     * @p maxPerCell 0 keeps whole rings.
+     * the postmortem view: the last @p maxPerCell events (by time)
+     * each cell saw that ended by @p asOf. @p maxPerCell 0 keeps
+     * whole rings. Another shard may be up to one kernel lookahead
+     * ahead of or behind the caller, so a reproducible view of the
+     * other cells stops one lookahead before the caller's now.
      */
     std::vector<SpanEvent>
-    flight_events(std::size_t maxPerCell = 0) const;
+    flight_events(std::size_t maxPerCell = 0,
+                  Tick asOf = max_tick) const;
 
   private:
     void annotate(SpanKind kind, std::int32_t track, const char *cat,
@@ -308,8 +325,18 @@ class SpanLayer
     /** Append @p ev to the full log, or count it dropped. */
     void append_full(const SpanEvent &ev);
 
+    /** Ring (and trace-id counter) index of @p cell: cell + 1,
+     *  0 for the machine and out-of-range tracks. */
+    std::size_t
+    ring_of(std::int32_t cell) const
+    {
+        auto idx = static_cast<std::size_t>(cell + 1);
+        return idx < rings.size() ? idx : 0;
+    }
+
     SpanMode mode_ = SpanMode::flight;
-    std::atomic<std::uint64_t> lastTrace{0};
+    /** Trace ids minted per ring index (new_trace()). */
+    std::unique_ptr<std::uint64_t[]> traceSeq;
     std::atomic<std::uint64_t> recordedCount{0};
     std::uint64_t fullDropped = 0;
     /** Guards the full-mode log (appended from every shard). */

@@ -32,8 +32,10 @@
  * after the simulator drains or on the sequential kernel. The
  * *backing state* is where the shards meet: per-cell component
  * counters are shard-local by construction (a cell's events run on
- * one shard), and the machine-global counters (T-net/B-net stats,
- * fault stats) are updated under their owning component's mutex.
+ * one shard), the T-net folds its other shards' rows into its totals
+ * at each window barrier, the fault injector sums per-cell rows when
+ * asked, the B-net's counters are written on the machine timeline
+ * and the S-net's under its context mutex.
  */
 
 #ifndef AP_OBS_STATS_REGISTRY_HH

@@ -35,6 +35,10 @@ GangScheduler::GangScheduler(hw::Machine &machine, ServeConfig cfg)
     : machine(machine), cfg(cfg),
       parts(machine.topology().width(), machine.topology().height())
 {
+    if (dispatch_ticks() < 2 * machine.lookahead())
+        fatal("serve dispatchUs %.3f is below twice the machine "
+              "lookahead (%.3f us)",
+              cfg.dispatchUs, ticks_to_us(2 * machine.lookahead()));
     machine.set_kill_hook([this](CellId c) { on_kill(c); });
     register_stats();
 }
@@ -136,6 +140,7 @@ void
 GangScheduler::submit(const JobSpec &spec)
 {
     std::lock_guard<std::mutex> lock(mu);
+    sync_dead_locked();
     Tick now = machine.sim().now();
     std::size_t idx = jobRecs.size();
     jobRecs.emplace_back();
@@ -158,7 +163,7 @@ GangScheduler::submit(const JobSpec &spec)
         return;
     }
     queue.push_back(idx);
-    try_admit_locked();
+    try_admit_locked(now);
 }
 
 void
@@ -189,7 +194,7 @@ GangScheduler::schedule_stream(const std::vector<JobSpec> &stream)
 }
 
 void
-GangScheduler::try_admit_locked()
+GangScheduler::try_admit_locked(Tick at)
 {
     auto it = queue.begin();
     while (it != queue.end() && runningCount < cfg.maxInflight) {
@@ -200,14 +205,13 @@ GangScheduler::try_admit_locked()
             continue;
         }
         it = queue.erase(it);
-        launch_locked(r, std::move(*pl));
+        launch_locked(r, std::move(*pl), std::max(at, r.enqueueTick));
     }
 }
 
 void
-GangScheduler::launch_locked(JobRecord &r, Placement place)
+GangScheduler::launch_locked(JobRecord &r, Placement place, Tick now)
 {
-    Tick now = machine.sim().now();
     attempts.push_back(std::make_unique<Attempt>());
     Attempt &a = *attempts.back();
     a.job = &r;
@@ -216,6 +220,7 @@ GangScheduler::launch_locked(JobRecord &r, Placement place)
     a.group = std::make_unique<core::Group>(a.place.cells);
     a.barrierCtx = machine.snet().create_context(a.place.cells);
     a.startTick = now;
+    a.launchedAt = machine.sim().now();
     liveAttempts[a.gen] = &a;
 
     r.attempts++;
@@ -237,10 +242,11 @@ GangScheduler::launch_locked(JobRecord &r, Placement place)
     a.run.pw = a.place.w;
     a.run.ph = a.place.h;
     a.run.deadlineTick = a.deadlineTick;
-    a.run.cancel = &a.cancel;
 
     int n = static_cast<int>(a.place.cells.size());
-    a.doneFlags.assign(static_cast<std::size_t>(n), 0);
+    a.leftAt.assign(static_cast<std::size_t>(n), max_tick);
+    a.ok.assign(static_cast<std::size_t>(n), 0);
+    a.errors.resize(static_cast<std::size_t>(n));
     a.procs.resize(static_cast<std::size_t>(n));
     a.ctxs.resize(static_cast<std::size_t>(n));
     Attempt *ap = &a;
@@ -254,18 +260,18 @@ GangScheduler::launch_locked(JobRecord &r, Placement place)
             [this, ap, i, c](sim::Process &) {
                 // CommError cannot cross the fiber boundary; catch it
                 // here, exactly like core::run_spmd does. A failed
-                // cell's own demise is not a job error — the doom
-                // path already covers its attempt.
+                // cell's own demise is not a job error.
                 bool ok = false;
+                std::string error;
                 try {
                     ok = run_job(
                         *ap->ctxs[static_cast<std::size_t>(i)],
                         ap->run);
                 } catch (const core::CommError &e) {
                     if (!machine.cell_failed(c))
-                        note_attempt_error(*ap, e.what());
+                        error = e.what();
                 }
-                attempt_cell_done(*ap, i, ok);
+                attempt_cell_done(*ap, i, ok, std::move(error));
             });
         a.ctxs[idx] = std::make_unique<core::Context>(
             machine, c, *a.procs[idx], a.barrierCtx, nullptr);
@@ -275,64 +281,77 @@ GangScheduler::launch_locked(JobRecord &r, Placement place)
         a.procs[idx]->start(now + dispatch_ticks());
     }
     runningCount++;
-
-    if (a.deadlineTick != 0)
-        machine.sim().schedule_for(
-            -1, a.deadlineTick,
-            [this, gen = a.gen] { on_deadline(gen); });
 }
 
 void
-GangScheduler::note_attempt_error(Attempt &a, const std::string &what)
+GangScheduler::attempt_cell_done(Attempt &a, int rank, bool ok,
+                                 std::string error)
 {
     std::lock_guard<std::mutex> lock(mu);
-    a.errored = true;
-    if (a.firstError.empty())
-        a.firstError = what;
-}
-
-void
-GangScheduler::attempt_cell_done(Attempt &a, int rank, bool ok)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    a.doneFlags[static_cast<std::size_t>(rank)] = 1;
-    if (!ok)
-        a.stopped = true;
+    auto idx = static_cast<std::size_t>(rank);
+    if (a.leftAt[idx] != max_tick)
+        return; // its cell died first
+    a.leftAt[idx] = machine.sim().now();
+    a.ok[idx] = ok;
+    a.errors[idx] = std::move(error);
     check_finish_locked(a);
-    if (a.finished)
-        schedule_reap_locked();
 }
 
 void
 GangScheduler::check_finish_locked(Attempt &a)
 {
-    if (a.finished)
+    if (a.leaving)
         return;
-    for (std::size_t i = 0; i < a.place.cells.size(); ++i)
-        if (!a.doneFlags[i] && !machine.cell_failed(a.place.cells[i]))
+    Tick finishTick = 0;
+    for (Tick t : a.leftAt) {
+        if (t == max_tick)
             return;
-    finish_attempt_locked(a);
+        finishTick = std::max(finishTick, t);
+    }
+    // Every member has left; this call may run on any member's shard,
+    // before or after other members' in host time. The finish goes to
+    // the machine timeline at a tick and key that only depend on the
+    // gang (cross-shard, so one lookahead after the finish tick).
+    a.leaving = true;
+    machine.sim().schedule_keyed(
+        -1, finishTick + machine.lookahead(), sim::decision_key(a.gen),
+        [this, gen = a.gen, finishTick] {
+            finish_attempt(gen, finishTick);
+        });
 }
 
 void
-GangScheduler::finish_attempt_locked(Attempt &a)
+GangScheduler::finish_attempt(std::uint64_t gen, Tick now)
 {
+    std::lock_guard<std::mutex> lock(mu);
+    sync_dead_locked();
+    Attempt &a = *liveAttempts.at(gen);
     a.finished = true;
     runningCount--;
-    liveAttempts.erase(a.gen);
+    liveAttempts.erase(gen);
 
     JobRecord &r = *a.job;
-    Tick now = machine.sim().now();
     Tick held = now >= a.startTick ? now - a.startTick : 0;
     r.serviceTicks += held;
     r.cellTicks += held * a.place.cells.size();
 
-    bool deadMember = a.doomed;
+    bool deadMember = false;
     for (CellId c : a.place.cells)
-        deadMember = deadMember || machine.cell_failed(c);
+        deadMember = deadMember || machine.failed_by(c, now);
+    bool stopped = false;
+    const std::string *firstError = nullptr;
+    Tick firstErrorAt = max_tick;
+    for (std::size_t i = 0; i < a.leftAt.size(); ++i) {
+        stopped = stopped || !a.ok[i];
+        if (!a.errors[i].empty() && a.leftAt[i] < firstErrorAt) {
+            firstError = &a.errors[i];
+            firstErrorAt = a.leftAt[i];
+        }
+    }
+    bool deadlined = a.deadlineTick != 0 && now >= a.deadlineTick;
 
     const char *outcome = nullptr;
-    if (deadMember || a.errored) {
+    if (deadMember || firstError) {
         // A failed gang can leave one-sided traffic and unconsumed
         // ring-buffer records on its cells: retire the partition
         // instead of leaking that state into the next tenant.
@@ -340,7 +359,7 @@ GangScheduler::finish_attempt_locked(Attempt &a)
         tot.partitionsQuarantined++;
         if (deadMember)
             tot.attemptsKilled++;
-        if (a.errored)
+        if (firstError)
             tot.attemptsErrored++;
         if (r.attempts <= static_cast<std::uint64_t>(
                               std::max(0, r.spec.retryBudget))) {
@@ -361,16 +380,16 @@ GangScheduler::finish_attempt_locked(Attempt &a)
             for (std::size_t i = 0; i < jobRecs.size(); ++i)
                 if (&jobRecs[i] == &r)
                     jobIdx = i;
-            machine.sim().schedule_after_for(
-                -1, delay, [this, jobIdx] { requeue(jobIdx); });
+            machine.sim().schedule_for(
+                -1, now + delay, [this, jobIdx] { requeue(jobIdx); });
             outcome = "retrying";
         } else {
             r.state = JobState::failed;
             r.stateNum = static_cast<std::uint64_t>(r.state);
             r.finishTick = now;
-            std::string err = a.firstError.empty()
-                                  ? std::string("gang lost a cell")
-                                  : a.firstError;
+            std::string err = firstError
+                                  ? *firstError
+                                  : std::string("gang lost a cell");
             if (err.size() > 400)
                 err.resize(400);
             r.reason = strprintf(
@@ -380,7 +399,7 @@ GangScheduler::finish_attempt_locked(Attempt &a)
             tot.failedTerminal++;
             outcome = "failed";
         }
-    } else if (a.deadlined || a.stopped) {
+    } else if (deadlined || stopped) {
         parts.release(a.place);
         r.state = JobState::deadline_cancelled;
         r.stateNum = static_cast<std::uint64_t>(r.state);
@@ -410,7 +429,8 @@ GangScheduler::finish_attempt_locked(Attempt &a)
             {"job", static_cast<std::uint64_t>(r.spec.id)},
             {"attempt", r.attempts});
 
-    try_admit_locked();
+    try_admit_locked(now);
+    reap_locked();
 }
 
 void
@@ -420,66 +440,50 @@ GangScheduler::requeue(std::size_t jobIdx)
     JobRecord &r = jobRecs[jobIdx];
     if (r.state != JobState::queued)
         return;
+    sync_dead_locked();
     r.enqueueTick = machine.sim().now();
     // Retries bypass depth shedding: the job was admitted once and
     // holds a retry budget; dropping it here would turn one cell
     // failure into silent data loss for an unrelated reason.
     queue.push_back(jobIdx);
     tot.requeued++;
-    try_admit_locked();
-}
-
-void
-GangScheduler::on_deadline(std::uint64_t gen)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = liveAttempts.find(gen);
-    if (it == liveAttempts.end())
-        return;
-    Attempt &a = *it->second;
-    a.deadlined = true;
-    a.cancel.store(true, std::memory_order_relaxed);
+    try_admit_locked(r.enqueueTick);
 }
 
 void
 GangScheduler::on_kill(CellId cell)
 {
+    // On the dead cell's timeline at its kill tick: the cell leaves
+    // every gang it is still in. Gangs launched within the last
+    // lookahead are skipped — whether this shard sees them yet is a
+    // matter of host timing — and need not be seen: their members
+    // start at least a lookahead after the kill, so the dead one
+    // leaves through its own fiber, which fails at once.
     std::lock_guard<std::mutex> lock(mu);
-    parts.mark_dead(cell);
-    // Doom every running attempt whose placement holds the dead
-    // cell: raise its cancel flag (survivors vote out at the next
-    // iteration boundary; parked waiters unwind via the degraded
-    // S-net release or the watchdog) and re-check completion — the
-    // dead cell may have been the only member still running.
+    Tick now = machine.sim().now();
     for (auto &[gen, ap] : liveAttempts) {
         (void)gen;
-        if (!ap->place.contains(cell))
+        if (ap->leaving || ap->launchedAt + machine.lookahead() > now)
             continue;
-        ap->doomed = true;
-        ap->cancel.store(true, std::memory_order_relaxed);
-    }
-    // check_finish mutates liveAttempts on finish; iterate a copy.
-    std::vector<Attempt *> hit;
-    for (auto &[gen, ap] : liveAttempts) {
-        (void)gen;
-        if (ap->place.contains(cell))
-            hit.push_back(ap);
-    }
-    for (Attempt *ap : hit)
+        int rank = ap->group->rank_of(cell);
+        if (rank < 0)
+            continue;
+        Tick &left = ap->leftAt[static_cast<std::size_t>(rank)];
+        if (left != max_tick)
+            continue;
+        left = now;
         check_finish_locked(*ap);
+    }
 }
 
 void
-GangScheduler::schedule_reap_locked()
+GangScheduler::sync_dead_locked()
 {
-    if (reapPending)
+    if (!machine.any_failed())
         return;
-    reapPending = true;
-    machine.sim().schedule_after_for(-1, dispatch_ticks(), [this] {
-        std::lock_guard<std::mutex> lock(mu);
-        reapPending = false;
-        reap_locked();
-    });
+    for (CellId c = 0; c < machine.size(); ++c)
+        if (machine.cell_failed(c))
+            parts.mark_dead(c);
 }
 
 void
@@ -504,6 +508,7 @@ void
 GangScheduler::finalize()
 {
     std::lock_guard<std::mutex> lock(mu);
+    sync_dead_locked();
     Tick now = machine.sim().now();
     for (std::size_t idx : queue) {
         JobRecord &r = jobRecs[idx];
@@ -573,9 +578,10 @@ GangScheduler::tenant_fairness() const
 }
 
 CellId
-GangScheduler::pick_busy_cell(std::uint64_t salt) const
+GangScheduler::pick_busy_cell(std::uint64_t salt)
 {
     std::lock_guard<std::mutex> lock(mu);
+    sync_dead_locked();
     std::vector<CellId> busy = parts.busy_list();
     if (busy.empty())
         return -1;

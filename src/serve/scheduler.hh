@@ -20,31 +20,37 @@
  *    deadline from admission; the gang exits cooperatively at the
  *    next iteration vote and the job is reported
  *    `deadline_cancelled` (terminal, partition released clean).
- *  - Failure-driven rescheduling: Machine's kill hook marks every
- *    attempt whose placement intersects the dead cell as doomed and
- *    raises its cancel flag. Survivors unwind via the degraded
- *    collectives / watchdog CommError path; the partition is
- *    quarantined (stale one-sided traffic must never leak into the
- *    next tenant) and the job re-enters the queue after exponential
- *    backoff until its retry budget is exhausted, at which point it
- *    is reported terminal with the first error (postmortem text
- *    attached by the runtime) as its reason.
+ *  - Failure-driven rescheduling: once a partition cell is
+ *    fail-stop, the gang votes out at its next iteration boundary;
+ *    survivors unwind via the degraded collectives / watchdog
+ *    CommError path, the partition is quarantined (stale one-sided
+ *    traffic must never leak into the next tenant) and the job
+ *    re-enters the queue after exponential backoff until its retry
+ *    budget is exhausted, at which point it is reported terminal
+ *    with the first error (postmortem text attached by the runtime)
+ *    as its reason.
  *
  * Every job gets a `serve.job.<id>.*` stats subtree and, in full
  * span mode, one "serve" annotation span per attempt (job id and
  * attempt in its args); aggregate counters live under `serve.*`.
  *
- * Threading: all scheduler state is guarded by one mutex — entry
- * points are sim events (shard 0) and fiber completions / kill hooks
- * (any shard). Stats-registry mutation happens only from shard-0
- * events (submit), which the sharded kernel serializes; the registry
- * itself is only walked while the kernel is quiescent.
+ * Threading and determinism: every scheduling decision (submit,
+ * admission, launch, finish, requeue, reap) runs as an event on the
+ * machine timeline, in model-time order, so the job table is the
+ * same at any kernel thread count. Member timelines only record when
+ * they leave their gang — their fiber returned, or (kill hook) their
+ * cell died first — under the one mutex. Whichever member completes
+ * the gang then schedules the finish on the machine timeline at the
+ * gang's finish tick (the latest leave tick) plus one lookahead,
+ * with a key derived from the attempt, so the finish lands at the
+ * same tick and in the same order whichever host thread got there
+ * first. Deadlines and doom need no event: the gang's stop vote and
+ * the finish read them from model time.
  */
 
 #ifndef AP_SERVE_SCHEDULER_HH
 #define AP_SERVE_SCHEDULER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -72,9 +78,10 @@ struct ServeConfig
     int maxInflight = 8;
     /**
      * Delay between a scheduling decision and the gang's first
-     * resume. Must exceed the sharded kernel's conservative
-     * lookahead (about 1 us with default network timings): the
-     * scheduler schedules fiber starts across shards.
+     * resume. Must be at least twice the machine's lookahead (about
+     * 0.3 us with default network timings): a finish is decided one
+     * lookahead after the gang ends, and its launches start across
+     * shards.
      */
     double dispatchUs = 5.0;
     /** Exponential retry backoff: base, factor, saturation cap. */
@@ -202,7 +209,7 @@ class GangScheduler
      * to aim a kill at a gang that actually exists (a fixed
      * cell-and-time pick can land on an idle instant).
      */
-    CellId pick_busy_cell(std::uint64_t salt) const;
+    CellId pick_busy_cell(std::uint64_t salt);
 
   private:
     /** One gang launch of one job. */
@@ -216,32 +223,37 @@ class GangScheduler
         JobRun run;
         std::vector<std::unique_ptr<sim::Process>> procs;
         std::vector<std::unique_ptr<core::Context>> ctxs;
-        std::vector<char> doneFlags; ///< per-rank fiber returned
-        std::atomic<bool> cancel{false};
-        bool doomed = false;  ///< placement intersected a kill
-        bool errored = false; ///< some member threw CommError
-        bool deadlined = false;
-        bool stopped = false; ///< cooperative early exit
-        bool finished = false;
-        std::string firstError;
+        /** Per rank, written by the member's own timeline: when it
+         *  left the gang (max_tick while still in it), whether its
+         *  body completed, and its CommError if it was a job error. */
+        std::vector<Tick> leftAt;
+        std::vector<char> ok;
+        std::vector<std::string> errors;
+        bool leaving = false;  ///< every member left; finish scheduled
+        bool finished = false; ///< finish_attempt() ran
         Tick startTick = 0;
+        Tick launchedAt = 0; ///< tick of the launching event
         Tick deadlineTick = 0;
     };
 
     void register_stats();
     void register_job_stats(JobRecord &r);
     void shed_locked(JobRecord &r, const char *why, bool queueFull);
-    void try_admit_locked();
-    void launch_locked(JobRecord &r, Placement place);
-    void attempt_cell_done(Attempt &a, int rank, bool ok);
-    void note_attempt_error(Attempt &a, const std::string &what);
+    /** Admit what fits; launches are dated max(@p at, enqueue). */
+    void try_admit_locked(Tick at);
+    void launch_locked(JobRecord &r, Placement place, Tick at);
+    /** A member's fiber returned (its own timeline). */
+    void attempt_cell_done(Attempt &a, int rank, bool ok,
+                           std::string error);
+    /** Schedule the finish once every member has left. */
     void check_finish_locked(Attempt &a);
-    void finish_attempt_locked(Attempt &a);
+    /** The finish event (machine timeline). */
+    void finish_attempt(std::uint64_t gen, Tick finishTick);
     void requeue(std::size_t jobIdx);
-    void on_deadline(std::uint64_t gen);
     void on_kill(CellId cell);
+    /** Mark cells fail-stop by now as dead in the partitioner. */
+    void sync_dead_locked();
     void reap_locked();
-    void schedule_reap_locked();
     double deadline_us(DeadlineClass c) const;
     Tick dispatch_ticks() const;
 
@@ -257,7 +269,6 @@ class GangScheduler
     std::map<std::uint64_t, Attempt *> liveAttempts; ///< by gen
     std::uint64_t genCounter = 0;
     int runningCount = 0;
-    bool reapPending = false;
     ServeTotals tot;
     Tick firstSubmitTick = 0;
     Tick lastFinishTick = 0;

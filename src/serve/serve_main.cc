@@ -53,8 +53,8 @@ usage(const char *prog)
         "  --drill=kill-cell  fault drill: kill one cell mid-fleet,\n"
         "                     require reschedules + terminal states\n"
         "  --kill=CELL@US     explicit fail-stop (repeatable)\n"
-        "  --threads=N        event-kernel worker threads\n"
-        "  --deterministic    byte-identical sharded execution\n"
+        "  --threads=N        event-kernel worker threads (the run\n"
+        "                     is the same at every N)\n"
         "  --reliable         reliable-delivery layer on\n"
         "  --jobs-table       print the per-job outcome table\n"
         "  --report           print the machine report too\n"
@@ -73,7 +73,6 @@ main(int argc, char **argv)
 {
     int cells = 16;
     int threads = 1;
-    bool deterministic = false;
     bool reliable = false;
     bool jobsTable = false;
     bool machineReport = false;
@@ -117,8 +116,6 @@ main(int argc, char **argv)
             kills.push_back({cell, us});
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
             threads = std::atoi(a + 10);
-        } else if (std::strcmp(a, "--deterministic") == 0) {
-            deterministic = true;
         } else if (std::strcmp(a, "--reliable") == 0) {
             reliable = true;
         } else if (std::strcmp(a, "--jobs-table") == 0) {
@@ -139,7 +136,6 @@ main(int argc, char **argv)
 
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(cells);
     cfg.threads = threads;
-    cfg.deterministic = deterministic;
     cfg.reliableNet = reliable;
     // The watchdog is the serving layer's unwind path: a gang member
     // parked on a dead peer's flag must come back as a CommError so
@@ -194,11 +190,8 @@ main(int argc, char **argv)
                         "(seed %llu)\n",
                         victim, ticks_to_us(machine.sim().now()),
                         static_cast<unsigned long long>(seed));
-            // Cross-shard hop: fail the cell on its own shard, clear
-            // of the sharded kernel's lookahead window.
-            machine.sim().schedule_after_for(
-                victim, us_to_ticks(5.0),
-                [&machine, victim] { machine.fail_cell(victim); });
+            machine.kill_cell(victim, machine.sim().now() +
+                                          us_to_ticks(5.0));
         };
         machine.sim().schedule_for(-1, us_to_ticks(at), *fire);
     }

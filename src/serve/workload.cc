@@ -27,9 +27,9 @@ mix(std::uint64_t x)
 bool
 stop_vote(core::Context &ctx, const JobRun &r)
 {
-    bool over =
-        (r.cancel && r.cancel->load(std::memory_order_relaxed)) ||
-        (r.deadlineTick != 0 && ctx.now() >= r.deadlineTick);
+    bool over = r.deadlineTick != 0 && ctx.now() >= r.deadlineTick;
+    for (CellId c : r.group->members())
+        over = over || ctx.owner().cell_failed(c);
     double agreed = ctx.allreduce_group(*r.group, over ? 1.0 : 0.0,
                                         core::ReduceOp::max);
     return agreed > 0.0;

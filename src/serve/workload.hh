@@ -14,15 +14,14 @@
  * collective, so either the whole gang exits at the same iteration
  * boundary (leaving no in-flight one-sided traffic behind) or nobody
  * does — a split-brain exit cannot strand a member inside an
- * exchange. The vote observes both the scheduler's cancel flag
- * (deadline fired, partition doomed by a cell kill) and the local
- * deadline clock, whichever trips first.
+ * exchange. A member votes to stop once the attempt's deadline has
+ * passed or a partition cell is fail-stop — both read from model time,
+ * so every member sees the same answer at the same tick whichever
+ * host thread runs it.
  */
 
 #ifndef AP_SERVE_WORKLOAD_HH
 #define AP_SERVE_WORKLOAD_HH
-
-#include <atomic>
 
 #include "core/context.hh"
 #include "serve/job.hh"
@@ -42,8 +41,6 @@ struct JobRun
     int ph = 1;
     /** Absolute deadline tick; 0 = no deadline. */
     Tick deadlineTick = 0;
-    /** Set by the scheduler on deadline or partition doom. */
-    const std::atomic<bool> *cancel = nullptr;
 };
 
 /**

@@ -4,18 +4,19 @@
  *
  * Both layers of the reproduction sit on this kernel: the functional
  * AP1000+ machine (message deliveries, DMA completions, interrupt
- * service) and MLSim's trace replay. Determinism is load-bearing:
- * events at the same tick fire in insertion order, so a given
- * workload always produces the same timeline and the same trace.
+ * service) and MLSim's trace replay. Every event carries an
+ * *affinity* — an opaque small integer (the functional machine uses
+ * the destination cell id; negative values name the machine-wide
+ * timeline) that says which logical timeline it belongs to. The base
+ * Simulator is the sequential kernel; its scheduling entry points are
+ * virtual so the sharded parallel kernel (sim/shardq.hh) can stand in
+ * behind the same reference and route events to shards by affinity.
  *
- * The base Simulator is the sequential kernel. Its scheduling entry
- * points are virtual so the sharded parallel kernel (sim/shardq.hh)
- * can stand in behind the same reference; every event additionally
- * carries an *affinity* — an opaque small integer (the functional
- * machine uses the destination cell id) that names which logical
- * timeline the event belongs to. The sequential kernel only records
- * affinity (for tick histories); the sharded kernel uses it to route
- * events to shards.
+ * One event order: both kernels run same-tick events in (source
+ * timeline, source sequence) order, where the source is the timeline
+ * of the event that scheduled the new one and the sequence a counter
+ * only that source bumps. A timeline's events therefore get the same
+ * keys however the machine is split across host threads.
  *
  * Hot-path machinery (shared with the sharded kernel — see
  * DESIGN.md "Hot paths"): pending events live in a ladder queue
@@ -41,27 +42,63 @@ namespace ap::sim
 {
 
 /**
- * An order-sensitive digest of an executed event sequence.
+ * Event ordering keys, packed into the queue's 64-bit sequence
+ * number: source id << key_seq_bits | that source's sequence. Source
+ * 0 schedules from outside any event, 1 derives keys from shared
+ * decisions, 2 is the machine-wide timeline (every negative
+ * affinity) and a + 3 timeline a.
+ */
+constexpr int key_seq_bits = 40;
+constexpr std::uint64_t outside_source = 0;
+
+constexpr std::uint64_t
+source_of(int affinity)
+{
+    return affinity < 0 ? 2 : static_cast<std::uint64_t>(affinity) + 3;
+}
+
+constexpr std::uint64_t
+event_key(std::uint64_t source, std::uint64_t seq)
+{
+    return source << key_seq_bits | seq;
+}
+
+/** The key of shared decision @p id, which must be unique among the
+ *  decisions that may land on one timeline at one tick. */
+constexpr std::uint64_t
+decision_key(std::uint64_t id)
+{
+    return event_key(1, id);
+}
+
+/**
+ * A digest of an executed event sequence, one timeline at a time.
  *
  * Differential determinism tests attach one of these to two kernels
- * (sequential and sharded-deterministic) running the same workload
- * and compare digests: every executed event folds its (tick,
- * affinity) pair into an FNV-1a hash *in execution order*, so any
- * reordering, loss, duplication or retiming of events changes the
- * digest. Optionally the raw (tick, affinity) log is kept (bounded)
- * so a divergence can be localized instead of just detected.
+ * running the same workload and compare digests. Each timeline folds
+ * its executed (tick, affinity) pairs into its own FNV-1a hash;
+ * hash() combines them in timeline order. Retiming, losing,
+ * duplicating or reordering one timeline's events changes the digest;
+ * how timelines interleave does not, so any shard count gives the
+ * same digest. Optionally the raw (tick, affinity) log is kept
+ * (bounded, in recording order) so a divergence can be localized.
+ * Not thread-safe: the sharded kernel serializes record().
  */
 class TickHistory
 {
   public:
-    /** Fold one executed event into the digest. */
+    /** Fold one executed event into its timeline's digest. */
     void
     record(Tick when, int affinity)
     {
         ++numEvents;
-        fold(when);
-        fold(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(affinity)));
+        auto idx = static_cast<std::size_t>(affinity < 0 ? 0
+                                                         : affinity + 1);
+        if (idx >= lines.size())
+            lines.resize(idx + 1, fnv_offset);
+        fold(lines[idx], when);
+        fold(lines[idx], static_cast<std::uint64_t>(
+                             static_cast<std::int64_t>(affinity)));
         if (logCap > 0) {
             if (logBuf.size() < logCap)
                 logBuf.emplace_back(when, affinity);
@@ -70,8 +107,19 @@ class TickHistory
         }
     }
 
-    /** Order-sensitive digest over every recorded event. */
-    std::uint64_t hash() const { return state; }
+    /** The per-timeline digests combined in timeline order. */
+    std::uint64_t
+    hash() const
+    {
+        std::uint64_t h = fnv_offset;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (lines[i] == fnv_offset)
+                continue;
+            fold(h, i);
+            fold(h, lines[i]);
+        }
+        return h;
+    }
 
     /** Number of events recorded. */
     std::uint64_t events() const { return numEvents; }
@@ -79,7 +127,8 @@ class TickHistory
     /** Keep the first @p cap raw (tick, affinity) pairs. */
     void set_keep_log(std::size_t cap) { logCap = cap; }
 
-    /** The retained raw log (first set_keep_log() entries). */
+    /** The retained raw log (first set_keep_log() entries, in
+     *  recording order — host-dependent across parallel shards). */
     const std::vector<std::pair<Tick, int>> &log() const
     {
         return logBuf;
@@ -101,7 +150,7 @@ class TickHistory
     void
     reset()
     {
-        state = fnv_offset;
+        lines.clear();
         numEvents = 0;
         logBuf.clear();
         wasTruncated = false;
@@ -110,7 +159,7 @@ class TickHistory
     bool
     operator==(const TickHistory &o) const
     {
-        return state == o.state && numEvents == o.numEvents;
+        return hash() == o.hash() && numEvents == o.numEvents;
     }
 
   private:
@@ -118,8 +167,8 @@ class TickHistory
         0xcbf29ce484222325ull;
     static constexpr std::uint64_t fnv_prime = 0x100000001b3ull;
 
-    void
-    fold(std::uint64_t v)
+    static void
+    fold(std::uint64_t &state, std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i) {
             state ^= (v >> (8 * i)) & 0xff;
@@ -127,7 +176,9 @@ class TickHistory
         }
     }
 
-    std::uint64_t state = fnv_offset;
+    /** Running hash per timeline: index 0 holds the negative
+     *  affinities, index a + 1 timeline a. */
+    std::vector<std::uint64_t> lines;
     std::uint64_t numEvents = 0;
     std::size_t logCap = 0;
     bool wasTruncated = false;
@@ -166,6 +217,19 @@ class Simulator
      * Negative affinities mean "no particular timeline".
      */
     virtual void schedule_for(int affinity, Tick when, EventFn fn);
+
+    /**
+     * schedule_for() with an ordering key from next_key() or
+     * decision_key(), for acting on another timeline's behalf once a
+     * shared decision completes (an S-net release, a gang finish):
+     * whichever timeline completes it, the order stays the same.
+     */
+    virtual void schedule_keyed(int affinity, Tick when,
+                                std::uint64_t key, EventFn fn);
+
+    /** Take the executing timeline's next ordering key (the outside
+     *  source's outside any event), for a later schedule_keyed(). */
+    virtual std::uint64_t next_key();
 
     /**
      * Schedule @p fn to run @p delta ticks from now. Relative delays
@@ -238,18 +302,28 @@ class Simulator
     virtual SimAllocStats alloc_stats() const;
 
     /** Affinity of the event currently executing (0 at rest). */
-    int current_affinity() const { return currentAffinity; }
+    virtual int current_affinity() const { return currentAffinity; }
+
+    /** True while the calling thread runs an event of this kernel. */
+    virtual bool executing() const { return currentSource != 0; }
 
   protected:
+    /** Next key of @p source from @p counters (grown on demand). */
+    static std::uint64_t take_key(std::vector<std::uint64_t> &counters,
+                                  std::uint64_t source);
+
     std::function<Tick(Tick)> jitterHook;
     TickHistory *history = nullptr;
 
   private:
+    void push(int affinity, Tick when, std::uint64_t key, EventFn fn);
+
     LadderQueue queue;
     Tick currentTick = 0;
-    std::uint64_t nextSeq = 0;
+    std::vector<std::uint64_t> sourceSeq; ///< per source id
     std::uint64_t numExecuted = 0;
     int currentAffinity = 0;
+    std::uint64_t currentSource = outside_source;
 };
 
 } // namespace ap::sim

@@ -1,6 +1,7 @@
 #include "sim/fault.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -130,58 +131,101 @@ FaultPlan::chaos(std::uint64_t seed)
     return f;
 }
 
-FaultInjector::FaultInjector(FaultPlan plan)
-    : fp(plan), rng(plan.seed), armed(plan.any())
+namespace
 {
+
+/** splitmix64's finalizer: a bijective 64-bit mix. */
+std::uint64_t
+mix(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+} // namespace
+
+FaultInjector::FaultInjector(FaultPlan plan)
+    : fp(std::move(plan)), armed(fp.any())
+{
+}
+
+std::uint64_t
+FaultInjector::hash(Point point, int cell, std::uint64_t n) const
+{
+    constexpr std::uint64_t golden = 0x9e3779b97f4a7c15ull;
+    std::uint64_t h = mix(fp.seed + golden);
+    h = mix(h ^ (static_cast<std::uint64_t>(point) + 1) * golden);
+    h = mix(h ^ static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(cell)));
+    return mix(h + n * golden);
+}
+
+double
+FaultInjector::draw(Point point, int cell, std::uint64_t n) const
+{
+    return static_cast<double>(hash(point, cell, n) >> 11) * 0x1.0p-53;
+}
+
+bool
+FaultInjector::roll(Point point, int cell, std::uint64_t n,
+                    double prob) const
+{
+    return prob > 0 && draw(point, cell, n) < prob;
 }
 
 void
-FaultInjector::reset(FaultPlan plan)
+FaultInjector::set_cells(int cells)
 {
-    fp = plan;
-    rng = Random(plan.seed);
-    armed = plan.any();
-    faultStats = FaultStats{};
-    for (HoldStats &h : holdStats)
-        h = HoldStats{};
+    if (rows.size() < static_cast<std::size_t>(cells) + 1)
+        rows.resize(static_cast<std::size_t>(cells) + 1);
 }
 
-bool
-FaultInjector::roll(double prob)
+FaultInjector::Row &
+FaultInjector::row(int cell)
 {
-    if (prob <= 0)
-        return false;
-    return rng.uniform() < prob;
+    auto idx = static_cast<std::size_t>(cell < 0 ? 0 : cell + 1);
+    if (idx >= rows.size())
+        panic("fault injector sized for %zu cells, asked for cell %d",
+              rows.size() - 1, cell);
+    return rows[idx];
 }
 
-bool
-FaultInjector::drop_message()
+Tick
+FaultInjector::jitter_draw(Point point, Row &r, int cell,
+                           std::uint64_t n)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.dropProb))
-        return false;
-    ++faultStats.drops;
-    return true;
+    Tick extra = us_to_ticks(fp.jitterMaxUs * draw(point, cell, n));
+    if (extra > 0) {
+        ++r.stats.jitteredEvents;
+        r.stats.jitterTicks += extra;
+    }
+    return extra;
 }
 
-bool
-FaultInjector::duplicate_message()
+FaultInjector::SendFaults
+FaultInjector::on_send(CellId src)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.dupProb))
-        return false;
-    ++faultStats.duplicates;
-    return true;
-}
-
-bool
-FaultInjector::reorder_message()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.reorderProb))
-        return false;
-    ++faultStats.reorders;
-    return true;
+    Row &r = row(src);
+    std::uint64_t n = r.sends++;
+    SendFaults f;
+    if (fp.jitterMaxUs > 0)
+        f.jitter = jitter_draw(Point::net_jitter, r, src, n);
+    f.drop = roll(Point::drop, src, n, fp.dropProb);
+    if (f.drop) {
+        ++r.stats.drops;
+        return f;
+    }
+    f.duplicate = roll(Point::duplicate, src, n, fp.dupProb);
+    f.reorder = roll(Point::reorder, src, n, fp.reorderProb);
+    f.corrupt =
+        !f.reorder && roll(Point::corrupt, src, n, fp.corruptProb);
+    if (f.corrupt)
+        f.pick = hash(Point::corrupt_byte, src, n);
+    r.stats.duplicates += f.duplicate;
+    r.stats.reorders += f.reorder;
+    r.stats.corruptions += f.corrupt;
+    return f;
 }
 
 Tick
@@ -191,101 +235,86 @@ FaultInjector::reorder_delay() const
 }
 
 bool
-FaultInjector::force_overflow()
+FaultInjector::force_overflow(CellId cell)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.overflowProb))
+    if (fp.overflowProb <= 0)
         return false;
-    ++faultStats.forcedSpills;
+    Row &r = row(cell);
+    if (!roll(Point::overflow, cell, r.pushes++, fp.overflowProb))
+        return false;
+    ++r.stats.forcedSpills;
     return true;
 }
 
 bool
-FaultInjector::inject_page_fault()
+FaultInjector::inject_page_fault(CellId cell)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.pageFaultProb))
+    if (fp.pageFaultProb <= 0)
         return false;
-    ++faultStats.injectedPageFaults;
+    Row &r = row(cell);
+    if (!roll(Point::page_fault, cell, r.dmas++, fp.pageFaultProb))
+        return false;
+    ++r.stats.injectedPageFaults;
     return true;
 }
 
-bool
-FaultInjector::corrupt_message()
+Tick
+FaultInjector::jitter(int timeline)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!roll(fp.corruptProb))
-        return false;
-    ++faultStats.corruptions;
-    return true;
-}
-
-std::size_t
-FaultInjector::corrupt_index(std::size_t size)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return static_cast<std::size_t>(rng.below(size));
-}
-
-void
-FaultInjector::set_cells(int cells)
-{
-    if (holdStats.size() < static_cast<std::size_t>(cells))
-        holdStats.resize(static_cast<std::size_t>(cells));
+    if (fp.jitterMaxUs <= 0)
+        return 0;
+    Row &r = row(timeline);
+    return jitter_draw(Point::kernel_jitter, r, timeline,
+                       r.schedules++);
 }
 
 bool
-FaultInjector::try_hold(CellId dst, HoldKind kind)
+FaultInjector::try_hold(CellId src, HoldKind kind, Tick now,
+                        Tick arrival)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (static_cast<std::size_t>(dst) >= holdStats.size())
-        holdStats.resize(static_cast<std::size_t>(dst) + 1);
-    HoldStats &h = holdStats[static_cast<std::size_t>(dst)];
+    Row &r = row(src);
+    std::erase_if(r.held, [now](Tick t) { return t <= now; });
+    HoldStats &h = r.hold;
     if (fp.maxHeldPerCell > 0 &&
-        h.held >= static_cast<std::uint64_t>(fp.maxHeldPerCell)) {
+        r.held.size() >= static_cast<std::size_t>(fp.maxHeldPerCell)) {
         if (kind == HoldKind::duplicate)
             ++h.dupEvictions;
         else
             ++h.reorderEvictions;
+        h.held = r.held.size();
         return false;
     }
-    ++h.held;
+    r.held.push_back(arrival);
+    h.held = r.held.size();
     h.heldHighWater = std::max(h.heldHighWater, h.held);
     return true;
-}
-
-void
-FaultInjector::release_hold(CellId dst)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (static_cast<std::size_t>(dst) >= holdStats.size())
-        return;
-    HoldStats &h = holdStats[static_cast<std::size_t>(dst)];
-    if (h.held > 0)
-        --h.held;
 }
 
 const FaultInjector::HoldStats &
 FaultInjector::hold_stats(CellId cell) const
 {
     static const HoldStats empty{};
-    if (static_cast<std::size_t>(cell) >= holdStats.size())
+    auto idx = static_cast<std::size_t>(cell) + 1;
+    if (cell < 0 || idx >= rows.size())
         return empty;
-    return holdStats[static_cast<std::size_t>(cell)];
+    return rows[idx].hold;
 }
 
-Tick
-FaultInjector::jitter()
+FaultStats
+FaultInjector::stats() const
 {
-    if (fp.jitterMaxUs <= 0)
-        return 0;
-    std::lock_guard<std::mutex> lock(mu);
-    Tick extra = us_to_ticks(fp.jitterMaxUs * rng.uniform());
-    if (extra > 0) {
-        ++faultStats.jitteredEvents;
-        faultStats.jitterTicks += extra;
+    FaultStats t;
+    for (const Row &r : rows) {
+        t.drops += r.stats.drops;
+        t.duplicates += r.stats.duplicates;
+        t.reorders += r.stats.reorders;
+        t.forcedSpills += r.stats.forcedSpills;
+        t.injectedPageFaults += r.stats.injectedPageFaults;
+        t.jitteredEvents += r.stats.jitteredEvents;
+        t.corruptions += r.stats.corruptions;
+        t.jitterTicks += r.stats.jitterTicks;
     }
-    return extra;
+    return t;
 }
 
 } // namespace ap::sim

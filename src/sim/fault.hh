@@ -18,15 +18,19 @@
  *  - bounded random latency jitter on event-queue delays (schedule
  *    perturbation that must never change results, only timing).
  *
- * Determinism is load-bearing: the injector draws from its own
- * splitmix engine at well-defined decision points, and the event
- * kernel executes deterministically, so a (workload seed, fault plan)
- * pair always reproduces the identical run — a failing stress seed
+ * Determinism is load-bearing. Every decision is a counter-based
+ * hash (Salmon et al., SC'11, "Parallel random numbers: as easy as 1,
+ * 2, 3") of (plan seed, decision point, cell, that cell's count of the
+ * hardware event being decided): the N-th T-net send of cell 3 drops
+ * or not whatever the other cells did first and whichever mechanisms
+ * are enabled. Each cell's counters are touched only by that cell's
+ * own events, so a (workload seed, fault plan) pair reproduces the
+ * identical run at any kernel thread count — a failing stress seed
  * replays exactly.
  *
  * A default-constructed (zero) plan is inert by construction: every
- * decision point short-circuits before touching the RNG, so a machine
- * with a zero plan is byte-identical to one without the fault layer.
+ * decision point short-circuits before counting, so a machine with a
+ * zero plan is byte-identical to one without the fault layer.
  */
 
 #ifndef AP_SIM_FAULT_HH
@@ -34,11 +38,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "base/random.hh"
 #include "base/types.hh"
 
 namespace ap::sim
@@ -47,7 +49,7 @@ namespace ap::sim
 /** One run's fault configuration. All-zero = no faults (inert). */
 struct FaultPlan
 {
-    /** Seed of the injector's private RNG stream. */
+    /** Seed of every decision hash. */
     std::uint64_t seed = 1;
 
     /** Probability a T-net message silently vanishes. */
@@ -70,11 +72,11 @@ struct FaultPlan
     double corruptProb = 0.0;
 
     /**
-     * Cap on messages the injector may hold in flight per destination
-     * cell for duplicate/reorder injection. A would-be injection past
-     * the cap is skipped and counted as an eviction, so a hostile
-     * plan cannot grow the holding state without bound. Not a fault
-     * mechanism itself (excluded from any()).
+     * Cap on duplicate/reorder copies one sending cell may have in
+     * flight. A would-be injection past the cap is skipped and
+     * counted as an eviction, so a hostile plan cannot grow the
+     * holding state without bound. Not a fault mechanism itself
+     * (excluded from any()).
      */
     int maxHeldPerCell = 32;
 
@@ -143,51 +145,78 @@ struct FaultStats
 /**
  * The decision engine behind a FaultPlan. One instance per Machine;
  * hardware models hold a pointer and consult it at their decision
- * points. A null pointer or an inactive injector means no faults and
- * no RNG consumption.
+ * points. A null pointer or an inactive injector means no faults.
+ *
+ * Thread-safety: all state is per cell (per timeline for kernel
+ * jitter), touched only by that cell's events, which the sharded
+ * kernel runs on one shard. No lock, no shared stream.
  */
 class FaultInjector
 {
   public:
     explicit FaultInjector(FaultPlan plan = FaultPlan{});
 
-    /** Replace the plan and restart the RNG stream. */
-    void reset(FaultPlan plan);
-
     const FaultPlan &plan() const { return fp; }
 
     /** @return true when any fault mechanism is enabled. */
     bool active() const { return armed; }
 
+    /** Every decision point; each has its own hash stream. */
+    enum class Point : std::uint8_t
+    {
+        drop,
+        duplicate,
+        reorder,
+        corrupt,
+        corrupt_byte,
+        net_jitter,
+        overflow,
+        page_fault,
+        kernel_jitter,
+    };
+
+    /** Uniform [0, 1) draw of @p point for the @p n-th hardware event
+     *  of timeline @p cell: a pure function of (seed, point, cell, n). */
+    double draw(Point point, int cell, std::uint64_t n) const;
+
+    /** Size the per-cell rows (stable addresses for the registry). */
+    void set_cells(int cells);
+
     // -- decision points -----------------------------------------------
-    // Each draws from the RNG only when its mechanism is enabled, so
-    // plans that enable one mechanism do not perturb the stream (or
-    // the behaviour) of the others.
 
-    /** T-net: should this message be dropped? */
-    bool drop_message();
+    /** What one T-net send suffers. At most one of drop/reorder
+     *  holds; a dropped or reordered message is not also corrupted. */
+    struct SendFaults
+    {
+        Tick jitter = 0;
+        bool drop = false;
+        bool duplicate = false;
+        bool reorder = false;
+        bool corrupt = false;
+        std::uint64_t pick = 0; ///< corrupted byte: pick % size
+    };
 
-    /** T-net: should this message be delivered twice? */
-    bool duplicate_message();
-
-    /** T-net: should this message be held back (reordered)? */
-    bool reorder_message();
+    /** T-net: decide the faults of cell @p src's next send. */
+    SendFaults on_send(CellId src);
 
     /** Extra hold-back for a reordered message. */
     Tick reorder_delay() const;
 
-    /** T-net: should this message have a payload byte flipped? */
-    bool corrupt_message();
+    /** MSC+: should cell @p cell's next queue push spill to DRAM? */
+    bool force_overflow(CellId cell);
 
-    /** Which byte of a @p size-byte payload to flip (size > 0). */
-    std::size_t corrupt_index(std::size_t size);
+    /** DMA: should cell @p cell's next transfer take an injected
+     *  page fault? */
+    bool inject_page_fault(CellId cell);
 
-    // -- bounded duplicate/reorder holding accounting ------------------
-    // The T-net keeps duplicated and reordered messages in flight as
-    // scheduled events; the injector bounds how many may be held per
-    // destination cell so a hostile plan cannot grow memory without
-    // bound. try_hold() admits (or refuses, counting an eviction) one
-    // held message; release_hold() retires it at delivery time.
+    /** Event kernel: extra latency for the next schedule_after() of
+     *  timeline @p timeline (negative: the machine timeline). */
+    Tick jitter(int timeline);
+
+    // -- bounded duplicate/reorder holding -----------------------------
+    // Duplicated and reordered copies stay in flight as scheduled
+    // events; each sender may have plan().maxHeldPerCell of them, aged
+    // out at the arrival ticks it computed.
 
     /** What a held message was held for. */
     enum class HoldKind
@@ -196,20 +225,12 @@ class FaultInjector
         reorder,
     };
 
-    /** Size the per-cell hold-stat table (stable addresses). */
-    void set_cells(int cells);
+    /** Try to admit one held copy from @p src arriving at @p arrival,
+     *  at time @p now. @return false (the injection must be skipped;
+     *  the eviction is counted) when @p src is at the cap. */
+    bool try_hold(CellId src, HoldKind kind, Tick now, Tick arrival);
 
-    /**
-     * Try to admit one held message for @p dst. @return false when
-     * the cell is at plan().maxHeldPerCell — the injection must be
-     * skipped; the eviction is counted under the cell's HoldStats.
-     */
-    bool try_hold(CellId dst, HoldKind kind);
-
-    /** Retire one held message for @p dst (delivery completed). */
-    void release_hold(CellId dst);
-
-    /** Per-cell holding-buffer occupancy and eviction counts. */
+    /** Per-sender holding occupancy and eviction counts. */
     struct HoldStats
     {
         std::uint64_t held = 0;
@@ -218,33 +239,35 @@ class FaultInjector
         std::uint64_t reorderEvictions = 0;
     };
 
-    /** Hold stats for @p cell (valid after set_cells()). */
+    /** Hold stats of sending cell @p cell (valid after set_cells()). */
     const HoldStats &hold_stats(CellId cell) const;
 
-    /** MSC+: should this queue push be forced to spill to DRAM? */
-    bool force_overflow();
-
-    /** DMA: should this transfer take an injected page fault? */
-    bool inject_page_fault();
-
-    /** Event kernel: extra latency for one hardware event. */
-    Tick jitter();
-
-    const FaultStats &stats() const { return faultStats; }
+    /** Every injected fault, summed over the cells. */
+    FaultStats stats() const;
 
   private:
-    bool roll(double prob);
+    /** One timeline's counters and holding state. */
+    struct Row
+    {
+        std::uint64_t sends = 0;
+        std::uint64_t pushes = 0;
+        std::uint64_t dmas = 0;
+        std::uint64_t schedules = 0;
+        FaultStats stats;
+        HoldStats hold;
+        /** Arrival ticks of this sender's held copies in flight. */
+        std::vector<Tick> held;
+    };
+
+    /** Row of timeline @p cell: 0 for negative ids, cell + 1. */
+    Row &row(int cell);
+    std::uint64_t hash(Point point, int cell, std::uint64_t n) const;
+    bool roll(Point point, int cell, std::uint64_t n, double prob) const;
+    Tick jitter_draw(Point point, Row &r, int cell, std::uint64_t n);
 
     FaultPlan fp;
-    /** One machine-wide RNG stream drawn from every shard: decision
-     *  points lock so concurrent draws stay well-defined (draw
-     *  *order* across shards is scheduler-dependent — the reason the
-     *  deterministic kernel mode serializes execution). */
-    mutable std::mutex mu;
-    Random rng;
     bool armed = false;
-    FaultStats faultStats;
-    std::vector<HoldStats> holdStats;
+    std::vector<Row> rows;
 };
 
 } // namespace ap::sim

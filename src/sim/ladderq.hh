@@ -26,9 +26,10 @@
  *
  * Ordering contract (the determinism contract): pop() returns nodes
  * in exactly ascending (when, seq) — identical to the binary heap it
- * replaces — so same-tick insertion order (FIFO via the caller's
- * monotonic seq) is preserved bit-for-bit. tests/test_ladderq.cc
- * cross-checks random schedules against a reference heap.
+ * replaces — whatever order they were pushed in. The kernels pass
+ * the event's ordering key as seq (sim/eventq.hh), so the key alone
+ * decides same-tick order. tests/test_ladderq.cc cross-checks random
+ * schedules against a reference heap.
  *
  * Not thread-safe; see event.hh for the ownership rules.
  */
@@ -59,8 +60,8 @@ class LadderQueue
     LadderQueue(const LadderQueue &) = delete;
     LadderQueue &operator=(const LadderQueue &) = delete;
 
-    /** Schedule. @p seq must be unique and, within a tick,
-     *  monotonically increasing (the FIFO tie-break). */
+    /** Schedule. @p seq must be unique among the pending nodes of
+     *  one tick; it breaks ties between them. */
     void push(Tick when, std::uint64_t seq, int affinity,
               EventFn fn);
 

@@ -77,37 +77,53 @@ ShardedSimulator::now() const
     return globalTime;
 }
 
-void
-ShardedSimulator::set_history(TickHistory *h)
+int
+ShardedSimulator::current_affinity() const
 {
-    history = h;
+    return tls.owner == this ? tls.affinity : 0;
+}
+
+std::uint64_t
+ShardedSimulator::next_key()
+{
+    // A source's counter lives on the shard that executes the
+    // source's timeline; the outside source's on shard 0, touched
+    // only by the driving thread while no worker runs.
+    if (tls.owner != this)
+        return take_key(shardsVec[0].sourceSeq, outside_source);
+    return take_key(
+        shardsVec[static_cast<std::size_t>(tls.shard)].sourceSeq,
+        source_of(tls.affinity));
 }
 
 void
-ShardedSimulator::enqueue_direct(int shard, int affinity, Tick when,
-                                 EventFn fn)
+ShardedSimulator::push(Shard &dst, int affinity, Tick when,
+                       std::uint64_t key, EventFn fn)
 {
-    std::lock_guard<std::mutex> lock(qMutex);
-    Shard &sh = shardsVec[static_cast<std::size_t>(shard)];
-    std::uint64_t seq =
-        cfg.deterministic ? globalSeq++ : sh.nextSeq++;
-    sh.queue.push(when, seq, affinity, std::move(fn));
-    sh.stats.maxPending =
-        std::max<std::uint64_t>(sh.stats.maxPending,
-                                sh.queue.size());
+    dst.queue.push(when, key, affinity, std::move(fn));
+    dst.stats.maxPending = std::max<std::uint64_t>(dst.stats.maxPending,
+                                                   dst.queue.size());
 }
 
 void
 ShardedSimulator::schedule(Tick when, EventFn fn)
 {
     int affinity = tls.owner == this ? tls.affinity : 0;
-    schedule_for(affinity, when, std::move(fn));
+    schedule_keyed(affinity, when, next_key(), std::move(fn));
 }
 
 void
 ShardedSimulator::schedule_for(int affinity, Tick when, EventFn fn)
 {
+    schedule_keyed(affinity, when, next_key(), std::move(fn));
+}
+
+void
+ShardedSimulator::schedule_keyed(int affinity, Tick when,
+                                 std::uint64_t key, EventFn fn)
+{
     int target = shard_of(affinity);
+    Shard &dst = shardsVec[static_cast<std::size_t>(target)];
 
     // Calls from outside any execution context (machine construction,
     // test setup, the space between run() calls) go straight into the
@@ -117,7 +133,8 @@ ShardedSimulator::schedule_for(int affinity, Tick when, EventFn fn)
             panic("scheduling event in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(globalTime));
-        enqueue_direct(target, affinity, when, std::move(fn));
+        std::lock_guard<std::mutex> lock(qMutex);
+        push(dst, affinity, when, key, std::move(fn));
         return;
     }
 
@@ -127,98 +144,38 @@ ShardedSimulator::schedule_for(int affinity, Tick when, EventFn fn)
               static_cast<unsigned long long>(tls.now));
 
     Shard &self = shardsVec[static_cast<std::size_t>(tls.shard)];
-
-    if (!tls.inRound) {
-        // Deterministic (serialized) execution: every shard queue is
-        // this thread's to touch, and the global sequence number
-        // replays the sequential kernel's same-tick insertion order.
-        Shard &dst = shardsVec[static_cast<std::size_t>(target)];
-        if (target != tls.shard) {
-            ++self.stats.handoffsOut;
-            ++dst.stats.handoffsIn;
-            if (when < saturating_add(tls.now, cfg.lookahead))
-                numViolations.fetch_add(1,
-                                        std::memory_order_relaxed);
-        }
-        dst.queue.push(when,
-                       cfg.deterministic ? globalSeq++
-                                         : dst.nextSeq++,
-                       affinity, std::move(fn));
-        dst.stats.maxPending =
-            std::max<std::uint64_t>(dst.stats.maxPending,
-                                    dst.queue.size());
-        return;
-    }
-
-    // Parallel round on a worker thread.
     if (target == tls.shard) {
-        self.queue.push(when, self.nextSeq++, affinity,
-                        std::move(fn));
-        self.stats.maxPending =
-            std::max<std::uint64_t>(self.stats.maxPending,
-                                    self.queue.size());
+        push(self, affinity, when, key, std::move(fn));
         return;
-    }
-
-    if (when < tls.windowEnd) {
-        // The conservative contract is broken: this event should
-        // already be visible to its target shard, but the target may
-        // have advanced past it. Strict mode refuses to continue;
-        // relaxed mode clamps the event to the window boundary (a
-        // timing perturbation, never a causality break) and counts.
-        numViolations.fetch_add(1, std::memory_order_relaxed);
-        if (strictLookahead)
-            panic("lookahead violation: cross-shard event at %llu "
-                  "inside window ending %llu (lookahead %llu, "
-                  "affinity %d -> shard %d)",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(tls.windowEnd),
-                  static_cast<unsigned long long>(cfg.lookahead),
-                  affinity, target);
-        when = tls.windowEnd;
     }
     ++self.stats.handoffsOut;
+    if (when < tls.windowEnd)
+        panic("lookahead violation: cross-shard event at %llu "
+              "inside window ending %llu (lookahead %llu, "
+              "affinity %d -> shard %d)",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(tls.windowEnd),
+              static_cast<unsigned long long>(cfg.lookahead),
+              affinity, target);
     self.outbox[static_cast<std::size_t>(target)].push_back(
-        Handoff{when, affinity, tls.shard, self.outSeq++,
-                std::move(fn)});
+        Handoff{when, affinity, key, std::move(fn)});
 }
 
 void
 ShardedSimulator::merge_outboxes()
 {
-    for (int t = 0; t < numShards; ++t) {
-        std::vector<Handoff> incoming;
-        for (Shard &src : shardsVec) {
+    // Keys are unique and total, so the order of these pushes cannot
+    // change the order the target shard executes them in.
+    for (Shard &src : shardsVec) {
+        for (int t = 0; t < numShards; ++t) {
             auto &box = src.outbox[static_cast<std::size_t>(t)];
-            for (Handoff &h : box)
-                incoming.push_back(std::move(h));
+            Shard &dst = shardsVec[static_cast<std::size_t>(t)];
+            for (Handoff &h : box) {
+                push(dst, h.affinity, h.when, h.key, std::move(h.fn));
+                ++dst.stats.handoffsIn;
+            }
             box.clear();
         }
-        if (incoming.empty())
-            continue;
-        // Canonical merge: (tick, affinity, source shard, source
-        // sequence). Total (srcSeq is unique per source shard) and
-        // independent of worker finishing order, so a parallel run
-        // reproduces itself bit-for-bit.
-        std::sort(incoming.begin(), incoming.end(),
-                  [](const Handoff &a, const Handoff &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.affinity != b.affinity)
-                          return a.affinity < b.affinity;
-                      if (a.srcShard != b.srcShard)
-                          return a.srcShard < b.srcShard;
-                      return a.srcSeq < b.srcSeq;
-                  });
-        Shard &dst = shardsVec[static_cast<std::size_t>(t)];
-        for (Handoff &h : incoming) {
-            dst.queue.push(h.when, dst.nextSeq++, h.affinity,
-                           std::move(h.fn));
-            ++dst.stats.handoffsIn;
-        }
-        dst.stats.maxPending =
-            std::max<std::uint64_t>(dst.stats.maxPending,
-                                    dst.queue.size());
     }
 }
 
@@ -230,15 +187,16 @@ ShardedSimulator::drain_shard(int s, Tick windowEnd)
     tls.owner = this;
     tls.shard = s;
     tls.windowEnd = windowEnd;
-    tls.inRound = true;
     while (!sh.queue.empty() && sh.queue.min_when() < windowEnd) {
         EventNode *n = sh.queue.pop();
         tls.now = n->when;
         tls.affinity = n->affinity;
         sh.lastExecuted = n->when;
         ++sh.stats.executed;
-        if (history)
-            sh.localHistory.record(n->when, n->affinity);
+        if (history) {
+            std::lock_guard<std::mutex> lock(historyMutex);
+            history->record(n->when, n->affinity);
+        }
         struct Recycle
         {
             LadderQueue &q;
@@ -319,86 +277,20 @@ ShardedSimulator::alloc_stats() const
 }
 
 bool
-ShardedSimulator::step_deterministic()
-{
-    // Pick the globally earliest entry; ties break on sequence, then
-    // shard index (sequences are globally unique in deterministic
-    // mode, shard-local otherwise).
-    int best = -1;
-    for (int s = 0; s < numShards; ++s) {
-        const Shard &sh = shardsVec[static_cast<std::size_t>(s)];
-        const EventNode *a = sh.queue.peek();
-        if (!a)
-            continue;
-        if (best < 0) {
-            best = s;
-            continue;
-        }
-        const EventNode *b =
-            shardsVec[static_cast<std::size_t>(best)].queue.peek();
-        if (a->when < b->when ||
-            (a->when == b->when && a->seq < b->seq))
-            best = s;
-    }
-    if (best < 0)
-        return false;
-
-    Shard &sh = shardsVec[static_cast<std::size_t>(best)];
-    EventNode *n = sh.queue.pop();
-
-    TlsFrame saved = tls;
-    tls.owner = this;
-    tls.shard = best;
-    tls.affinity = n->affinity;
-    tls.now = n->when;
-    tls.windowEnd = 0;
-    tls.inRound = false;
-
-    globalTime = n->when;
-    sh.lastExecuted = n->when;
-    ++sh.stats.executed;
-    ++numExecutedTotal;
-    if (history)
-        history->record(n->when, n->affinity);
-    struct Recycle
-    {
-        LadderQueue &q;
-        EventNode *n;
-        ~Recycle() { q.release(n); }
-    } recycle{sh.queue, n};
-    n->fn();
-
-    tls = saved;
-    return true;
-}
-
-bool
 ShardedSimulator::step()
 {
-    if (running)
-        panic("step() during run()");
-    return step_deterministic();
+    panic("step() needs the sequential kernel; the sharded kernel "
+          "runs whole windows");
 }
 
 Tick
 ShardedSimulator::run_sequential(Tick limit)
 {
-    // One shard: the exact sequential loop, no windows, no barriers.
-    while (!shardsVec[0].queue.empty() &&
-           shardsVec[0].queue.min_when() <= limit)
-        step_deterministic();
-    return globalTime;
-}
-
-Tick
-ShardedSimulator::run_deterministic(Tick limit)
-{
-    for (;;) {
-        Tick t = next_pending_locked();
-        if (t == max_tick || t > limit)
-            break;
-        step_deterministic();
-    }
+    // One shard: the sequential loop, no windows, no barriers.
+    Shard &sh = shardsVec[0];
+    drain_shard(0, saturating_add(limit, 1));
+    globalTime = std::max(globalTime, sh.lastExecuted);
+    numExecutedTotal = sh.stats.executed;
     return globalTime;
 }
 
@@ -415,7 +307,6 @@ ShardedSimulator::run_parallel(Tick limit)
         if (limit != max_tick)
             windowEnd = std::min(windowEnd,
                                  saturating_add(limit, 1));
-        currentWindowEnd = windowEnd;
 
         WindowRecord rec;
         rec.index = numWindows;
@@ -484,21 +375,6 @@ ShardedSimulator::run_parallel(Tick limit)
                 rec.events;
         note_window(rec);
     }
-    // Fold the per-shard digests into the attached history in shard
-    // order: cross-shard execution order is intentionally undefined
-    // inside a window, so the parallel digest is the ordered tuple of
-    // per-shard digests (reproducible run-to-run thanks to the
-    // canonical merge). Compare against deterministic mode only.
-    if (history) {
-        for (int s = 0; s < numShards; ++s) {
-            Shard &sh = shardsVec[static_cast<std::size_t>(s)];
-            if (sh.localHistory.events() == 0)
-                continue;
-            history->record(
-                static_cast<Tick>(sh.localHistory.hash()), s);
-            sh.localHistory.reset();
-        }
-    }
     return globalTime;
 }
 
@@ -546,8 +422,6 @@ ShardedSimulator::run_loop(Tick limit)
     Tick t;
     if (numShards == 1)
         t = run_sequential(limit);
-    else if (cfg.deterministic)
-        t = run_deterministic(limit);
     else
         t = run_parallel(limit);
     running = false;
@@ -635,14 +509,12 @@ std::string
 ShardedSimulator::report() const
 {
     std::string out = strprintf(
-        "sharded kernel: %d shard%s, lookahead %llu ticks, %s; "
-        "%llu windows, %llu events, %llu violations\n",
+        "sharded kernel: %d shard%s, lookahead %llu ticks; "
+        "%llu windows, %llu events\n",
         numShards, numShards == 1 ? "" : "s",
         static_cast<unsigned long long>(cfg.lookahead),
-        cfg.deterministic ? "deterministic" : "parallel",
         static_cast<unsigned long long>(numWindows),
-        static_cast<unsigned long long>(numExecutedTotal),
-        static_cast<unsigned long long>(lookahead_violations()));
+        static_cast<unsigned long long>(numExecutedTotal));
     if (windowAgg.windows > 0) {
         out += strprintf(
             "  windows: %.1f events/window, horizon advance "

@@ -3,11 +3,11 @@
  * Sharded parallel discrete-event kernel.
  *
  * The sequential Simulator executes every cell's events on one host
- * thread through one binary heap — the scalability ceiling for big
- * machines (ROADMAP item 1). This kernel shards the event queue by
- * *affinity* (the functional machine passes cell ids; shards are
- * contiguous cell blocks) and runs shards on a pool of host worker
- * threads with conservative synchronization:
+ * thread through one queue — the scalability ceiling for big
+ * machines. This kernel shards the event queue by *affinity* (the
+ * functional machine passes cell ids; shards are contiguous cell
+ * blocks) and runs shards on a pool of host worker threads with
+ * conservative synchronization:
  *
  *   Conservative windows. Physics gives a lower bound L (the
  *   *lookahead*) on the model-time distance of any cross-shard
@@ -19,39 +19,25 @@
  *   event can land below that horizon. Each round, every shard
  *   drains its events with when < T + L in parallel, workers
  *   barrier, cross-shard events produced during the round are
- *   exchanged, and the next window starts.
+ *   exchanged, and the next window starts. A cross-shard event
+ *   closer than the window end breaks the contract and panics.
  *
- *   Handoff. A cross-shard schedule_for() lands in the target
- *   shard's inbox (per source-shard outboxes during a parallel
- *   round, so the hot path takes no lock). At the window barrier,
- *   inboxes merge into the target queue in a canonical
- *   (tick, affinity, source shard, source sequence) order — the
- *   merge rule that makes a parallel run reproducible run-to-run
- *   regardless of which worker finished first.
- *
- *   Determinism mode. Canonical merge makes parallel runs
- *   *self*-consistent; matching the sequential kernel byte-for-byte
- *   additionally requires replaying its global same-tick insertion
- *   order, because machine components share order-sensitive state
- *   (the fault injector's RNG draw sequence, the T-net FIFO clamp).
- *   In deterministic mode events carry a global sequence number and
- *   the calling thread executes them in exactly the sequential
- *   (tick, sequence) order — same window accounting, same shard
- *   routing, same handoff bookkeeping, serialized execution. The
- *   differential harness (tests/harness) runs threads=1 against
- *   threads=N deterministic and asserts identical tick histories,
- *   memory images and stats dumps, which pins the sharding plumbing
- *   (routing, merge, horizons) to the sequential semantics.
+ *   One event order. Events carry the sequential kernel's ordering
+ *   key (sim/eventq.hh); each source's counter lives on the source's
+ *   shard. A cross-shard schedule_for() lands in a per-destination
+ *   outbox with its key (no lock on the hot path) and is pushed into
+ *   the target queue at the barrier, in any order: the key alone
+ *   decides execution order. Each timeline thus runs exactly its
+ *   sequential event sequence at any shard count, provided no
+ *   decision reads state another shard writes (DESIGN.md §10).
  *
  * With shards == 1 the kernel degenerates to the sequential loop:
- * one queue, one sequence counter, no windows, no locks on the
- * scheduling path — bit-identical to Simulator by construction.
+ * one queue, no windows, no locks on the scheduling path.
  */
 
 #ifndef AP_SIM_SHARDQ_HH
 #define AP_SIM_SHARDQ_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -79,11 +65,6 @@ struct ShardConfig
      * zero lookahead admits no parallel window at all).
      */
     Tick lookahead = 1;
-    /**
-     * Execute events in the sequential kernel's global (tick,
-     * sequence) order on the calling thread (see file comment).
-     */
-    bool deterministic = false;
     /**
      * Map an affinity value to a shard index. Defaults to
      * affinity % shards (negative affinities map to shard 0). The
@@ -118,9 +99,9 @@ struct WindowShard
 
 /**
  * One parallel window's record: what the round cost and how evenly
- * it spread. Only the parallel path produces these — sequential and
- * deterministic runs have no windows, which is what keeps the
- * telemetry from perturbing byte-identity checks.
+ * it spread. Only the parallel path produces these; the machine
+ * keeps everything it derives from them under its "sim." stats
+ * subtree, which byte-identity checks drop.
  */
 struct WindowRecord
 {
@@ -172,9 +153,14 @@ class ShardedSimulator final : public Simulator
     Tick now() const override;
     void schedule(Tick when, EventFn fn) override;
     void schedule_for(int affinity, Tick when, EventFn fn) override;
-    void set_history(TickHistory *h) override;
+    void schedule_keyed(int affinity, Tick when, std::uint64_t key,
+                        EventFn fn) override;
+    std::uint64_t next_key() override;
+    int current_affinity() const override;
+    bool executing() const override { return tls.owner == this; }
     Tick run() override;
     Tick run_until(Tick limit) override;
+    /** Panics: the sharded kernel runs whole windows only. */
     bool step() override;
     bool empty() const override;
     std::size_t pending() const override;
@@ -185,7 +171,6 @@ class ShardedSimulator final : public Simulator
 
     int shards() const { return numShards; }
     Tick lookahead() const { return cfg.lookahead; }
-    bool deterministic() const { return cfg.deterministic; }
 
     /** Shard that affinity @p affinity routes to. */
     int shard_of(int affinity) const;
@@ -235,22 +220,6 @@ class ShardedSimulator final : public Simulator
         windowHook = std::move(hook);
     }
 
-    /**
-     * Cross-shard events scheduled closer than the lookahead — a
-     * violation of the conservative contract. Strict mode (the
-     * default in parallel runs) panics instead of counting.
-     */
-    std::uint64_t lookahead_violations() const
-    {
-        return numViolations.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Demote lookahead violations from panic to counter. Only
-     * meaningful for experiments; the machine keeps strict mode.
-     */
-    void set_strict_lookahead(bool strict) { strictLookahead = strict; }
-
     /** One-line kernel report ("2 shards, 13 windows, ..."). */
     std::string report() const;
 
@@ -262,26 +231,21 @@ class ShardedSimulator final : public Simulator
     {
         Tick when;
         int affinity;
-        int srcShard;
-        std::uint64_t srcSeq;
+        std::uint64_t key;
         EventFn fn;
     };
 
     struct Shard
     {
-        /** Pending events; seq is shard-local (global in
-         *  deterministic mode). Shares the pooled ladder-queue
-         *  implementation with the sequential kernel. */
-        LadderQueue queue;
-        std::uint64_t nextSeq = 0;
+        LadderQueue queue; ///< ordered by (when, key)
+        /** Sequence per source id this shard runs (and, on shard 0,
+         *  the outside source's). */
+        std::vector<std::uint64_t> sourceSeq;
         /** Outboxes, one per destination shard; worker-exclusive
          *  during a round, drained at the barrier. */
         std::vector<std::vector<Handoff>> outbox;
-        std::uint64_t outSeq = 0;
         Tick lastExecuted = 0;
         ShardStats stats;
-        /** Per-shard history digest (parallel mode). */
-        TickHistory localHistory;
     };
 
     /** What the calling thread / a worker is currently executing. */
@@ -291,24 +255,20 @@ class ShardedSimulator final : public Simulator
         int shard = 0;
         int affinity = 0;
         Tick now = 0;
-        /** End of the current parallel window; 0 outside rounds. */
         Tick windowEnd = 0;
-        bool inRound = false;
     };
 
     static thread_local TlsFrame tls;
 
-    void enqueue_direct(int shard, int affinity, Tick when,
-                        EventFn fn);
+    void push(Shard &dst, int affinity, Tick when, std::uint64_t key,
+              EventFn fn);
     void note_window(WindowRecord rec);
     void merge_outboxes();
     void drain_shard(int s, Tick windowEnd);
     Tick next_pending_locked() const;
     Tick run_loop(Tick limit);
     Tick run_sequential(Tick limit);
-    Tick run_deterministic(Tick limit);
     Tick run_parallel(Tick limit);
-    bool step_deterministic();
     void start_workers();
     void stop_workers();
     void worker_main(int s);
@@ -319,6 +279,8 @@ class ShardedSimulator final : public Simulator
     /** Guards every shard queue while no run is in progress and the
      *  coordinator-side bookkeeping during parallel rounds. */
     mutable std::mutex qMutex;
+    /** Serializes TickHistory::record() across shards. */
+    std::mutex historyMutex;
 
     // -- worker pool ----------------------------------------------------
     std::vector<std::thread> workers;
@@ -333,12 +295,8 @@ class ShardedSimulator final : public Simulator
     // -- run state ------------------------------------------------------
     bool running = false;
     Tick globalTime = 0;
-    Tick currentWindowEnd = 0;
-    std::uint64_t globalSeq = 0;   ///< deterministic-mode sequence
     std::uint64_t numExecutedTotal = 0;
     std::uint64_t numWindows = 0;
-    std::atomic<std::uint64_t> numViolations{0};
-    bool strictLookahead = true;
 
     // -- window telemetry (coordinator-only writes) ---------------------
     WindowAgg windowAgg;

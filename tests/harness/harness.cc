@@ -182,8 +182,7 @@ harness_retry()
 RunOutcome
 run_program(const OpProgram &prog, const sim::FaultPlan &plan,
             const hw::RetryPolicy &retry, const obs::ObsOptions &obs,
-            bool reliable, int threads, bool deterministic,
-            bool collectStats)
+            bool reliable, int threads, bool collectStats)
 {
     hw::MachineConfig cfg =
         hw::MachineConfig::ap1000_plus(prog.cells);
@@ -192,7 +191,6 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
     cfg.retry = retry;
     cfg.reliableNet = reliable;
     cfg.threads = threads;
-    cfg.deterministic = deterministic;
     if (!obs.traceOut.empty())
         cfg.spanMode = obs::SpanMode::full;
     hw::Machine m(cfg);
@@ -217,6 +215,9 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
                                                         &ctx) {
         CellId me = ctx.id();
         int p = ctx.nprocs();
+        // Every cell makes the same allocations, so `region` is also
+        // the peers' region address. Reading a peer's regionBase entry
+        // instead would read another cell's state mid-run.
         Addr region = ctx.alloc(region_bytes);
         regionBase[static_cast<std::size_t>(me)] = region;
         // Staging areas: put_burst gathers its payload after issue
@@ -262,9 +263,7 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
                     pattern(op.stamp, op.size);
                 ctx.poke(staging, data);
                 ctx.write_remote(op.peer,
-                                 regionBase[static_cast<std::size_t>(
-                                     op.peer)] +
-                                     slot_offset(me, op.slot),
+                                 region + slot_offset(me, op.slot),
                                  staging, op.size);
                 break;
               }
@@ -273,11 +272,9 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
                     break;
                 CellId writer = static_cast<CellId>(
                     op.stamp % static_cast<std::uint64_t>(p));
-                ctx.read_remote(
-                    op.peer,
-                    regionBase[static_cast<std::size_t>(op.peer)] +
-                        slot_offset(writer, op.slot),
-                    readBuf, op.size);
+                ctx.read_remote(op.peer,
+                                region + slot_offset(writer, op.slot),
+                                readBuf, op.size);
                 break;
               }
               case OpKind::barrier:
@@ -296,10 +293,7 @@ run_program(const OpProgram &prog, const sim::FaultPlan &plan,
                     Addr src = staging +
                                static_cast<Addr>(j) * slot_bytes;
                     ctx.poke(src, data);
-                    ctx.put(op.peer,
-                            regionBase[static_cast<std::size_t>(
-                                op.peer)] +
-                                slot_offset(me, slot),
+                    ctx.put(op.peer, region + slot_offset(me, slot),
                             src, op.size, no_flag, no_flag, true);
                 }
                 ctx.wait_all_acks();
@@ -407,7 +401,7 @@ check_against_golden(const OpProgram &prog,
 {
     RunOutcome golden =
         run_program(prog, sim::FaultPlan{}, retry, {}, reliable, 1,
-                    false, /*collectStats=*/false);
+                    /*collectStats=*/false);
     if (!golden.clean())
         return strprintf("golden (zero-fault) run failed: "
                          "deadlock=%d errors=%zu dataErrors=%d",
@@ -415,7 +409,7 @@ check_against_golden(const OpProgram &prog,
                          golden.dataErrors);
 
     RunOutcome faulty = run_program(prog, plan, retry, {}, reliable,
-                                    1, false, /*collectStats=*/false);
+                                    1, /*collectStats=*/false);
     if (faulty.deadlock)
         return strprintf("deadlock under plan [%s]",
                          plan.describe().c_str());
@@ -445,50 +439,49 @@ check_against_golden(const OpProgram &prog,
 std::string
 check_threads_differential(const OpProgram &prog,
                            const sim::FaultPlan &plan,
-                           const hw::RetryPolicy &retry,
-                           bool reliable, int threads)
+                           const hw::RetryPolicy &retry, bool reliable,
+                           const std::vector<int> &threadCounts)
 {
-    RunOutcome seq =
-        run_program(prog, plan, retry, {}, reliable, 1, false);
-    RunOutcome par = run_program(prog, plan, retry, {}, reliable,
-                                 threads, true);
-
-    if (seq.deadlock != par.deadlock)
-        return strprintf("deadlock divergence: threads=1 %d vs "
-                         "threads=%d %d",
-                         seq.deadlock, threads, par.deadlock);
-    if (seq.errors.size() != par.errors.size())
-        return strprintf("error-count divergence: threads=1 %zu vs "
-                         "threads=%d %zu",
-                         seq.errors.size(), threads,
-                         par.errors.size());
-    if (seq.tickDigest != par.tickDigest)
-        return strprintf("tick-history divergence: threads=1 [%s] vs "
-                         "threads=%d [%s]",
-                         seq.tickDigest.c_str(), threads,
-                         par.tickDigest.c_str());
-    for (std::size_t c = 0; c < seq.regions.size(); ++c) {
-        if (seq.regions[c] == par.regions[c])
-            continue;
-        std::size_t at = 0;
-        while (seq.regions[c][at] == par.regions[c][at])
-            ++at;
-        return strprintf("memory-image divergence at cell %zu byte "
-                         "%zu (threads=1 vs threads=%d)",
-                         c, at, threads);
-    }
-    if (seq.statsJson != par.statsJson) {
-        std::size_t at = 0;
-        std::size_t n =
-            std::min(seq.statsJson.size(), par.statsJson.size());
-        while (at < n && seq.statsJson[at] == par.statsJson[at])
-            ++at;
-        return strprintf("stats-registry divergence at JSON byte %zu "
-                         "(threads=1 vs threads=%d): ...%.40s vs "
-                         "...%.40s",
-                         at, threads,
-                         seq.statsJson.c_str() + at,
-                         par.statsJson.c_str() + at);
+    RunOutcome seq = run_program(prog, plan, retry, {}, reliable, 1);
+    for (int threads : threadCounts) {
+        RunOutcome par =
+            run_program(prog, plan, retry, {}, reliable, threads);
+        if (seq.deadlock != par.deadlock)
+            return strprintf("deadlock divergence: threads=1 %d vs "
+                             "threads=%d %d",
+                             seq.deadlock, threads, par.deadlock);
+        if (seq.errors.size() != par.errors.size())
+            return strprintf("error-count divergence: threads=1 %zu "
+                             "vs threads=%d %zu",
+                             seq.errors.size(), threads,
+                             par.errors.size());
+        if (seq.tickDigest != par.tickDigest)
+            return strprintf("tick-history divergence: threads=1 [%s] "
+                             "vs threads=%d [%s]",
+                             seq.tickDigest.c_str(), threads,
+                             par.tickDigest.c_str());
+        for (std::size_t c = 0; c < seq.regions.size(); ++c) {
+            if (seq.regions[c] == par.regions[c])
+                continue;
+            std::size_t at = 0;
+            while (seq.regions[c][at] == par.regions[c][at])
+                ++at;
+            return strprintf("memory-image divergence at cell %zu "
+                             "byte %zu (threads=1 vs threads=%d)",
+                             c, at, threads);
+        }
+        if (seq.statsJson != par.statsJson) {
+            std::size_t at = 0;
+            std::size_t n =
+                std::min(seq.statsJson.size(), par.statsJson.size());
+            while (at < n && seq.statsJson[at] == par.statsJson[at])
+                ++at;
+            return strprintf("stats-registry divergence at JSON byte "
+                             "%zu (threads=1 vs threads=%d): ...%.40s "
+                             "vs ...%.40s",
+                             at, threads, seq.statsJson.c_str() + at,
+                             par.statsJson.c_str() + at);
+        }
     }
     return "";
 }

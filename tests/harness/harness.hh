@@ -148,10 +148,8 @@ struct RunOutcome
  * machine's stats-registry JSON / Chrome trace are written after the
  * simulator drains (a replayed failure seed becomes a timeline).
  *
- * @p threads > 1 runs the sharded parallel kernel; @p deterministic
- * then selects its canonical-order merge so the run is byte-identical
- * to the sequential kernel (the mode the differential check relies
- * on).
+ * @p threads > 1 runs the sharded parallel kernel, which must give
+ * the same run as the sequential kernel (check_threads_differential).
  *
  * With @p collectStats off, the outcome's statsDelta and statsJson
  * stay empty: walking and rendering the registry costs several
@@ -163,7 +161,6 @@ RunOutcome run_program(const OpProgram &prog,
                        const hw::RetryPolicy &retry,
                        const obs::ObsOptions &obs = {},
                        bool reliable = false, int threads = 1,
-                       bool deterministic = false,
                        bool collectStats = true);
 
 /** The default retry policy harness runs use under lossy plans. */
@@ -180,19 +177,20 @@ std::string check_against_golden(const OpProgram &prog,
                                  bool reliable = false);
 
 /**
- * Differential determinism check: run @p prog twice under the same
- * @p plan — once on the sequential kernel (threads=1) and once on the
- * sharded kernel with @p threads workers in deterministic mode — and
- * require the two runs to be indistinguishable: identical tick-history
+ * Differential determinism check: run @p prog under @p plan on the
+ * sequential kernel (threads=1) and on the parallel sharded kernel
+ * at each of @p threads, and require every parallel run to be
+ * indistinguishable from the sequential one: identical tick-history
  * digests, identical final memory images of every cell, and identical
- * stats-registry JSON. @return empty string on success, a diagnostic
- * naming the first divergence otherwise.
+ * stats-registry JSON outside the kernel's own "sim." subtree.
+ * @return empty string on success, a diagnostic naming the first
+ * divergence otherwise.
  */
 std::string check_threads_differential(const OpProgram &prog,
                                        const sim::FaultPlan &plan,
                                        const hw::RetryPolicy &retry,
-                                       bool reliable = false,
-                                       int threads = 4);
+                                       bool reliable,
+                                       const std::vector<int> &threads);
 
 /**
  * Shrink @p prog to a minimal op sequence for which @p fails still

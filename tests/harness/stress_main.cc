@@ -10,6 +10,7 @@
  *
  *   stress_put_get --seed=1 --plan=chaos --duration-s=60
  *   stress_put_get --seed=42 --plan=drop --iters=1   # replay one seed
+ *   stress_put_get --differential --plan=lossy --reliable --iters=2
  */
 
 #include <chrono>
@@ -17,7 +18,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "base/logging.hh"
 #include "harness.hh"
 #include "obs/cli.hh"
 #include "obs/stats_registry.hh"
@@ -40,9 +43,10 @@ struct Options
     bool reliable = false;
     /** Worker threads of the sharded kernel (1 = sequential). */
     int threads = 1;
-    /** Differential mode: each iteration runs threads=1 vs
-     *  --threads deterministic and requires identical tick history,
-     *  memory images and stats JSON (instead of the golden check). */
+    /** Differential mode: each iteration runs threads=1 against the
+     *  parallel kernel at --threads (default: 2, 4 and 8) and requires
+     *  identical tick history, memory images and stats JSON (instead
+     *  of the golden check). */
     bool differential = false;
     /** Print each iteration's stats-registry delta (top rows). */
     bool iterStats = false;
@@ -182,7 +186,8 @@ main(int argc, char **argv)
             if (opt.differential)
                 return check_threads_differential(
                     p, plan, retry, opt.reliable,
-                    opt.threads > 1 ? opt.threads : 4);
+                    opt.threads > 1 ? std::vector<int>{opt.threads}
+                                    : std::vector<int>{2, 4, 8});
             return check_against_golden(p, plan, retry,
                                         opt.reliable);
         };
@@ -198,22 +203,24 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "replay: stress_put_get --seed=%llu "
                          "--plan=%s --cells=%d --ops=%d --iters=1%s"
-                         "%s\n",
+                         "%s%s\n",
                          static_cast<unsigned long long>(seed),
                          opt.plan.c_str(), opt.cells, opt.ops,
                          opt.reliable ? " --reliable" : "",
-                         opt.differential ? " --differential" : "");
+                         opt.differential ? " --differential" : "",
+                         opt.threads > 1
+                             ? strprintf(" --threads=%d", opt.threads)
+                                   .c_str()
+                             : "");
             return 1;
         }
         // Count injected faults of the faulty run for the summary;
         // this replay also carries the telemetry outputs, so a
         // pinned --seed --iters=1 invocation yields its timeline.
-        // With --threads the replay exercises the sharded kernel in
-        // deterministic mode.
+        // With --threads the replay runs the parallel kernel.
         RunOutcome o =
             run_program(prog, plan, retry, opt.obs, opt.reliable,
-                        opt.threads, opt.threads > 1,
-                        /*collectStats=*/opt.iterStats);
+                        opt.threads, /*collectStats=*/opt.iterStats);
         injected += o.faults.total() + o.faults.jitteredEvents;
         retransmits += o.rnetRetransmits;
         events += o.executedEvents;

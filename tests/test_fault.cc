@@ -2,8 +2,9 @@
  * @file
  * Unit tests of the fault-injection subsystem.
  *
- * Covers the FaultPlan presets, the injector's determinism and
- * per-mechanism RNG stream isolation, the inertness guarantee of a
+ * Covers the FaultPlan presets, the injector's keyed decisions (a
+ * decision depends only on its key, never on call order or on the
+ * other mechanisms), the inertness guarantee of a
  * zero plan (machine-level: a default plan must not change a run at
  * all), and the Process::wait_until timeout primitive that the
  * runtime hardening is built on.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/ap1000p.hh"
@@ -23,13 +25,13 @@ using namespace ap::sim;
 namespace
 {
 
-/** Record @p n drop decisions from @p inj. */
+/** Record @p n drop decisions of cell @p cell's sends. */
 std::vector<bool>
-drop_stream(FaultInjector &inj, int n)
+drop_stream(FaultInjector &inj, CellId cell, int n)
 {
     std::vector<bool> out;
     for (int i = 0; i < n; ++i)
-        out.push_back(inj.drop_message());
+        out.push_back(inj.on_send(cell).drop);
     return out;
 }
 
@@ -42,14 +44,15 @@ TEST(FaultPlan, ZeroPlanIsInert)
     EXPECT_EQ(zero.describe(), "none");
 
     FaultInjector inj(zero);
+    inj.set_cells(2);
     EXPECT_FALSE(inj.active());
     for (int i = 0; i < 100; ++i) {
-        EXPECT_FALSE(inj.drop_message());
-        EXPECT_FALSE(inj.duplicate_message());
-        EXPECT_FALSE(inj.reorder_message());
-        EXPECT_FALSE(inj.force_overflow());
-        EXPECT_FALSE(inj.inject_page_fault());
-        EXPECT_EQ(inj.jitter(), 0u);
+        FaultInjector::SendFaults f = inj.on_send(1);
+        EXPECT_FALSE(f.drop || f.duplicate || f.reorder || f.corrupt);
+        EXPECT_EQ(f.jitter, 0u);
+        EXPECT_FALSE(inj.force_overflow(1));
+        EXPECT_FALSE(inj.inject_page_fault(1));
+        EXPECT_EQ(inj.jitter(1), 0u);
     }
     EXPECT_EQ(inj.stats().total(), 0u);
     EXPECT_EQ(inj.stats().jitteredEvents, 0u);
@@ -81,58 +84,91 @@ TEST(FaultPlan, PresetsEnableExactlyOneMechanism)
     EXPECT_GT(c.jitterMaxUs, 0.0);
 }
 
-TEST(FaultInjector, SameSeedSameDecisionStream)
+TEST(FaultInjector, DecisionDependsOnlyOnItsKey)
 {
+    // A decision is a hash of (seed, point, cell, event count): the
+    // same key gives the same draw in any injector, and different
+    // keys give independent draws.
     FaultInjector a(FaultPlan::chaos(99));
     FaultInjector b(FaultPlan::chaos(99));
-    for (int i = 0; i < 500; ++i) {
-        EXPECT_EQ(a.drop_message(), b.drop_message());
-        EXPECT_EQ(a.duplicate_message(), b.duplicate_message());
-        EXPECT_EQ(a.force_overflow(), b.force_overflow());
-        EXPECT_EQ(a.inject_page_fault(), b.inject_page_fault());
-        EXPECT_EQ(a.jitter(), b.jitter());
+    FaultInjector other(FaultPlan::chaos(100));
+    using P = FaultInjector::Point;
+    int sameAcrossSeeds = 0;
+    for (std::uint64_t n = 0; n < 200; ++n) {
+        for (P p : {P::drop, P::overflow, P::kernel_jitter}) {
+            EXPECT_EQ(a.draw(p, 3, n), b.draw(p, 3, n));
+            double d = a.draw(p, 3, n);
+            EXPECT_GE(d, 0.0);
+            EXPECT_LT(d, 1.0);
+            sameAcrossSeeds += a.draw(p, 3, n) == other.draw(p, 3, n);
+        }
+        EXPECT_NE(a.draw(P::drop, 3, n), a.draw(P::drop, 4, n));
+        EXPECT_NE(a.draw(P::drop, 3, n), a.draw(P::duplicate, 3, n));
+        EXPECT_NE(a.draw(P::drop, 3, n), a.draw(P::drop, 3, n + 1));
     }
-    EXPECT_EQ(a.stats().total(), b.stats().total());
-    EXPECT_GT(a.stats().total(), 0u);
+    EXPECT_EQ(sameAcrossSeeds, 0);
 }
 
-TEST(FaultInjector, DisabledMechanismsDoNotConsumeRng)
+TEST(FaultInjector, DecisionsIgnoreCallOrderAcrossCells)
 {
-    // Decision points of disabled mechanisms must not shift the
-    // stream of enabled ones, so enabling e.g. page faults leaves a
-    // drop-only plan's drop pattern untouched.
-    FaultInjector pure(FaultPlan::drops(42, 0.3));
-    std::vector<bool> expect = drop_stream(pure, 200);
+    // Cell 0's N-th send drops or not whatever other cells did
+    // before it: interleaving two cells' sends differently leaves
+    // each cell's decision sequence unchanged.
+    FaultPlan plan = FaultPlan::drops(42, 0.3);
+    FaultInjector alone(plan);
+    alone.set_cells(2);
+    std::vector<bool> expect0 = drop_stream(alone, 0, 200);
+    std::vector<bool> expect1 = drop_stream(alone, 1, 200);
 
-    FaultInjector mixed(FaultPlan::drops(42, 0.3));
+    FaultInjector mixed(plan);
+    mixed.set_cells(2);
+    std::vector<bool> got0, got1;
+    // Cell 1 runs ahead in bursts of three, cell 0 one at a time.
+    while (got0.size() < 200 || got1.size() < 200) {
+        for (int k = 0; k < 3 && got1.size() < 200; ++k)
+            got1.push_back(mixed.on_send(1).drop);
+        if (got0.size() < 200)
+            got0.push_back(mixed.on_send(0).drop);
+    }
+    EXPECT_EQ(got0, expect0);
+    EXPECT_EQ(got1, expect1);
+    EXPECT_EQ(mixed.stats().drops, alone.stats().drops);
+}
+
+TEST(FaultInjector, DecisionsIgnoreOtherMechanisms)
+{
+    // Enabling other mechanisms, and consulting them, leaves a
+    // drop-only plan's drop pattern untouched: each decision point
+    // hashes its own key, and each hardware event has its own count.
+    FaultInjector pure(FaultPlan::drops(42, 0.3));
+    pure.set_cells(1);
+    std::vector<bool> expect = drop_stream(pure, 0, 200);
+
+    FaultPlan busy = FaultPlan::chaos(42);
+    busy.dropProb = 0.3;
+    FaultInjector mixed(busy);
+    mixed.set_cells(1);
     std::vector<bool> got;
     for (int i = 0; i < 200; ++i) {
-        // Disabled in this plan: must be free of RNG side effects.
-        EXPECT_FALSE(mixed.duplicate_message());
-        EXPECT_FALSE(mixed.force_overflow());
-        EXPECT_FALSE(mixed.inject_page_fault());
-        EXPECT_EQ(mixed.jitter(), 0u);
-        got.push_back(mixed.drop_message());
+        mixed.force_overflow(0);
+        mixed.inject_page_fault(0);
+        mixed.jitter(0);
+        got.push_back(mixed.on_send(0).drop);
     }
     EXPECT_EQ(got, expect);
-}
-
-TEST(FaultInjector, ResetRestartsTheStream)
-{
-    FaultInjector inj(FaultPlan::drops(5, 0.5));
-    std::vector<bool> first = drop_stream(inj, 100);
-    inj.reset(FaultPlan::drops(5, 0.5));
-    EXPECT_EQ(inj.stats().total(), 0u);
-    EXPECT_EQ(drop_stream(inj, 100), first);
+    EXPECT_GT(mixed.stats().forcedSpills, 0u);
 }
 
 TEST(FaultInjector, JitterIsBounded)
 {
     FaultPlan p = FaultPlan::jitter(11, 20.0);
     FaultInjector inj(p);
+    inj.set_cells(4);
     Tick bound = us_to_ticks(p.jitterMaxUs);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LE(inj.jitter(), bound);
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_LE(inj.jitter(i % 4), bound);
+        EXPECT_LE(inj.jitter(-1), bound);
+    }
     EXPECT_GT(inj.stats().jitteredEvents, 0u);
     EXPECT_GT(inj.stats().jitterTicks, 0u);
 }

@@ -225,3 +225,138 @@ TEST(Machine, FaultHookCoversEveryCell)
     EXPECT_EQ(faults, 3);
     EXPECT_EQ(m.cell(2).msc().stats().remoteFaults, 3u);
 }
+
+TEST(MachineDeath, LinkContentionRefusesTheParallelKernel)
+{
+    // Link reservations are machine-global state claimed in sender
+    // order, which only the sequential kernel fixes.
+    hw::MachineConfig cfg = small(8);
+    cfg.tnet.linkContention = true;
+    cfg.threads = 2;
+    EXPECT_DEATH({ hw::Machine m(cfg); }, "tnet.linkContention");
+}
+
+// ------------------------------------- parallel kernel == threads=1
+
+namespace
+{
+
+/** What a probe run leaves behind, minus the kernel's own "sim."
+ *  telemetry. */
+struct ProbeOutcome
+{
+    std::string digest;
+    std::string stats;
+    std::vector<std::vector<std::uint8_t>> memory;
+    Tick finish = 0;
+    bool deadlock = false;
+    std::size_t errors = 0;
+};
+
+ProbeOutcome
+run_probe(hw::MachineConfig cfg, int threads, const SpmdBody &body)
+{
+    cfg.threads = threads;
+    hw::Machine m(cfg);
+    sim::TickHistory hist;
+    m.sim().set_history(&hist);
+    SpmdResult r = run_spmd(m, body);
+    ProbeOutcome out;
+    out.digest = hist.digest();
+    out.stats = m.stats_registry().dump_json(false, "sim.");
+    out.finish = r.finishTick;
+    out.deadlock = r.deadlock;
+    out.errors = r.errors.size();
+    for (int c = 0; c < m.size(); ++c) {
+        std::vector<std::uint8_t> img(64 * 1024);
+        m.cell(c).memory().read(0, img);
+        out.memory.push_back(std::move(img));
+    }
+    return out;
+}
+
+/** Run @p body at 1 thread and at 2, 4 and 8; every parallel run
+ *  must leave the same digest, memory and stats. */
+void
+expect_thread_count_independent(const hw::MachineConfig &cfg,
+                                const SpmdBody &body)
+{
+    ProbeOutcome seq = run_probe(cfg, 1, body);
+    EXPECT_FALSE(seq.deadlock);
+    for (int threads : {2, 4, 8}) {
+        ProbeOutcome par = run_probe(cfg, threads, body);
+        EXPECT_EQ(seq.finish, par.finish) << threads << " threads";
+        EXPECT_EQ(seq.deadlock, par.deadlock) << threads << " threads";
+        EXPECT_EQ(seq.errors, par.errors) << threads << " threads";
+        EXPECT_EQ(seq.digest, par.digest) << threads << " threads";
+        EXPECT_TRUE(seq.memory == par.memory) << threads << " threads";
+        EXPECT_EQ(seq.stats, par.stats) << threads << " threads";
+    }
+}
+
+} // namespace
+
+TEST(ThreadsProbe, BarrierArrivalsSkewedWithinOneLookahead)
+{
+    // Arrivals spread by less than one lookahead: the release tick
+    // must come from the latest arrival tick, not from whichever
+    // shard's arrival the host processed last.
+    expect_thread_count_independent(small(16), [](Context &ctx) {
+        for (int r = 0; r < 50; ++r) {
+            ctx.compute_us(0.02 * ((7 * ctx.id() + r) % 16));
+            ctx.barrier();
+        }
+    });
+}
+
+TEST(ThreadsProbe, TwoBnetRootsOnDifferentShards)
+{
+    // Roots 0 and 15 broadcast 256 B 50 times each, every 7 us, root
+    // 0 0-0.08 us after root 15: their bus claims race within one
+    // lookahead, and the loser waits out the winner's occupancy.
+    expect_thread_count_independent(small(16), [](Context &ctx) {
+        Addr buf = ctx.alloc(256);
+        Addr flags[2] = {ctx.alloc_flag(), ctx.alloc_flag()};
+        CellId roots[2] = {0, 15};
+        for (int r = 0; r < 50; ++r) {
+            for (int k = 0; k < 2; ++k) {
+                if (ctx.id() != roots[k])
+                    continue;
+                double at =
+                    7.0 * (r + 1) + (k == 0 ? 0.02 * (r % 5) : 0.0);
+                ctx.compute_us(at - ticks_to_us(ctx.now()));
+                ctx.poke_u32(buf, static_cast<std::uint32_t>(
+                                      1000 * k + r));
+                ctx.broadcast(roots[k], buf, 256, flags[k]);
+            }
+        }
+        for (int k = 0; k < 2; ++k)
+            if (ctx.id() != roots[k])
+                ctx.wait_flag(flags[k], 50);
+        ctx.barrier();
+    });
+}
+
+TEST(ThreadsProbe, KillWithALateSenderOnAnotherShard)
+{
+    // Cells 8-15, on other shards than cell 5 at 2, 4 and 8 threads,
+    // send to cell 5 from just before to less than one lookahead after
+    // cell 5's kill tick, under the reliable layer: whether a send
+    // sees the dead peer must follow from the kill tick alone.
+    hw::MachineConfig cfg = small(16);
+    cfg.reliableNet = true;
+    cfg.retry.watchdogUs = 2000.0;
+    cfg.faults.kills.push_back({5, 30.0});
+    expect_thread_count_independent(cfg, [](Context &ctx) {
+        Addr buf = ctx.alloc(512);
+        Addr flag = ctx.alloc_flag();
+        if (ctx.id() >= 8) {
+            ctx.compute_us(29.95 + 0.04 * (ctx.id() - 8));
+            ctx.put(5, buf, buf, 256, no_flag, flag);
+        }
+        if (ctx.owner().cell_failed(ctx.id()))
+            return;
+        ctx.compute_us(40.0);
+        ctx.barrier();
+    });
+}

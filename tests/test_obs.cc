@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "base/logging.hh"
 #include "core/ap1000p.hh"
@@ -23,6 +26,7 @@
 #include "obs/stats_registry.hh"
 #include "runtime/rts.hh"
 #include "sim/eventq.hh"
+#include "sim/process.hh"
 
 using namespace ap;
 using namespace ap::obs;
@@ -278,9 +282,9 @@ golden_program(core::Context &ctx)
 
 /**
  * The three registry renderings the golden files under tests/golden/
- * pin byte for byte. They were written by the one-entry-per-path
- * registry that per-cell schemas replaced. A deliberate change to
- * simulated behaviour regenerates them by writing these strings out.
+ * pin byte for byte, at any kernel thread count (the kernel's own
+ * "sim." subtree left out). A deliberate change to simulated
+ * behaviour regenerates them by writing these strings out.
  */
 struct GoldenDump
 {
@@ -323,6 +327,14 @@ expect_golden(const GoldenDump &d, const std::string &stem)
 
 TEST(StatsRegistry, GoldenOutputsOfAPutGetSendRun)
 {
+    for (int threads : {2, 4}) {
+        hw::MachineConfig cfg = golden_config();
+        cfg.threads = threads;
+        hw::Machine par(cfg);
+        ASSERT_FALSE(core::run_spmd(par, golden_program).failed());
+        expect_golden(golden_dump(par), "registry_plain");
+    }
+
     hw::Machine m(golden_config());
     auto r = core::run_spmd(m, golden_program);
     ASSERT_FALSE(r.deadlock);
@@ -368,30 +380,56 @@ TEST(StatsRegistry, GoldenOutputsOfAPutGetSendRun)
 
 TEST(StatsRegistry, GoldenOutputsOfAChaosRunWithTheRuntimeAlive)
 {
-    hw::MachineConfig cfg = golden_config();
-    cfg.faults = sim::FaultPlan::chaos(1);
-    cfg.reliableNet = true;
-    hw::Machine m(cfg);
-    GoldenDump live;
-    std::size_t rtsPaths = 0;
-    auto r = core::run_spmd(m, [&](core::Context &ctx) {
-        rt::Runtime rts(ctx);
-        rt::GArray2D a(ctx, 32, 32, rt::SplitDim::rows, 1);
-        golden_program(ctx);
-        rts.overlap_fix(a);
-        ctx.barrier();
-        if (ctx.id() == 0) {
-            live = golden_dump(m);
-            rtsPaths = m.stats_registry().size();
+    // The dump is taken with every cell's runtime alive, at the first
+    // 1 us boundary after cell 0 leaves the overlap-fix barrier: the
+    // kernel stops there with every shard quiescent, so the dump
+    // reads the same at any thread count.
+    for (int threads : {1, 2, 4}) {
+        hw::MachineConfig cfg = golden_config();
+        // Seeds 1-3 stall the program at an injected page fault
+        // that nothing retries; 4 is the first that completes.
+        cfg.faults = sim::FaultPlan::chaos(4);
+        cfg.reliableNet = true;
+        cfg.threads = threads;
+        hw::Machine m(cfg);
+        net::Snet::ContextId all = m.snet().create_context();
+        std::vector<std::unique_ptr<sim::Process>> procs;
+        std::vector<std::unique_ptr<core::Context>> ctxs;
+        std::atomic<bool> fixed{false};
+        for (int i = 0; i < m.size(); ++i) {
+            procs.push_back(std::make_unique<sim::Process>(
+                m.sim(), strprintf("cell%d", i),
+                [&, i](sim::Process &) {
+                    core::Context &ctx =
+                        *ctxs[static_cast<std::size_t>(i)];
+                    rt::Runtime rts(ctx);
+                    rt::GArray2D a(ctx, 32, 32, rt::SplitDim::rows, 1);
+                    golden_program(ctx);
+                    rts.overlap_fix(a);
+                    ctx.barrier();
+                    if (ctx.id() == 0)
+                        fixed = true;
+                    ctx.compute_us(50.0);
+                    ctx.barrier();
+                }));
+            ctxs.push_back(std::make_unique<core::Context>(
+                m, i, *procs.back(), all, nullptr));
+            procs.back()->set_affinity(i);
+            procs.back()->start(0);
         }
-        ctx.barrier();
-    });
-    ASSERT_FALSE(r.deadlock);
-    ASSERT_TRUE(r.errors.empty());
-    expect_golden(live, "registry_chaos");
-    // The runtimes' six paths per cell left with them.
-    EXPECT_EQ(m.stats_registry().size(), rtsPaths - 16u * 6u);
-    EXPECT_EQ(m.stats_registry().find("cell0.rts.moves"), nullptr);
+        for (Tick t = 0; !fixed && !m.sim().empty();)
+            m.sim().run_until(t += us_to_ticks(1.0));
+        ASSERT_TRUE(fixed) << threads << " threads";
+        GoldenDump live = golden_dump(m);
+        std::size_t rtsPaths = m.stats_registry().size();
+        m.sim().run();
+        for (const auto &p : procs)
+            ASSERT_TRUE(p->finished()) << threads << " threads";
+        expect_golden(live, "registry_chaos");
+        // The runtimes' six paths per cell left with them.
+        EXPECT_EQ(m.stats_registry().size(), rtsPaths - 16u * 6u);
+        EXPECT_EQ(m.stats_registry().find("cell0.rts.moves"), nullptr);
+    }
 }
 
 // ------------------------------------------------------------ debug flags

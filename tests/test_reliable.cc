@@ -251,9 +251,10 @@ TEST(Reliable, GiveUpBoundAbortsUnreachablePeerWithoutLiveness)
 
 TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
 {
-    // Satellite: the injector's dup/reorder copies park in per-cell
-    // holding buffers; past maxHeldPerCell the injection is refused
-    // (counted), never unbounded.
+    // The injector's dup/reorder copies count against their sender;
+    // past maxHeldPerCell the injection is refused (counted), never
+    // unbounded. Copies age out at the arrival tick the sender
+    // computed, so a later burst is admitted again.
     sim::FaultPlan plan = sim::FaultPlan::duplicates(17, 1.0);
     plan.reorderProb = 1.0;
     plan.maxHeldPerCell = 2;
@@ -267,21 +268,64 @@ TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
     for (CellId c = 0; c < 4; ++c)
         tnet.attach(c, [&](Message) { ++arrived; });
 
-    for (std::uint32_t i = 0; i < 50; ++i) {
-        Message m;
-        m.kind = MsgKind::put_data;
-        m.src = 0;
-        m.dst = 1;
-        m.payload.assign(16, 0x5a);
-        tnet.send(std::move(m));
-    }
+    auto burst = [&](CellId src, int n) {
+        for (int i = 0; i < n; ++i) {
+            Message m;
+            m.kind = MsgKind::put_data;
+            m.src = src;
+            m.dst = 1;
+            m.payload.assign(16, 0x5a);
+            tnet.send(std::move(m));
+        }
+    };
+    burst(0, 50);
     sim.run();
 
-    const auto &hs = inj.hold_stats(1);
-    EXPECT_EQ(hs.held, 0u) << "holds not released after delivery";
-    EXPECT_LE(hs.heldHighWater, 2u);
+    const auto &hs = inj.hold_stats(0);
+    EXPECT_EQ(hs.heldHighWater, 2u);
     EXPECT_GT(hs.dupEvictions + hs.reorderEvictions, 0u);
     // Every original message still arrives (dups/reorders only add
     // or delay copies), plus at most the admitted duplicates.
     EXPECT_GE(arrived, 50);
+
+    // Everything held has arrived by now: the next burst ages it out
+    // and is admitted up to the cap again.
+    std::uint64_t evicted = hs.dupEvictions + hs.reorderEvictions;
+    sim.schedule(sim.now() + 1, [&] { burst(0, 1); });
+    sim.run();
+    EXPECT_EQ(hs.held, 2u);
+    EXPECT_EQ(hs.dupEvictions + hs.reorderEvictions, evicted);
+}
+
+TEST(FaultHolding, CapIsEnforcedPerSender)
+{
+    // Two senders at the cap share nothing: each holds its own two
+    // copies, and the receiver holds none.
+    sim::FaultPlan plan = sim::FaultPlan::duplicates(3, 1.0);
+    plan.maxHeldPerCell = 2;
+
+    sim::Simulator sim;
+    sim::FaultInjector inj(plan);
+    inj.set_cells(4);
+    Tnet tnet(sim, Torus(4, 1), TnetParams{});
+    tnet.set_fault_injector(&inj);
+    for (CellId c = 0; c < 4; ++c)
+        tnet.attach(c, [](Message) {});
+    for (CellId src : {0, 2})
+        for (int i = 0; i < 5; ++i) {
+            Message m;
+            m.kind = MsgKind::put_data;
+            m.src = src;
+            m.dst = 1;
+            tnet.send(std::move(m));
+        }
+    sim.run();
+
+    for (CellId src : {0, 2}) {
+        EXPECT_EQ(inj.hold_stats(src).heldHighWater, 2u) << src;
+        EXPECT_EQ(inj.hold_stats(src).dupEvictions, 3u) << src;
+    }
+    EXPECT_EQ(inj.hold_stats(1).heldHighWater, 0u);
+    EXPECT_EQ(inj.hold_stats(1).dupEvictions, 0u);
+    EXPECT_EQ(tnet.stats().duplicated, 4u);
 }

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "base/logging.hh"
 #include "hw/config.hh"
 #include "hw/machine.hh"
 #include "serve/job.hh"
@@ -262,10 +264,7 @@ TEST(GangScheduler, KillDrillReschedulesOntoFreshPartition)
     m.sim().schedule_for(-1, us_to_ticks(300.0), [&] {
         CellId victim = sched.pick_busy_cell(7);
         ASSERT_GE(victim, 0) << "fleet idle at kill time";
-        m.sim().schedule_after_for(victim, us_to_ticks(5.0),
-                                   [&m, victim] {
-                                       m.fail_cell(victim);
-                                   });
+        m.kill_cell(victim, m.sim().now() + us_to_ticks(5.0));
     });
 
     m.run_to_completion();
@@ -309,10 +308,7 @@ TEST(GangScheduler, ExhaustedRetryBudgetReportsTerminalFailure)
     m.sim().schedule_for(-1, us_to_ticks(200.0), [&] {
         CellId victim = sched.pick_busy_cell(0);
         ASSERT_GE(victim, 0);
-        m.sim().schedule_after_for(victim, us_to_ticks(5.0),
-                                   [&m, victim] {
-                                       m.fail_cell(victim);
-                                   });
+        m.kill_cell(victim, m.sim().now() + us_to_ticks(5.0));
     });
 
     m.run_to_completion();
@@ -337,8 +333,7 @@ TEST(GangScheduler, JobsWithNoFeasiblePartitionStarve)
     hw::Machine m(serve_machine(4));
     GangScheduler sched(m, ServeConfig{});
 
-    m.sim().schedule_for(0, us_to_ticks(5.0),
-                         [&m] { m.fail_cell(0); });
+    m.kill_cell(0, us_to_ticks(5.0));
     JobSpec s = small_job(0);
     s.arrivalUs = 100.0;
     sched.schedule_stream({s});
@@ -396,4 +391,78 @@ TEST(TrafficGenerator, DeterministicSortedAndClipped)
         tenants.insert(a[i].tenant);
     }
     EXPECT_GT(tenants.size(), 1u);
+}
+
+TEST(GangScheduler, GangFinishIsThreadCountIndependent)
+{
+    // A 1x4 gang on cells 0, 4, 8 and 12 — one per shard at four
+    // threads — that votes out at its deadline, a 3x4 gang beside it,
+    // and a 4x4 job that can only start once both finished. The
+    // finish ticks, the admission they trigger and everything
+    // downstream must not depend on which member's shard the host
+    // ran last.
+    auto run = [](int threads) {
+        hw::MachineConfig cfg = serve_machine(16);
+        cfg.threads = threads;
+        hw::Machine m(cfg);
+        sim::TickHistory hist;
+        m.sim().set_history(&hist);
+        ServeConfig scfg;
+        scfg.urgentDeadlineUs = 300.0;
+        GangScheduler sched(m, scfg);
+        JobSpec tall = small_job(0, serve::JobKind::cg);
+        tall.pw = 1;
+        tall.ph = 4;
+        tall.iters = 50;
+        tall.deadline = serve::DeadlineClass::urgent;
+        JobSpec wide = small_job(1);
+        wide.pw = 3;
+        wide.ph = 4;
+        wide.iters = 2;
+        JobSpec full = small_job(2);
+        full.pw = 4;
+        full.ph = 4;
+        sched.schedule_stream({tall, wide, full});
+        m.run_to_completion();
+        sched.finalize();
+        std::string out = hist.digest() + "\n" +
+                          m.stats_registry().dump_json(false, "sim.");
+        for (const serve::JobRecord &r : sched.jobs())
+            out += strprintf("\njob %d %s %llu %llu %llu", r.spec.id,
+                             serve::state_name(r.state),
+                             static_cast<unsigned long long>(
+                                 r.firstStartTick),
+                             static_cast<unsigned long long>(
+                                 r.finishTick),
+                             static_cast<unsigned long long>(
+                                 r.queuedTicks));
+        EXPECT_TRUE(sched.all_terminal());
+        EXPECT_EQ(sched.totals().completed, 2u);
+        EXPECT_EQ(sched.totals().deadlineCancelled, 1u);
+        return out;
+    };
+    std::string seq = run(1);
+    for (int threads : {2, 4, 8})
+        EXPECT_EQ(seq, run(threads)) << threads << " threads";
+}
+
+TEST(GangScheduler, SimultaneousFinishesKeepBothAttemptsUntilTheirFinish)
+{
+    // Two identical one-cell gangs launched together leave at the same
+    // tick, so both finishes are pending at once: the first finish's
+    // reap must not free the second attempt before its own finish
+    // event has run.
+    hw::Machine m(serve_machine(4));
+    GangScheduler sched(m, ServeConfig{});
+    JobSpec a = small_job(0);
+    a.pw = 1;
+    a.ph = 1;
+    JobSpec b = a;
+    b.id = 1;
+    sched.schedule_stream({a, b});
+    m.run_to_completion();
+    sched.finalize();
+    ASSERT_EQ(sched.jobs().size(), 2u);
+    EXPECT_EQ(sched.totals().completed, 2u);
+    EXPECT_EQ(sched.jobs()[0].finishTick, sched.jobs()[1].finishTick);
 }

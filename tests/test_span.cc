@@ -117,7 +117,7 @@ TEST(FlightRecorder, SpanLayerRingsWrapPerCell)
     SpanLayer layer(2, 4);
     layer.set_mode(SpanMode::flight);
     for (int i = 0; i < 10; ++i) {
-        std::uint64_t id = layer.new_trace();
+        std::uint64_t id = layer.new_trace(0);
         layer.record(0, id, SpanStage::issue, i, i + 1);
     }
     EXPECT_EQ(layer.flight(0).size(), 4u);
@@ -135,7 +135,7 @@ TEST(FullLog, CountsEventsDroppedAtItsBound)
 {
     SpanLayer layer(1, 4);
     layer.set_mode(SpanMode::full);
-    std::uint64_t id = layer.new_trace();
+    std::uint64_t id = layer.new_trace(0);
     layer.record(0, id, SpanStage::issue, 0, 10, SpanOp::put);
     layer.record(0, id, SpanStage::net, 10, 30);
     // Fill the bound, and three events past it, with annotations:
@@ -301,7 +301,7 @@ TEST(SpanPropagation, OffModeAllocatesNoIdsAndRecordsNothing)
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
     cfg.spanMode = SpanMode::off;
     hw::Machine m(cfg);
-    EXPECT_EQ(m.spans().new_trace(), 0u);
+    EXPECT_EQ(m.spans().new_trace(0), 0u);
 
     core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
         Addr flag = ctx.alloc_flag();
