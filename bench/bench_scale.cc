@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel-kernel scaling sweep: events/second of the sharded event
- * kernel on a PHOLD-style torus workload, over machine sizes
+ * Parallel-kernel scaling sweep: events/second of the event kernel
+ * on a PHOLD-style torus workload, over machine sizes
  * {8x8, 16x16, 32x32, 64x64} cells and {1, 2, 4, 8} worker threads.
  *
  * The workload drives the kernel directly (no functional machine):
@@ -13,9 +13,9 @@
  * traffic with conservative-window handoffs — reduced to pure kernel
  * overhead, so the sweep isolates what sharding buys.
  *
- * threads=1 runs the sequential kernel (the same degenerate path the
- * machine uses); rows report events/sec and the speedup over the
- * sequential row of the same size.
+ * threads=1 runs one shard, drained inline (the machine's default);
+ * rows report events/sec and the speedup over the one-thread row of
+ * the same size.
  *
  * --window-batch appends a small-torus sweep that prices the
  * conservative-window barrier: events per window, wall microseconds
@@ -31,14 +31,13 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "obs/cli.hh"
-#include "sim/shardq.hh"
+#include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::sim;
@@ -74,24 +73,7 @@ run_case(int side, int threads, Tick horizon)
 {
     const int cells = side * side;
 
-    std::unique_ptr<Simulator> owner;
-    if (threads <= 1) {
-        owner = std::make_unique<Simulator>();
-    } else {
-        ShardConfig sc;
-        sc.shards = threads;
-        sc.lookahead = lookahead;
-        sc.affinityMap = [cells, threads](int a) {
-            if (a < 0)
-                return 0;
-            if (a >= cells)
-                return threads - 1;
-            return static_cast<int>(static_cast<long long>(a) *
-                                    threads / cells);
-        };
-        owner = std::make_unique<ShardedSimulator>(sc);
-    }
-    Simulator &sim = *owner;
+    Simulator sim(threads, cells, lookahead);
 
     std::vector<std::uint64_t> state(
         static_cast<std::size_t>(cells));
@@ -137,8 +119,7 @@ run_case(int side, int threads, Tick horizon)
     CaseResult r;
     r.events = sim.executed();
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (auto *sh = dynamic_cast<ShardedSimulator *>(&sim))
-        r.windows = sh->windows();
+    r.windows = sim.window_stats().windows;
     return r;
 }
 
@@ -216,7 +197,7 @@ main(int argc, char **argv)
     // window closes only a few events, so the two barriers bounding
     // it dominate the wall clock. Price that per window by comparing
     // the sharded wall time against the time the same events would
-    // take at the sequential kernel's rate spread over the workers —
+    // take at the one-shard rate spread over the workers —
     // everything left is window overhead (barriers, wakeups, merge).
     if (windowBatch) {
         std::printf("\nWindow-batch headroom (small tori): per-"

@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,7 +53,7 @@
 #include "obs/span.hh"
 #include "serve/job.hh"
 #include "serve/scheduler.hh"
-#include "sim/shardq.hh"
+#include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -274,24 +273,7 @@ PholdResult
 run_phold(int side, int threads)
 {
     const int cells = side * side;
-    std::unique_ptr<sim::Simulator> owner;
-    if (threads <= 1) {
-        owner = std::make_unique<sim::Simulator>();
-    } else {
-        sim::ShardConfig sc;
-        sc.shards = threads;
-        sc.lookahead = pholdLookahead;
-        sc.affinityMap = [cells, threads](int a) {
-            if (a < 0)
-                return 0;
-            if (a >= cells)
-                return threads - 1;
-            return static_cast<int>(static_cast<long long>(a) *
-                                    threads / cells);
-        };
-        owner = std::make_unique<sim::ShardedSimulator>(sc);
-    }
-    sim::Simulator &sim = *owner;
+    sim::Simulator sim(threads, cells, pholdLookahead);
 
     std::vector<std::uint64_t> state(
         static_cast<std::size_t>(cells));

@@ -29,7 +29,6 @@
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "sim/fault.hh"
-#include "sim/shardq.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -73,10 +72,10 @@ usage(const char *prog)
         "                     overflows|pagefaults|jitter|lossy|chaos\n"
         "  --seed=N           fault-plan seed (default 1)\n"
         "  --reliable         reliable-delivery protocol layer on\n"
-        "  --threads=N        event-kernel worker threads (default 1\n"
-        "                     = sequential kernel; N>1 shards the\n"
-        "                     event queue per cell region; every N\n"
-        "                     gives the same run as --threads=1)\n"
+        "  --threads=N        event-kernel worker threads (default 1;\n"
+        "                     N>1 shards the event queue per cell\n"
+        "                     region; every N gives the same run as\n"
+        "                     --threads=1)\n"
         "  --kill=CELL@US     fail-stop CELL at US microseconds\n"
         "                     (survivors reconfigure; repeatable)\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
@@ -316,8 +315,8 @@ main(int argc, char **argv)
     });
 
     std::printf("%s", machine.report().c_str());
-    if (sim::ShardedSimulator *sh = machine.sharded())
-        std::printf("%s", sh->report().c_str());
+    if (machine.sim().shards() > 1)
+        std::printf("%s", machine.sim().report().c_str());
     if (result.deadlock)
         std::printf("DEADLOCK: %zu cells stuck\n",
                     result.stuck.size());

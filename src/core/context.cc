@@ -557,6 +557,14 @@ Context::timed_get(CellId dst, Addr raddr, Addr laddr,
 }
 
 void
+Context::wait_user_commands_done()
+{
+    hw::Msc &msc = cell().msc();
+    while (msc.user_done() < msc.user_issued())
+        proc.wait(msc.user_done_cond());
+}
+
+void
 Context::write_remote(CellId dst, Addr raddr, Addr laddr,
                       std::uint32_t size)
 {
@@ -584,10 +592,18 @@ Context::write_remote(CellId dst, Addr raddr, Addr laddr,
         // only the remote memory itself is authoritative.
         if (timed_get(dst, raddr, check, size, timeout, 0)) {
             peek(check, got);
-            if (got == want)
+            if (got == want) {
+                // A duplicated reply of an earlier operation can meet
+                // the ack and flag counts while this call's last PUT
+                // still waits to gather @p laddr: hold the caller
+                // until it has, so reusing the buffer cannot leak
+                // into the slot.
+                wait_user_commands_done();
                 return;
+            }
         }
     }
+    wait_user_commands_done();
     machine.note_retry_giveup();
     throw CommError(
         CommError::Kind::timeout, cellId, dst,

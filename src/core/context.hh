@@ -442,6 +442,13 @@ class Context
      */
     bool timed_get(CellId dst, Addr raddr, Addr laddr,
                    std::uint32_t size, Tick timeout, int max_retries);
+    /**
+     * Block until the MSC+ is done with every user command issued so
+     * far (sent or dropped), so none still reads its sending area.
+     * A send flag cannot tell: a command dropped at a local fault
+     * never bumps it.
+     */
+    void wait_user_commands_done();
     void wait_flag_internal(Addr flag_addr, std::uint32_t target);
     /**
      * Library-internal SEND: stages @p data in a scratch buffer

@@ -10,8 +10,8 @@
  * releases the buffer after consuming it, so steady-state traffic
  * performs no payload allocations at all.
  *
- * One pool exists per kernel shard (a single machine-wide pool under
- * the sequential kernel), not per cell: a one-directional flow —
+ * One pool exists per kernel shard (a single machine-wide pool at
+ * --threads=1), not per cell: a one-directional flow —
  * every cell PUTting to a fixed partner — recirculates buffers only
  * if the acquire side and the release side share a pool. The pool is
  * deliberately NOT thread-safe: acquires happen inside send events on

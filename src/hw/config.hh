@@ -130,12 +130,11 @@ struct MachineConfig
     HwTimings timings;
 
     /**
-     * Host worker threads driving the event kernel. 1 selects the
-     * sequential kernel (sim/eventq.hh); N > 1 shards the event
-     * queue over min(N, cells) workers with conservative windows
-     * (sim/shardq.hh). Cells map to shards in contiguous blocks. The
-     * result does not depend on N: every run reproduces threads = 1
-     * byte for byte (tnet.linkContention needs threads = 1).
+     * Host worker threads driving the event kernel (sim/eventq.hh):
+     * it runs min(N, cells) shards of contiguous cell blocks, one
+     * drained inline, more under conservative windows. The result
+     * does not depend on N: every run reproduces threads = 1 byte
+     * for byte.
      */
     int threads = 1;
 

@@ -7,7 +7,6 @@
 
 #include "base/logging.hh"
 #include "obs/json.hh"
-#include "sim/shardq.hh"
 
 namespace ap::hw
 {
@@ -35,50 +34,6 @@ derive_lookahead(const MachineConfig &cfg)
     us = std::min(us, cfg.snet.releaseUs);
     Tick l = us_to_ticks(us);
     return l < 1 ? 1 : l;
-}
-
-/** Kernel shards of this configuration (1: the sequential kernel). */
-int
-shard_count(const MachineConfig &cfg)
-{
-    return cfg.threads <= 1 ? 1 : std::min(cfg.threads, cfg.cells);
-}
-
-/**
- * The shard that runs cell @p cell 's events: contiguous cell blocks.
- * squarest() numbers cells row-major, so a block is a band of torus
- * rows and most single-hop neighbours stay shard-local.
- */
-int
-shard_of_cell(int cell, int shards, int cells)
-{
-    return static_cast<int>(static_cast<long long>(cell) * shards /
-                            cells);
-}
-
-std::unique_ptr<sim::Simulator>
-make_kernel(const MachineConfig &cfg)
-{
-    if (cfg.threads <= 1)
-        return std::make_unique<sim::Simulator>();
-    // Contention reserves links in one machine-wide table, in the
-    // order senders inject: that order is a property of one host
-    // thread, so contention runs on the sequential kernel only.
-    if (cfg.tnet.linkContention)
-        fatal("tnet.linkContention needs threads = 1 (got threads = "
-              "%d): link reservations are machine-global state",
-              cfg.threads);
-    sim::ShardConfig sc;
-    sc.shards = shard_count(cfg);
-    sc.lookahead = derive_lookahead(cfg);
-    sc.affinityMap = [cells = cfg.cells, shards = sc.shards](int a) {
-        if (a < 0)
-            return 0; // machine-wide work runs on the coordinator
-        if (a >= cells)
-            return shards - 1;
-        return shard_of_cell(a, shards, cells);
-    };
-    return std::make_unique<sim::ShardedSimulator>(sc);
 }
 
 using obs::counter_field;
@@ -183,22 +138,9 @@ constexpr obs::StatField rnet_fields[] = {
 
 } // namespace
 
-sim::ShardedSimulator *
-Machine::sharded()
-{
-    return dynamic_cast<sim::ShardedSimulator *>(&simulator);
-}
-
-const sim::ShardedSimulator *
-Machine::sharded() const
-{
-    return dynamic_cast<const sim::ShardedSimulator *>(&simulator);
-}
-
 Machine::Machine(MachineConfig config)
-    : cfg(config), lookaheadTicks(derive_lookahead(cfg)),
-      faultInj(cfg.faults), simOwner(make_kernel(cfg)),
-      simulator(*simOwner),
+    : cfg(config), faultInj(cfg.faults),
+      simulator(cfg.threads, cfg.cells, derive_lookahead(cfg)),
       tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.tnet),
       bnetNet(simulator, cfg.cells, cfg.bnet),
       snetNet(simulator, cfg.cells, cfg.snet),
@@ -254,7 +196,10 @@ Machine::Machine(MachineConfig config)
     net::Tnet *direct = rnetNet ? nullptr : &tnetNet;
     // One payload pool and one T-net send row per kernel shard, shared
     // by that shard's cells, so each is only touched from its shard.
-    int shards = shard_count(cfg);
+    // squarest() numbers cells row-major, so the kernel's contiguous
+    // blocks are bands of torus rows and most single-hop neighbours
+    // stay shard-local.
+    int shards = simulator.shards();
     payloadPools.reserve(static_cast<std::size_t>(shards));
     for (int s = 0; s < shards; ++s)
         payloadPools.push_back(std::make_unique<BufferPool>());
@@ -262,7 +207,7 @@ Machine::Machine(MachineConfig config)
         static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i)
         shardOfCell[static_cast<std::size_t>(i)] =
-            static_cast<std::uint32_t>(shard_of_cell(i, shards, cfg.cells));
+            static_cast<std::uint32_t>(simulator.shard_of(i));
     tnetNet.set_shards(shardOfCell);
     cells.reserve(static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i) {
@@ -288,14 +233,14 @@ Machine::Machine(MachineConfig config)
     }
     for (const sim::FaultPlan::CellKill &k : cfg.faults.kills)
         kill_cell(k.cell, us_to_ticks(k.atUs));
-    // Kernel telemetry taps: the sharded kernel reports each parallel
-    // window through this hook (fired on the coordinator while every
-    // worker is parked) and the machine forwards it to the span
-    // layer: barrier_wait stage spans, and in full mode per-worker
-    // window spans plus imbalance/barrier-wait counters.
-    if (sim::ShardedSimulator *sh = sharded())
-        sh->set_window_hook(
-            [this](const sim::WindowRecord &w) { on_window(w); });
+    // Kernel telemetry taps: on more than one shard the kernel
+    // reports each parallel window through this hook (fired on the
+    // coordinator while every worker is parked) and the machine
+    // forwards it to the span layer: barrier_wait stage spans, and in
+    // full mode per-worker window spans plus imbalance/barrier-wait
+    // counters.
+    simulator.set_window_hook(
+        [this](const sim::WindowRecord &w) { on_window(w); });
     register_stats();
     register_kernel_stats();
 }
@@ -360,11 +305,11 @@ Machine::kill_cell(CellId id, Tick at)
     // Outside any event nothing runs concurrently; inside one, the
     // kill tick must be one lookahead out so that every shard sees
     // it recorded before any of them reaches it.
-    if (simulator.executing() && at < simulator.now() + lookaheadTicks)
+    if (simulator.executing() && at < simulator.now() + lookahead())
         panic("kill of cell %d at %llu is closer than the lookahead "
               "(%llu ticks) to now (%llu)",
               id, static_cast<unsigned long long>(at),
-              static_cast<unsigned long long>(lookaheadTicks),
+              static_cast<unsigned long long>(lookahead()),
               static_cast<unsigned long long>(simulator.now()));
     std::atomic<Tick> &t = failTicks[static_cast<std::size_t>(id)];
     if (at < t.load(std::memory_order_relaxed))
@@ -411,7 +356,7 @@ Machine::set_wait(CellId id, const char *what, Addr addr,
     // Keep what a view one lookahead back, taken by a cell up to one
     // lookahead behind this one, can still ask for.
     while (!log.empty() && log.front().until != max_tick &&
-           log.front().until + 2 * lookaheadTicks < now)
+           log.front().until + 2 * lookahead() < now)
         log.pop_front();
     log.push_back({what, addr, target, now, max_tick});
 }
@@ -430,7 +375,7 @@ std::string
 Machine::wait_graph()
 {
     Tick now = simulator.now();
-    Tick asOf = now > lookaheadTicks ? now - lookaheadTicks : 0;
+    Tick asOf = now > lookahead() ? now - lookahead() : 0;
     std::string out = strprintf(
         "wait graph at t=%.1f us (%d cells, as of t=%.1f us):\n",
         ticks_to_us(now), cfg.cells, ticks_to_us(asOf));
@@ -561,11 +506,12 @@ Machine::register_stats()
 void
 Machine::register_kernel_stats()
 {
-    // Kernel self-telemetry under "sim.": how the run executed
-    // (kernel shape, windows, host wall-clock waits) as opposed to
-    // what the machine did. Determinism byte-compares exclude this
-    // prefix — per-shard counts and wall-clock can never match
-    // across kernels (see DESIGN.md, Kernel telemetry).
+    // Kernel self-telemetry under "sim.", the same paths at every
+    // thread count: how the run executed (kernel shape, windows,
+    // host wall-clock waits) as opposed to what the machine did.
+    // Determinism byte-compares exclude this prefix — per-shard
+    // counts and wall-clock can never match across shard counts (see
+    // DESIGN.md, Kernel telemetry).
     statsReg.add_gauge("sim.executed_events",
                        [this]() { return simulator.executed(); });
     statsReg.add_gauge("sim.pending_events", [this]() {
@@ -615,24 +561,21 @@ Machine::register_kernel_stats()
         return CellMemory::image_cache_misses();
     });
 
-    const sim::ShardedSimulator *sh = sharded();
-    if (!sh)
-        return;
-    statsReg.add_gauge("sim.kernel.shards", [sh]() {
-        return static_cast<std::uint64_t>(sh->shards());
+    statsReg.add_gauge("sim.kernel.shards", [this]() {
+        return static_cast<std::uint64_t>(simulator.shards());
     });
     statsReg.add_gauge("sim.kernel.lookahead_ticks",
-                       [sh]() { return sh->lookahead(); });
+                       [this]() { return simulator.lookahead(); });
 
-    const sim::WindowAgg &w = sh->window_stats();
+    const sim::WindowAgg &w = simulator.window_stats();
     statsReg.add_gauge("sim.window.count", &w.windows);
     statsReg.add_gauge("sim.window.events", &w.events);
     statsReg.add_gauge("sim.window.horizon_advance_ticks",
                        &w.horizonAdvance);
-    statsReg.add_gauge("sim.window.barrier_wait_ns", [sh]() {
+    statsReg.add_gauge("sim.window.barrier_wait_ns", [this]() {
         std::uint64_t ns = 0;
-        for (int s = 0; s < sh->shards(); ++s)
-            ns += sh->shard_stats(s).barrierWaitNs;
+        for (int s = 0; s < simulator.shards(); ++s)
+            ns += simulator.shard_stats(s).barrierWaitNs;
         return ns;
     });
     statsReg.add_gauge("sim.window.merge_ns", &w.mergeNs);
@@ -648,8 +591,8 @@ Machine::register_kernel_stats()
     statsReg.add_gauge("sim.window.spans.full_dropped",
                        &windowSpans.dropped);
 
-    for (int s = 0; s < sh->shards(); ++s) {
-        const sim::ShardStats &st = sh->shard_stats(s);
+    for (int s = 0; s < simulator.shards(); ++s) {
+        const sim::ShardStats &st = simulator.shard_stats(s);
         std::string p = strprintf("sim.shard.%d.", s);
         statsReg.add_gauge(p + "executed", &st.executed);
         statsReg.add_gauge(p + "handoffs_in", &st.handoffsIn);
@@ -728,7 +671,7 @@ Machine::postmortem(std::size_t maxPerCell)
     // Like the wait graph, other cells are shown as of one lookahead
     // back, which every kernel shard is sure to have reached.
     Tick now = simulator.now();
-    Tick asOf = now > lookaheadTicks ? now - lookaheadTicks : 0;
+    Tick asOf = now > lookahead() ? now - lookahead() : 0;
     std::string out = strprintf(
         "flight recorder (span mode %s, last %zu per cell ended by "
         "t=%.2f us):\n",

@@ -29,12 +29,6 @@
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
-namespace ap::sim
-{
-class ShardedSimulator;
-struct WindowRecord;
-}
-
 namespace ap::hw
 {
 
@@ -48,13 +42,9 @@ class Machine
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
-    /** The event kernel driving this machine (sequential with
-     *  cfg.threads == 1, sharded otherwise). */
+    /** The event kernel driving this machine: min(cfg.threads,
+     *  cells) shards of contiguous cell blocks. */
     sim::Simulator &sim() { return simulator; }
-
-    /** The sharded kernel, or nullptr with cfg.threads == 1. */
-    sim::ShardedSimulator *sharded();
-    const sim::ShardedSimulator *sharded() const;
 
     /**
      * Drain the event queue. Equivalent to sim().run(), except that
@@ -136,10 +126,10 @@ class Machine
      */
     void set_kill_hook(std::function<void(CellId)> hook);
 
-    /** The least model time any cross-cell effect takes: the sharded
+    /** The least model time any cross-cell effect takes: the
      *  kernel's window, and the least delay from a decision on one
      *  timeline to its effect on another. */
-    Tick lookahead() const { return lookaheadTicks; }
+    Tick lookahead() const { return simulator.lookahead(); }
 
     /**
      * Count one exhausted communication retry budget. Called by the
@@ -289,20 +279,15 @@ class Machine
     void fail_cell(CellId id);
 
     MachineConfig cfg;
-    Tick lookaheadTicks;
     sim::FaultInjector faultInj;
-    /** The kernel chosen by cfg.threads; everything below holds the
-     *  `simulator` reference only. */
-    std::unique_ptr<sim::Simulator> simOwner;
-    sim::Simulator &simulator;
+    sim::Simulator simulator;
     net::Tnet tnetNet;
     net::Bnet bnetNet;
     net::Snet snetNet;
     std::unique_ptr<net::ReliableNet> rnetNet;
     DsmMap dsmMap;
-    /** Payload buffer pools, one per kernel shard (one machine-wide
-     *  under the sequential kernel). Declared before `cells` so the
-     *  MSC+ pool references outlive their users. */
+    /** Payload buffer pools, one per kernel shard. Declared before
+     *  `cells` so the MSC+ pool references outlive their users. */
     std::vector<std::unique_ptr<BufferPool>> payloadPools;
     std::vector<std::unique_ptr<Cell>> cells;
     /** Kill tick per cell (max_tick: alive). Atomic: recorded by

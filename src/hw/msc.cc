@@ -185,6 +185,7 @@ Msc::kick()
     if (!q)
         return;
     senderBusy = true;
+    senderOnUser = q == &userQ;
     Command cmd = q->pop();
     maybe_refill(*q);
     Tick popT = sim.now();
@@ -374,7 +375,17 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
         }
     }
 
+    sender_idle();
+}
+
+void
+Msc::sender_idle()
+{
     senderBusy = false;
+    if (senderOnUser) {
+        ++userDone;
+        userDoneCond.notify_all();
+    }
     kick();
 }
 
@@ -390,10 +401,7 @@ Msc::local_fault(Addr addr)
         faultHook(cell.id(), addr, false);
     // The OS services the fault; the command is dropped.
     sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
-                       [this]() {
-                           senderBusy = false;
-                           kick();
-                       });
+                       [this]() { sender_idle(); });
 }
 
 void

@@ -141,6 +141,18 @@ class Msc
     /** Condition notified when the acknowledge flag increments. */
     sim::Condition &ack_cond() { return ackCond; }
 
+    /**
+     * User-queue commands the send engine is done with: sent, or
+     * dropped at a local fault. The user queue drains in issue
+     * order, so every user command issued so far has stopped reading
+     * its sending area once this equals user_issued().
+     */
+    std::uint64_t user_done() const { return userDone; }
+    std::uint64_t user_issued() const { return userQ.stats().pushes; }
+
+    /** Condition notified when user_done() grows. */
+    sim::Condition &user_done_cond() { return userDoneCond; }
+
     // -- network side --------------------------------------------------
 
     /** T-net delivery entry point (attached by the Machine). */
@@ -184,6 +196,8 @@ class Msc
 
   private:
     void kick();
+    /** The send engine finished (or dropped) its command. */
+    void sender_idle();
     void maybe_refill(CommandQueue &q);
     const char *queue_name(const CommandQueue &q) const;
     CommandQueue *pick_queue();
@@ -223,6 +237,9 @@ class Msc
     CommandQueue loadReplyQ;
 
     bool senderBusy = false;
+    bool senderOnUser = false; ///< the busy command came from userQ
+    std::uint64_t userDone = 0;
+    sim::Condition userDoneCond;
     Tick recvBusyUntil = 0;
 
     std::uint64_t ackFlag = 0;

@@ -67,34 +67,12 @@ Tnet::latency(CellId src, CellId dst, std::uint64_t bytes) const
     return us_to_ticks(us);
 }
 
-Tick
-Tnet::contention_arrival(const Message &msg, Tick inject)
-{
-    // Wormhole approximation: the head pays per-hop delay and queues
-    // behind busy links; each link stays occupied while the body
-    // streams through at link bandwidth.
-    Tick head = inject + us_to_ticks(prm.prologUs);
-    Tick body = us_to_ticks(prm.perByteUs *
-                            static_cast<double>(msg.wire_bytes()));
-    auto hops = topo.route(msg.src, msg.dst);
-    for (const Hop &hop : hops) {
-        std::uint64_t key =
-            static_cast<std::uint64_t>(hop.from) *
-                static_cast<std::uint64_t>(topo.size()) +
-            static_cast<std::uint64_t>(hop.to);
-        Tick &busy = linkBusy[key];
-        head = std::max(head, busy) + us_to_ticks(prm.delayPerHopUs);
-        busy = head + body;
-    }
-    return head + body + us_to_ticks(prm.epilogUs);
-}
-
 void
 Tnet::schedule_delivery(Message msg, Tick arrive)
 {
-    // Delivery executes on the destination cell's timeline: under the
-    // sharded kernel the explicit affinity routes the event to the
-    // destination's shard (the cross-shard handoff of the model).
+    // Delivery executes on the destination cell's timeline: the
+    // explicit affinity routes the event to the destination's shard
+    // (the cross-shard handoff of the model).
     CellId dst = msg.dst;
     sim.schedule_for(dst, arrive,
                      [this, msg = std::move(msg)]() mutable {
@@ -128,12 +106,7 @@ Tnet::send(Message msg)
     }
 
     Tick inject = sim.now();
-    Tick arrive;
-    if (prm.linkContention && msg.src != msg.dst) {
-        arrive = contention_arrival(msg, inject);
-    } else {
-        arrive = inject + latency(msg.src, msg.dst, msg.wire_bytes());
-    }
+    Tick arrive = inject + latency(msg.src, msg.dst, msg.wire_bytes());
 
     // Injected latency jitter is added before the FIFO clamp below,
     // so a jitter-only fault plan perturbs timing without ever

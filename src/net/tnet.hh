@@ -13,13 +13,10 @@
  * static routing ("passes messages in order", Section 4.1) — the
  * property that makes a GET reply usable as a PUT acknowledgement.
  *
- * An optional link-contention mode (beyond the paper's MLSim, which
- * has no contention model) serializes messages over each directed
- * torus link at the link bandwidth, in one machine-wide table: it
- * needs the sequential kernel (hw::Machine refuses it otherwise).
- * Everything else a send touches belongs to the sender's kernel
- * shard (set_shards()) or, for fault decisions, the sender itself,
- * so senders on different shards share nothing and take no lock.
+ * Like MLSim, the model has no link contention. Everything a send
+ * touches belongs to the sender's kernel shard (set_shards()) or,
+ * for fault decisions, the sender itself, so senders on different
+ * shards share nothing and take no lock.
  */
 
 #ifndef AP_NET_TNET_HH
@@ -53,8 +50,6 @@ struct TnetParams
     double perByteUs = 0.04;
     /** network_epilog_time: fixed ejection cost. */
     double epilogUs = 0.0;
-    /** model per-link serialization (extension; off = paper model). */
-    bool linkContention = false;
 };
 
 /** Aggregate T-net statistics. */
@@ -154,8 +149,6 @@ class Tnet final : public Link
         TnetStats stats; ///< unfolded (row 0 writes netStats)
     };
 
-    Tick contention_arrival(const Message &msg, Tick inject);
-
     void schedule_delivery(Message msg, Tick arrive);
 
     /** Annotate injected fault "@p what<kind>" on the machine track
@@ -170,8 +163,6 @@ class Tnet final : public Link
     std::vector<Deliver> handlers;
     std::vector<SendRow> rows;         ///< one per kernel shard
     std::vector<std::uint32_t> rowOf; ///< cell -> row
-    /** per directed link (from * size + to) busy-until (contention). */
-    std::unordered_map<std::uint64_t, Tick> linkBusy;
     TnetStats netStats;
     obs::SpanLayer *spans = nullptr;
 };

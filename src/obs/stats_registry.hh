@@ -29,7 +29,7 @@
  * mutex, so the runtimes of cells on different shards may bind and
  * clear their rows concurrently. Queries take no lock and call the
  * registered gauge functions: run them while nothing registers, i.e.
- * after the simulator drains or on the sequential kernel. The
+ * after the simulator drains or on one kernel shard. The
  * *backing state* is where the shards meet: per-cell component
  * counters are shard-local by construction (a cell's events run on
  * one shard), the T-net folds its other shards' rows into its totals

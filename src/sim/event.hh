@@ -1,9 +1,9 @@
 /**
  * @file
- * Pooled event representation for the simulation kernels.
+ * Pooled event representation for the simulation kernel.
  *
- * Two pieces, shared by the sequential Simulator and every
- * ShardedSimulator shard (sim/ladderq.hh ties them together):
+ * Two pieces, shared by every shard of the Simulator
+ * (sim/ladderq.hh ties them together):
  *
  *   EventFn   A move-only, small-buffer-optimized callable replacing
  *             the per-event std::function<void()>. Closures up to
@@ -21,9 +21,9 @@
  *
  * Neither type is thread-safe on its own: a pool is owned by exactly
  * one queue, and every queue is only touched by one thread at a time
- * (the sequential kernel trivially; shard queues by the owning worker
- * during rounds and by the coordinator at barriers, ordered by the
- * round handshake).
+ * (one shard trivially; shard queues by the owning worker during
+ * rounds and by the coordinator at barriers, ordered by the round
+ * handshake).
  */
 
 #ifndef AP_SIM_EVENT_HH
@@ -220,7 +220,7 @@ class EventPool
     EventPool &operator=(const EventPool &) = delete;
 
     EventNode *
-    acquire(Tick when, std::uint64_t seq, int affinity, EventFn fn)
+    acquire(Tick when, std::uint64_t seq, int affinity, EventFn &&fn)
     {
         EventNode *n;
         if (freeHead) {

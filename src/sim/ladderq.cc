@@ -68,7 +68,7 @@ LadderQueue::heap_pop(std::vector<EventNode *> &heap)
 
 void
 LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
-                  EventFn fn)
+                  EventFn &&fn)
 {
     // max_tick is the kernel-wide "nothing pending" sentinel (the
     // parallel run loop already treats it as queue-empty), so an
@@ -184,10 +184,10 @@ LadderQueue::rebase()
 }
 
 EventNode *
-LadderQueue::pop()
+LadderQueue::pop(Tick end)
 {
     EventNode *top = materialize();
-    if (!top)
+    if (!top || top->when >= end)
         return nullptr;
     EventNode *n = heap_pop(front);
     --numEvents;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Ladder (calendar) event queue — the one pending-event structure
- * behind both simulation kernels.
+ * Ladder (calendar) event queue — the pending-event structure of
+ * every kernel shard.
  *
  * The machine's tick distribution is near-monotonic: almost every
  * event lands within a few microseconds of the clock (DMA stages,
@@ -26,7 +26,7 @@
  *
  * Ordering contract (the determinism contract): pop() returns nodes
  * in exactly ascending (when, seq) — identical to the binary heap it
- * replaces — whatever order they were pushed in. The kernels pass
+ * replaces — whatever order they were pushed in. The kernel passes
  * the event's ordering key as seq (sim/eventq.hh), so the key alone
  * decides same-tick order. tests/test_ladderq.cc cross-checks random
  * schedules against a reference heap.
@@ -63,7 +63,7 @@ class LadderQueue
     /** Schedule. @p seq must be unique among the pending nodes of
      *  one tick; it breaks ties between them. */
     void push(Tick when, std::uint64_t seq, int affinity,
-              EventFn fn);
+              EventFn &&fn);
 
     /**
      * Earliest pending node, or nullptr when empty. Logically const:
@@ -86,10 +86,11 @@ class LadderQueue
     }
 
     /**
-     * Remove and return the earliest node. The caller runs the
+     * Remove and return the earliest node if it lies before @p end
+     * (nullptr otherwise, or when empty). The caller runs the
      * closure, then must hand the node back via release().
      */
-    EventNode *pop();
+    EventNode *pop(Tick end = max_tick);
 
     /** Recycle a node obtained from pop(). */
     void release(EventNode *n) { pool.release(n); }

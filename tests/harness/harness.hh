@@ -148,8 +148,8 @@ struct RunOutcome
  * machine's stats-registry JSON / Chrome trace are written after the
  * simulator drains (a replayed failure seed becomes a timeline).
  *
- * @p threads > 1 runs the sharded parallel kernel, which must give
- * the same run as the sequential kernel (check_threads_differential).
+ * @p threads > 1 runs the kernel on worker threads, which must give
+ * the same run as threads = 1 (check_threads_differential).
  *
  * With @p collectStats off, the outcome's statsDelta and statsJson
  * stay empty: walking and rendering the registry costs several
@@ -177,12 +177,12 @@ std::string check_against_golden(const OpProgram &prog,
                                  bool reliable = false);
 
 /**
- * Differential determinism check: run @p prog under @p plan on the
- * sequential kernel (threads=1) and on the parallel sharded kernel
- * at each of @p threads, and require every parallel run to be
- * indistinguishable from the sequential one: identical tick-history
- * digests, identical final memory images of every cell, and identical
- * stats-registry JSON outside the kernel's own "sim." subtree.
+ * Differential determinism check: run @p prog under @p plan at
+ * threads=1 and at each of @p threads, and require every parallel
+ * run to be indistinguishable from the one-thread run: identical
+ * tick-history digests, identical final memory images of every cell,
+ * and identical stats-registry JSON outside the kernel's own "sim."
+ * subtree.
  * @return empty string on success, a diagnostic naming the first
  * divergence otherwise.
  */

@@ -41,7 +41,7 @@ struct Options
     long iters = -1; // unlimited within the duration budget
     /** Stack the reliable-delivery layer under the MSC+. */
     bool reliable = false;
-    /** Worker threads of the sharded kernel (1 = sequential). */
+    /** Worker threads of the event kernel (1 = one shard). */
     int threads = 1;
     /** Differential mode: each iteration runs threads=1 against the
      *  parallel kernel at --threads (default: 2, 4 and 8) and requires

@@ -1,29 +1,65 @@
 /**
  * @file
- * Unit tests of the discrete-event kernel.
+ * Unit tests of the discrete-event kernel (sim/eventq.hh) for the
+ * behaviour that holds at any shard count: each runs at one shard and
+ * at four. Also the per-timeline tick digest and tick conversion.
+ * What only a parallel run has is in test_shardq.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "phold_workload.hh"
 #include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::sim;
+using test::kLookahead;
+using test::Workload;
 
-TEST(EventQueue, StartsAtTickZeroAndEmpty)
+namespace
 {
-    Simulator sim;
+
+constexpr int kTimelines = 16;
+
+/** The kernel over kTimelines timelines at the parameter's shard
+ *  count. */
+class EventKernel : public ::testing::TestWithParam<int>
+{
+  protected:
+    Simulator sim{GetParam(), kTimelines, kLookahead};
+};
+
+std::string
+shard_name(const ::testing::TestParamInfo<int> &info)
+{
+    return std::to_string(info.param) +
+           (info.param == 1 ? "shard" : "shards");
+}
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Shards, EventKernel, ::testing::Values(1, 4),
+                         shard_name);
+
+TEST_P(EventKernel, StartsAtTickZeroAndEmpty)
+{
     EXPECT_EQ(sim.now(), 0u);
     EXPECT_TRUE(sim.empty());
     EXPECT_EQ(sim.pending(), 0u);
-    EXPECT_FALSE(sim.step());
+    EXPECT_EQ(sim.run(), 0u);
+    EXPECT_EQ(sim.executed(), 0u);
+    EXPECT_FALSE(sim.executing());
 }
 
-TEST(EventQueue, ExecutesInTimeOrder)
+TEST_P(EventKernel, ExecutesInTimeOrder)
 {
-    Simulator sim;
     std::vector<int> order;
     sim.schedule(30, [&]() { order.push_back(3); });
     sim.schedule(10, [&]() { order.push_back(1); });
@@ -33,9 +69,8 @@ TEST(EventQueue, ExecutesInTimeOrder)
     EXPECT_EQ(sim.now(), 30u);
 }
 
-TEST(EventQueue, SameTickFifo)
+TEST_P(EventKernel, SameTickFifo)
 {
-    Simulator sim;
     std::vector<int> order;
     for (int i = 0; i < 100; ++i)
         sim.schedule(5, [&, i]() { order.push_back(i); });
@@ -44,9 +79,8 @@ TEST(EventQueue, SameTickFifo)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, HandlersMayScheduleMoreEvents)
+TEST_P(EventKernel, HandlersMayScheduleMoreEvents)
 {
-    Simulator sim;
     int fired = 0;
     std::function<void()> chain = [&]() {
         ++fired;
@@ -59,23 +93,25 @@ TEST(EventQueue, HandlersMayScheduleMoreEvents)
     EXPECT_EQ(sim.now(), 40u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
+TEST_P(EventKernel, RunUntilStopsAtLimitAndResumes)
 {
-    Simulator sim;
-    int fired = 0;
-    sim.schedule(10, [&]() { ++fired; });
-    sim.schedule(20, [&]() { ++fired; });
-    sim.schedule(30, [&]() { ++fired; });
-    sim.run_until(20);
+    std::atomic<int> fired{0};
+    for (int i = 0; i < 4; ++i)
+        sim.schedule_for(4 * i, static_cast<Tick>(100 * (i + 1)),
+                         [&] { ++fired; });
+    EXPECT_EQ(sim.run_until(250), 200u);
     EXPECT_EQ(fired, 2);
-    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.pending(), 2u);
+    EXPECT_FALSE(sim.empty());
     sim.run();
-    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(fired, 4);
+    EXPECT_TRUE(sim.empty());
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.executed(), 4u);
 }
 
-TEST(EventQueue, ZeroDelayEventRunsAtCurrentTick)
+TEST_P(EventKernel, ZeroDelayEventRunsAtCurrentTick)
 {
-    Simulator sim;
     Tick seen = max_tick;
     sim.schedule(15, [&]() {
         sim.schedule_after(0, [&]() { seen = sim.now(); });
@@ -84,37 +120,16 @@ TEST(EventQueue, ZeroDelayEventRunsAtCurrentTick)
     EXPECT_EQ(seen, 15u);
 }
 
-TEST(EventQueue, ExecutedCounterCounts)
+TEST_P(EventKernel, ExecutedCounterCounts)
 {
-    Simulator sim;
     for (int i = 0; i < 7; ++i)
-        sim.schedule(static_cast<Tick>(i), []() {});
+        sim.schedule_for(i, static_cast<Tick>(i), []() {});
     sim.run();
     EXPECT_EQ(sim.executed(), 7u);
 }
 
-TEST(EventQueueDeath, SchedulingInThePastPanics)
+TEST_P(EventKernel, JitterHookStretchesRelativeDelaysOnly)
 {
-    Simulator sim;
-    sim.schedule(10, []() {});
-    sim.run();
-    EXPECT_DEATH(sim.schedule(5, []() {}), "past");
-}
-
-TEST(EventQueueDeath, SchedulingBehindRunUntilClockPanics)
-{
-    // run_until() leaves the clock at the last executed event; the
-    // past-check must hold against that clock, not the limit.
-    Simulator sim;
-    sim.schedule(40, []() {});
-    sim.run_until(100);
-    EXPECT_EQ(sim.now(), 40u);
-    EXPECT_DEATH(sim.schedule(39, []() {}), "past");
-}
-
-TEST(EventQueue, JitterHookStretchesRelativeDelaysOnly)
-{
-    Simulator sim;
     sim.set_delay_jitter([](Tick) { return Tick{7}; });
     Tick relative = 0;
     Tick absolute = 0;
@@ -127,9 +142,8 @@ TEST(EventQueue, JitterHookStretchesRelativeDelaysOnly)
     EXPECT_EQ(absolute, 10u);
 }
 
-TEST(EventQueue, JitterHookSeesTheOriginalDelta)
+TEST_P(EventKernel, JitterHookSeesTheOriginalDelta)
 {
-    Simulator sim;
     std::vector<Tick> seen;
     sim.set_delay_jitter([&](Tick dt) {
         seen.push_back(dt);
@@ -141,9 +155,8 @@ TEST(EventQueue, JitterHookSeesTheOriginalDelta)
     EXPECT_EQ(seen, (std::vector<Tick>{10, 20}));
 }
 
-TEST(EventQueue, ClearingJitterHookRestoresExactDelays)
+TEST_P(EventKernel, ClearingJitterHookRestoresExactDelays)
 {
-    Simulator sim;
     sim.set_delay_jitter([](Tick) { return Tick{1000}; });
     sim.set_delay_jitter(nullptr);
     Tick fired = 0;
@@ -152,12 +165,11 @@ TEST(EventQueue, ClearingJitterHookRestoresExactDelays)
     EXPECT_EQ(fired, 10u);
 }
 
-TEST(EventQueue, JitteredZeroDelayStillRespectsFifoWithinTick)
+TEST_P(EventKernel, JitteredZeroDelayStillRespectsFifoWithinTick)
 {
     // A jitter hook returning zero keeps schedule_after(0) at the
     // current tick, and the event still queues behind same-tick
     // events scheduled earlier.
-    Simulator sim;
     sim.set_delay_jitter([](Tick) { return Tick{0}; });
     std::vector<int> order;
     sim.schedule(5, [&]() {
@@ -169,12 +181,11 @@ TEST(EventQueue, JitteredZeroDelayStillRespectsFifoWithinTick)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, LargeSameTickBatchDrainsInInsertionOrder)
+TEST_P(EventKernel, LargeSameTickBatchDrainsInInsertionOrder)
 {
     // Drain-order stability at scale: the heap tie-breaks same-tick
     // entries by sequence number, so even a batch far larger than any
     // real burst must come out exactly in insertion order.
-    Simulator sim;
     constexpr int n = 10000;
     std::vector<int> order;
     order.reserve(n);
@@ -186,12 +197,11 @@ TEST(EventQueue, LargeSameTickBatchDrainsInInsertionOrder)
         ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "at " << i;
 }
 
-TEST(EventQueue, HandlerInsertionsQueueBehindExistingSameTickEvents)
+TEST_P(EventKernel, HandlerInsertionsQueueBehindExistingSameTickEvents)
 {
     // Events a handler schedules at the *current* tick run after
     // everything already queued for that tick (seq order), never
     // before — the property same-tick delivery chains rely on.
-    Simulator sim;
     std::vector<int> order;
     sim.schedule(9, [&]() {
         order.push_back(0);
@@ -202,25 +212,51 @@ TEST(EventQueue, HandlerInsertionsQueueBehindExistingSameTickEvents)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, ScheduleForRecordsAffinityInHistory)
+TEST_P(EventKernel, SameTickEventsRunInSourceSequenceOrder)
 {
-    Simulator sim;
+    // Four sources schedule same-tick events for one cell: the
+    // outside source (setup), the cell itself, and cells 5 and 10 —
+    // which sit on other shards at four shards. Cell 10 schedules
+    // first in model time, yet the order is (source, sequence):
+    // outside, cell 0, cell 5, cell 10, each in issue order.
+    const Tick target = 1000;
+    std::vector<int> order; // appended on cell 0's shard only
+    auto at = [&](int tag) {
+        return [&order, tag] { order.push_back(tag); };
+    };
+    sim.schedule_for(10, 1, [&] {
+        sim.schedule_for(0, target, at(100));
+        sim.schedule_for(0, target, at(101));
+    });
+    sim.schedule_for(5, 2, [&] {
+        sim.schedule_for(0, target, at(50));
+        sim.schedule_for(0, target, at(51));
+    });
+    sim.schedule_for(0, 3, [&] { sim.schedule(target, at(0)); });
+    sim.schedule_for(0, target, at(-1));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 50, 51, 100, 101}));
+}
+
+TEST_P(EventKernel, ScheduleForRecordsAffinityInHistory)
+{
     TickHistory hist;
     hist.set_keep_log(16);
     sim.set_history(&hist);
     sim.schedule_for(4, 10, []() {});
     sim.schedule_for(-1, 20, []() {});
     sim.run();
-    ASSERT_EQ(hist.log().size(), 2u);
-    EXPECT_EQ(hist.log()[0], (std::pair<Tick, int>{10, 4}));
-    EXPECT_EQ(hist.log()[1], (std::pair<Tick, int>{20, -1}));
+    // Recording order is host-dependent across shards.
+    std::vector<std::pair<Tick, int>> log = hist.log();
+    std::sort(log.begin(), log.end());
+    EXPECT_EQ(log, (std::vector<std::pair<Tick, int>>{{10, 4},
+                                                      {20, -1}}));
 }
 
-TEST(EventQueue, ScheduleInheritsCurrentEventAffinity)
+TEST_P(EventKernel, ScheduleInheritsCurrentEventAffinity)
 {
     // Follow-up work a handler schedules without annotation stays on
     // the handler's own timeline; history shows the inherited id.
-    Simulator sim;
     TickHistory hist;
     hist.set_keep_log(16);
     sim.set_history(&hist);
@@ -232,28 +268,93 @@ TEST(EventQueue, ScheduleInheritsCurrentEventAffinity)
     });
     sim.run();
     EXPECT_EQ(insideAffinity, 7);
+    EXPECT_EQ(sim.current_affinity(), 0); // at rest
     ASSERT_EQ(hist.log().size(), 3u);
     EXPECT_EQ(hist.log()[1], (std::pair<Tick, int>{20, 7}));
     EXPECT_EQ(hist.log()[2], (std::pair<Tick, int>{25, 7}));
 }
 
-TEST(EventQueue, HistoryDigestMatchesAcrossIdenticalRuns)
+TEST_P(EventKernel, RunIsReproducibleRunToRun)
 {
-    auto run_one = []() {
-        Simulator sim;
+    const int cells = kTimelines, hops = 60;
+    std::uint64_t digests[2];
+    std::uint64_t hists[2];
+    for (int rep = 0; rep < 2; ++rep) {
+        Simulator k(GetParam(), kTimelines, kLookahead);
         TickHistory hist;
-        sim.set_history(&hist);
-        for (int i = 0; i < 50; ++i)
-            sim.schedule_for(i % 5, static_cast<Tick>(10 * i),
-                             []() {});
-        sim.run();
-        return hist;
+        k.set_history(&hist);
+        Workload w(cells);
+        w.start(k, cells, hops);
+        k.run();
+        digests[rep] = w.digest();
+        hists[rep] = hist.hash();
+    }
+    EXPECT_EQ(digests[0], digests[1]);
+    EXPECT_EQ(hists[0], hists[1]);
+}
+
+TEST_P(EventKernel, SchedulingInThePastPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim.schedule(10, []() {});
+    sim.run();
+    EXPECT_DEATH(sim.schedule(5, []() {}), "past");
+    // Inside an event, onto another timeline (another shard at four).
+    EXPECT_DEATH(
+        {
+            Simulator k(GetParam(), kTimelines, kLookahead);
+            k.schedule_for(0, 50, [&] {
+                k.schedule_for(15, 10, [] {});
+            });
+            k.run();
+        },
+        "past");
+}
+
+TEST_P(EventKernel, SchedulingBehindRunUntilClockPanics)
+{
+    // run_until() leaves the clock at the last executed event; the
+    // past-check must hold against that clock, not the limit.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim.schedule(40, []() {});
+    sim.run_until(100);
+    EXPECT_EQ(sim.now(), 40u);
+    EXPECT_DEATH(sim.schedule(39, []() {}), "past");
+}
+
+TEST(TickHistoryUnit, DigestFollowsEachTimelinesOwnOrder)
+{
+    auto digest = [](std::initializer_list<std::pair<Tick, int>> evs) {
+        TickHistory h;
+        for (auto [t, a] : evs)
+            h.record(t, a);
+        return h;
     };
-    TickHistory a = run_one();
-    TickHistory b = run_one();
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a.digest(), b.digest());
-    EXPECT_EQ(a.events(), 50u);
+    TickHistory base = digest({{10, 1}, {20, 1}, {10, 2}, {30, 2}});
+    EXPECT_EQ(base.events(), 4u);
+
+    // How two timelines interleave does not matter...
+    TickHistory interleaved =
+        digest({{10, 2}, {10, 1}, {30, 2}, {20, 1}});
+    EXPECT_TRUE(base == interleaved);
+    EXPECT_EQ(base.digest(), interleaved.digest());
+
+    // ...but one timeline's own sequence does: a retimed, dropped,
+    // duplicated or reordered event changes the digest.
+    for (const TickHistory &changed :
+         {digest({{10, 1}, {21, 1}, {10, 2}, {30, 2}}),
+          digest({{10, 1}, {10, 2}, {30, 2}}),
+          digest({{10, 1}, {20, 1}, {20, 1}, {10, 2}, {30, 2}}),
+          digest({{20, 1}, {10, 1}, {10, 2}, {30, 2}}),
+          digest({{10, 1}, {20, 2}, {10, 2}, {30, 2}})}) {
+        EXPECT_NE(base.hash(), changed.hash());
+        EXPECT_FALSE(base == changed);
+    }
+
+    TickHistory c = base;
+    c.reset();
+    EXPECT_EQ(c.events(), 0u);
+    EXPECT_EQ(c.hash(), TickHistory{}.hash());
 }
 
 TEST(TickConversion, MicrosecondRoundTrip)

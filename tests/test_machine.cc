@@ -1,9 +1,8 @@
 /**
  * @file
  * Machine-level integration tests: network statistics, determinism
- * across runs, back-to-back SPMD programs on one machine, the
- * link-contention extension, and end-to-end functional-vs-MLSim
- * consistency for a mixed workload.
+ * across runs, back-to-back SPMD programs on one machine, and
+ * end-to-end functional-vs-MLSim consistency for a mixed workload.
  */
 
 #include <gtest/gtest.h>
@@ -90,41 +89,6 @@ TEST(Machine, BackToBackProgramsShareOneMachine)
     // Time keeps advancing; the second run starts where the first
     // ended.
     EXPECT_GT(r2.finishTick, t1);
-}
-
-TEST(Machine, LinkContentionSlowsSharedIntermediateLinks)
-{
-    // On the 2x4 torus of an 8-cell machine, dimension-order routes
-    // 4 -> 1 and 6 -> 3 both traverse the directed link 5 -> 3 while
-    // ending at *different* receivers (so receive-DMA serialization
-    // cannot mask the effect). With link contention the second
-    // message waits out the first's body on the shared link.
-    ASSERT_EQ(net::Torus::squarest(8).width(), 2);
-    auto run_with = [](bool contention) {
-        hw::MachineConfig cfg = small(8);
-        cfg.tnet.linkContention = contention;
-        hw::Machine m(cfg);
-        auto r = run_spmd(m, [](Context &ctx) {
-            constexpr std::uint32_t bytes = 1 << 16;
-            Addr buf = ctx.alloc(bytes);
-            Addr rf = ctx.alloc_flag();
-            ctx.barrier();
-            if (ctx.id() == 4)
-                ctx.put(1, buf, buf, bytes, no_flag, rf);
-            if (ctx.id() == 6)
-                ctx.put(3, buf, buf, bytes, no_flag, rf);
-            if (ctx.id() == 1 || ctx.id() == 3)
-                ctx.wait_flag(rf, 1);
-            ctx.barrier();
-        });
-        EXPECT_FALSE(r.deadlock);
-        return r.finishTick;
-    };
-    Tick plain = run_with(false);
-    Tick contended = run_with(true);
-    EXPECT_GT(contended, plain);
-    // Roughly one extra message body on the shared link.
-    EXPECT_GT(contended - plain, us_to_ticks(0.04 * (1 << 16) / 2));
 }
 
 TEST(Machine, TlbSeesTrafficDuringDma)
@@ -224,16 +188,6 @@ TEST(Machine, FaultHookCoversEveryCell)
     set_quiet(false);
     EXPECT_EQ(faults, 3);
     EXPECT_EQ(m.cell(2).msc().stats().remoteFaults, 3u);
-}
-
-TEST(MachineDeath, LinkContentionRefusesTheParallelKernel)
-{
-    // Link reservations are machine-global state claimed in sender
-    // order, which only the sequential kernel fixes.
-    hw::MachineConfig cfg = small(8);
-    cfg.tnet.linkContention = true;
-    cfg.threads = 2;
-    EXPECT_DEATH({ hw::Machine m(cfg); }, "tnet.linkContention");
 }
 
 // ------------------------------------- parallel kernel == threads=1

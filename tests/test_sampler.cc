@@ -5,8 +5,8 @@
  * correctness against hand-computed snapshots, driving a real event
  * queue in period slices, JSON schema, the CSV export round-trip,
  * the registry's skip-prefix dump, and the observer guarantee —
- * sampling must not perturb the byte-identity between the sequential
- * and the parallel sharded kernel.
+ * sampling must not perturb the byte-identity between one kernel
+ * thread and several.
  */
 
 #include <gtest/gtest.h>
@@ -397,6 +397,6 @@ TEST(Sampler, ObserverDoesNotPerturbShardedByteIdentity)
         EXPECT_EQ(plainTick, parTick) << threads << " threads";
         EXPECT_EQ(plain, par)
             << "sampled parallel run at " << threads
-            << " threads diverged from the sequential kernel";
+            << " threads diverged from one thread";
     }
 }

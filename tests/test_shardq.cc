@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests of the sharded parallel event kernel (sim/shardq.hh):
- * lookahead/horizon math, cross-shard handoffs, the one same-tick
- * order (tick, source timeline, source sequence) at every shard
- * count, safe-horizon execution, equality with the sequential
- * kernel, the lookahead contract, current_affinity() on workers, the
- * per-timeline tick digest, and the kill path under worker threads
- * (SpmdResult::failedCells).
+ * Unit tests of the event kernel (sim/eventq.hh) with more than one
+ * shard: equality with one shard at several shard counts, the window
+ * arithmetic (including saturation at max_tick), the contiguous-block
+ * timeline map, cross-shard handoffs, safe-horizon execution, the
+ * lookahead contract, window telemetry, and the kill path under
+ * worker threads (SpmdResult::failedCells).
  */
 
 #include <gtest/gtest.h>
@@ -14,218 +13,145 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/program.hh"
 #include "hw/config.hh"
 #include "hw/machine.hh"
+#include "phold_workload.hh"
 #include "sim/eventq.hh"
-#include "sim/shardq.hh"
 
 using namespace ap;
 using namespace ap::sim;
+using test::kLookahead;
+using test::Workload;
 
 namespace
 {
 
-constexpr Tick kLookahead = 100;
-
-/** xorshift64 — a deterministic per-test value stream. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-}
-
-/**
- * A PHOLD-style workload over @p cells logical timelines: every cell
- * starts one event chain; each firing updates the cell's private
- * state and reschedules onto a pseudo-random cell with a delay of at
- * least the lookahead (self-sends may be shorter). Order-sensitive
- * per-cell digests make any mis-ordering visible.
- */
-struct Workload
-{
-    explicit Workload(int cells)
-        : state(static_cast<std::size_t>(cells)),
-          fired(static_cast<std::size_t>(cells))
-    {
-    }
-
-    void
-    start(Simulator &sim, int cells, int hops)
-    {
-        for (int c = 0; c < cells; ++c)
-            sim.schedule_for(
-                c, static_cast<Tick>(c % 7),
-                [this, &sim, c, cells, hops] {
-                    step(sim, c, cells, hops);
-                });
-    }
-
-    void
-    step(Simulator &sim, int c, int cells, int hops)
-    {
-        auto idx = static_cast<std::size_t>(c);
-        state[idx] =
-            mix(state[idx] + sim.now() * 31 +
-                static_cast<std::uint64_t>(c) + 1);
-        if (++fired[idx] >= hops)
-            return;
-        std::uint64_t r = state[idx];
-        int next = static_cast<int>(
-            r % static_cast<std::uint64_t>(cells));
-        Tick delay = next == c
-                         ? 1 + (r >> 8) % 40
-                         : kLookahead + (r >> 8) % 200;
-        sim.schedule_after_for(next, delay, [this, &sim, next,
-                                             cells, hops] {
-            step(sim, next, cells, hops);
-        });
-    }
-
-    std::uint64_t
-    digest() const
-    {
-        std::uint64_t d = 0xcbf29ce484222325ull;
-        for (std::uint64_t s : state)
-            d = mix(d ^ s);
-        return d;
-    }
-
-    std::vector<std::uint64_t> state;
-    std::vector<int> fired;
-};
+constexpr int kTimelines = 16;
 
 } // namespace
 
-TEST(ShardQ, SingleShardMatchesSequentialBitForBit)
-{
-    const int cells = 8, hops = 50;
-
-    Simulator seq;
-    TickHistory seqHist;
-    seq.set_history(&seqHist);
-    Workload wseq(cells);
-    wseq.start(seq, cells, hops);
-    Tick seqEnd = seq.run();
-
-    ShardConfig cfg;
-    cfg.shards = 1;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    TickHistory shHist;
-    sh.set_history(&shHist);
-    Workload wsh(cells);
-    wsh.start(sh, cells, hops);
-    Tick shEnd = sh.run();
-
-    EXPECT_EQ(seqEnd, shEnd);
-    EXPECT_EQ(seq.executed(), sh.executed());
-    EXPECT_EQ(seqHist.digest(), shHist.digest());
-    EXPECT_EQ(wseq.digest(), wsh.digest());
-}
-
-TEST(ShardQ, ParallelMatchesSequentialAcrossShardCounts)
+TEST(EventKernelParallel, ParallelMatchesOneShardAcrossShardCounts)
 {
     const int cells = 12, hops = 40;
 
-    Simulator seq;
-    TickHistory seqHist;
-    seq.set_history(&seqHist);
-    Workload wseq(cells);
-    wseq.start(seq, cells, hops);
-    seq.run();
+    Simulator one;
+    TickHistory oneHist;
+    one.set_history(&oneHist);
+    Workload wone(cells);
+    wone.start(one, cells, hops);
+    one.run();
 
     for (int shards : {2, 3, 4, 8}) {
-        ShardConfig cfg;
-        cfg.shards = shards;
-        cfg.lookahead = kLookahead;
-        ShardedSimulator sh(cfg);
+        Simulator sh(shards, cells, kLookahead);
         TickHistory hist;
         sh.set_history(&hist);
         Workload w(cells);
         w.start(sh, cells, hops);
         sh.run();
 
-        EXPECT_EQ(seqHist.digest(), hist.digest())
+        EXPECT_EQ(oneHist.digest(), hist.digest())
             << "shards=" << shards;
-        EXPECT_EQ(wseq.digest(), w.digest()) << "shards=" << shards;
-        EXPECT_EQ(seq.executed(), sh.executed());
-        EXPECT_GT(sh.windows(), 0u);
+        EXPECT_EQ(wone.digest(), w.digest()) << "shards=" << shards;
+        EXPECT_EQ(one.executed(), sh.executed());
+        EXPECT_GT(sh.window_stats().windows, 0u);
     }
 }
 
-TEST(ShardQ, SafeHorizonIsMinPendingPlusLookahead)
+TEST(EventKernelParallel, WindowIsMinPendingPlusLookahead)
 {
-    ShardConfig cfg;
-    cfg.shards = 4;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    // Four timelines, one per shard. Each window starts at the
+    // globally earliest pending tick and ends one lookahead later,
+    // or just past a run_until() limit.
+    Simulator sim(4, 4, kLookahead);
+    std::vector<WindowRecord> recs;
+    sim.set_window_hook(
+        [&](const WindowRecord &w) { recs.push_back(w); });
+    sim.schedule_for(0, 500, [] {});
+    sim.schedule_for(1, 300, [] {});
+    sim.schedule_for(2, 900, [] {});
+    sim.schedule_for(3, 350, [] {});
+    sim.run_until(320);
+    sim.run();
 
-    EXPECT_EQ(sh.safe_horizon(0), max_tick); // idle: no bound
-    sh.schedule_for(0, 500, [] {});
-    sh.schedule_for(1, 300, [] {});
-    sh.schedule_for(2, 900, [] {});
-    EXPECT_EQ(sh.shard_next(0), 500u);
-    EXPECT_EQ(sh.shard_next(1), 300u);
-    EXPECT_EQ(sh.shard_next(3), max_tick);
-    for (int s = 0; s < 4; ++s)
-        EXPECT_EQ(sh.safe_horizon(s), 300u + kLookahead);
+    ASSERT_EQ(recs.size(), 4u);
+    const Tick starts[] = {300, 350, 500, 900};
+    const Tick ends[] = {321, 350 + kLookahead, 500 + kLookahead,
+                         900 + kLookahead};
+    const Tick advances[] = {0, 50, 150, 400};
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].index, i);
+        EXPECT_EQ(recs[i].start, starts[i]) << "window " << i;
+        EXPECT_EQ(recs[i].end, ends[i]) << "window " << i;
+        EXPECT_EQ(recs[i].advance, advances[i]) << "window " << i;
+        EXPECT_EQ(recs[i].events, 1u) << "window " << i;
+    }
+    // The first window ran timeline 1's event on shard 1 only.
+    ASSERT_EQ(recs[0].shards.size(), 4u);
+    EXPECT_EQ(recs[0].shards[1].events, 1u);
+    EXPECT_EQ(recs[0].shards[1].last, 300u);
+    EXPECT_EQ(recs[0].shards[0].events, 0u);
+    EXPECT_EQ(recs[0].shards[0].last, 0u);
+    EXPECT_EQ(recs[0].imbalanceX1000, 4000u);
 }
 
-TEST(ShardQ, HorizonSaturatesAtMaxTick)
+TEST(EventKernelParallel, HorizonSaturatesAtMaxTick)
 {
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = max_tick;
-    ShardedSimulator sh(cfg);
-    sh.schedule_for(0, 10, [] {});
-    EXPECT_EQ(sh.safe_horizon(0), max_tick);
+    std::vector<WindowRecord> recs;
+    auto hook = [&](const WindowRecord &w) { recs.push_back(w); };
+
+    Simulator huge(2, 2, max_tick);
+    huge.set_window_hook(hook);
+    huge.schedule_for(0, 10, [] {});
+    huge.run();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].end, max_tick);
+
+    recs.clear();
+    Simulator late(2, 2, kLookahead);
+    late.set_window_hook(hook);
+    late.schedule_for(1, max_tick - 10, [] {});
+    late.run();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].end, max_tick);
+    EXPECT_EQ(late.now(), max_tick - 10);
 }
 
-TEST(ShardQ, DefaultAffinityMapIsModuloWithNegativesOnShardZero)
+TEST(EventKernelParallel, BlockMapRoutesContiguousBlocks)
 {
-    ShardConfig cfg;
-    cfg.shards = 3;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    EXPECT_EQ(sh.shard_of(0), 0);
-    EXPECT_EQ(sh.shard_of(4), 1);
-    EXPECT_EQ(sh.shard_of(5), 2);
-    EXPECT_EQ(sh.shard_of(-1), 0);
-}
+    Simulator sim(2, kTimelines, kLookahead);
+    EXPECT_EQ(sim.shards(), 2);
+    EXPECT_EQ(sim.shard_of(-1), 0);
+    EXPECT_EQ(sim.shard_of(7), 0);
+    EXPECT_EQ(sim.shard_of(8), 1);
+    EXPECT_EQ(sim.shard_of(kTimelines), 1); // past the end: last
 
-TEST(ShardQ, CustomAffinityMapRoutesContiguousBlocks)
-{
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    cfg.affinityMap = [](int a) { return a < 8 ? 0 : 1; };
-    ShardedSimulator sh(cfg);
-    EXPECT_EQ(sh.shard_of(7), 0);
-    EXPECT_EQ(sh.shard_of(8), 1);
+    // Uneven blocks: 8 timelines over 3 shards.
+    Simulator three(3, 8, kLookahead);
+    std::vector<int> got;
+    for (int a = 0; a < 8; ++a)
+        got.push_back(three.shard_of(a));
+    EXPECT_EQ(got, (std::vector<int>{0, 0, 0, 1, 1, 1, 2, 2}));
+
+    // More threads than timelines: one shard per timeline.
+    EXPECT_EQ(Simulator(8, 3, kLookahead).shards(), 3);
 
     // Same-tick events on different shards drain concurrently.
     std::atomic<int> ran{0};
-    sh.schedule_for(9, 5, [&] { ++ran; });
-    sh.schedule_for(3, 5, [&] { ++ran; });
-    sh.run();
+    sim.schedule_for(9, 5, [&] { ++ran; });
+    sim.schedule_for(3, 5, [&] { ++ran; });
+    sim.run();
     EXPECT_EQ(ran, 2);
-    EXPECT_EQ(sh.shard_stats(0).executed, 1u);
-    EXPECT_EQ(sh.shard_stats(1).executed, 1u);
+    EXPECT_EQ(sim.shard_stats(0).executed, 1u);
+    EXPECT_EQ(sim.shard_stats(1).executed, 1u);
 }
 
-TEST(ShardQ, CrossShardHandoffCountsBothSides)
+TEST(EventKernelParallel, CrossShardHandoffCountsBothSides)
 {
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-
+    Simulator sh(2, 2, kLookahead);
     sh.schedule_for(0, 0, [&] {
         // Executes on shard 0; schedules onto shard 1.
         sh.schedule_after_for(1, kLookahead, [] {});
@@ -236,121 +162,31 @@ TEST(ShardQ, CrossShardHandoffCountsBothSides)
     EXPECT_EQ(sh.executed(), 2u);
 }
 
-TEST(ShardQ, SameTickEventsRunInSourceSequenceOrderAtAnyShardCount)
-{
-    // Four sources schedule same-tick events for one cell: the
-    // outside source (setup), the cell itself, and cells 2 and 5 —
-    // which sit on other shards at 2 and 4 shards. Cell 5 schedules
-    // first in model time, yet the order is (source, sequence):
-    // outside, cell 0, cell 2, cell 5, each in issue order, on the
-    // sequential kernel and at every shard count.
-    const Tick target = 1000;
-    auto run = [&](Simulator &sim) {
-        std::vector<int> order; // appended on cell 0's shard only
-        auto at = [&](int tag) {
-            return [&order, tag] { order.push_back(tag); };
-        };
-        sim.schedule_for(5, 1, [&] {
-            sim.schedule_for(0, target, at(50));
-            sim.schedule_for(0, target, at(51));
-        });
-        sim.schedule_for(2, 2, [&] {
-            sim.schedule_for(0, target, at(20));
-            sim.schedule_for(0, target, at(21));
-        });
-        sim.schedule_for(0, 3, [&] { sim.schedule(target, at(0)); });
-        sim.schedule_for(0, target, at(-1));
-        sim.run();
-        return order;
-    };
-    const std::vector<int> expect{-1, 0, 20, 21, 50, 51};
-
-    Simulator seq;
-    EXPECT_EQ(run(seq), expect);
-    for (int shards : {1, 2, 4}) {
-        ShardConfig cfg;
-        cfg.shards = shards;
-        cfg.lookahead = kLookahead;
-        ShardedSimulator sh(cfg);
-        EXPECT_EQ(run(sh), expect) << shards << " shards";
-    }
-}
-
-TEST(ShardQ, CurrentAffinityIsTheExecutingTimelineOnWorkers)
+TEST(EventKernelParallel, CurrentAffinityIsTheExecutingTimelineOnWorkers)
 {
     // Keyed kernel jitter reads the executing timeline: on a worker
-    // thread it must be the event's affinity, not the base kernel's
-    // idle value.
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    cfg.affinityMap = [](int a) { return a >= 4 ? 1 : 0; };
-    ShardedSimulator sh(cfg);
+    // thread it must be the event's affinity, not the idle value.
+    Simulator sh(2, 8, kLookahead);
     std::atomic<int> seen{-99};
-    sh.schedule_for(5, 10, [&] { seen = sh.current_affinity(); });
+    std::atomic<bool> inside{false};
+    sh.schedule_for(5, 10, [&] {
+        seen = sh.current_affinity();
+        inside = sh.executing();
+    });
     sh.schedule_for(0, 10, [] {});
     sh.run();
     EXPECT_EQ(seen.load(), 5);
+    EXPECT_TRUE(inside.load());
     EXPECT_EQ(sh.current_affinity(), 0); // at rest
+    EXPECT_FALSE(sh.executing());
 }
 
-TEST(ShardQ, ParallelRunIsReproducibleRunToRun)
-{
-    const int cells = 16, hops = 60;
-    std::uint64_t digests[2];
-    std::uint64_t hists[2];
-    for (int rep = 0; rep < 2; ++rep) {
-        ShardConfig cfg;
-        cfg.shards = 4;
-        cfg.lookahead = kLookahead;
-        ShardedSimulator sh(cfg);
-        TickHistory hist;
-        sh.set_history(&hist);
-        Workload w(cells);
-        w.start(sh, cells, hops);
-        sh.run();
-        digests[rep] = w.digest();
-        hists[rep] = hist.hash();
-    }
-    EXPECT_EQ(digests[0], digests[1]);
-    EXPECT_EQ(hists[0], hists[1]);
-}
-
-TEST(ShardQ, ParallelMatchesSequentialEndState)
-{
-    // The workload's cross-cell effects all respect the lookahead,
-    // and per-cell state only depends on that cell's event order —
-    // so the parallel end state must equal the sequential one even
-    // though cross-shard interleaving differs.
-    const int cells = 16, hops = 60;
-
-    Simulator seq;
-    Workload wseq(cells);
-    wseq.start(seq, cells, hops);
-    seq.run();
-
-    ShardConfig cfg;
-    cfg.shards = 4;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    Workload w(cells);
-    w.start(sh, cells, hops);
-    sh.run();
-
-    EXPECT_EQ(wseq.digest(), w.digest());
-    EXPECT_EQ(seq.executed(), sh.executed());
-    EXPECT_GE(sh.windows(), 1u);
-}
-
-TEST(ShardQ, NoEventFiresBeforeItsShardsSafeHorizon)
+TEST(EventKernelParallel, NoEventFiresBeforeItsShardsSafeHorizon)
 {
     // Every cross-shard event must execute exactly at its scheduled
     // tick, at least one lookahead after the tick that created it,
     // and per-shard execution must be time-monotonic.
-    ShardConfig cfg;
-    cfg.shards = 4;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(4, 4, kLookahead);
 
     struct Probe
     {
@@ -388,15 +224,12 @@ TEST(ShardQ, NoEventFiresBeforeItsShardsSafeHorizon)
     }
 }
 
-TEST(ShardQDeath, StrictLookaheadViolationPanics)
+TEST(EventKernelParallelDeath, StrictLookaheadViolationPanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
     ASSERT_DEATH(
         {
-            ShardedSimulator sh(cfg);
+            Simulator sh(2, 2, kLookahead);
             sh.schedule_for(0, 10, [&] {
                 // Cross-shard with a delay below the lookahead.
                 sh.schedule_after_for(1, kLookahead / 2, [] {});
@@ -406,63 +239,9 @@ TEST(ShardQDeath, StrictLookaheadViolationPanics)
         "lookahead violation");
 }
 
-TEST(ShardQDeath, SchedulingInThePastPanics)
+TEST(EventKernelParallel, ReportNamesShardsAndWindows)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ASSERT_DEATH(
-        {
-            ShardedSimulator sh(cfg);
-            sh.schedule_for(0, 50, [&] {
-                sh.schedule_for(1, 10, [] {});
-            });
-            sh.run();
-        },
-        "past");
-}
-
-TEST(ShardQ, RunUntilStopsAtLimitAndResumes)
-{
-    ShardConfig cfg;
-    cfg.shards = 4;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-
-    int fired = 0;
-    for (int i = 0; i < 4; ++i)
-        sh.schedule_for(i, static_cast<Tick>(100 * (i + 1)),
-                        [&] { ++fired; });
-    sh.run_until(250);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(sh.pending(), 2u);
-    EXPECT_FALSE(sh.empty());
-    sh.run();
-    EXPECT_EQ(fired, 4);
-    EXPECT_TRUE(sh.empty());
-    EXPECT_EQ(sh.pending(), 0u);
-    EXPECT_EQ(sh.executed(), 4u);
-}
-
-TEST(ShardQDeath, StepNeedsTheSequentialKernel)
-{
-    // Executing single events one by one is a serial mode; the
-    // sharded kernel only runs whole windows.
-    ShardConfig cfg;
-    cfg.shards = 3;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    sh.schedule_for(1, 10, [] {});
-    EXPECT_DEATH(sh.step(), "sequential kernel");
-}
-
-TEST(ShardQ, ReportNamesShardsAndWindows)
-{
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(2, 2, kLookahead);
     sh.schedule_for(0, 1, [] {});
     sh.schedule_for(1, 2, [] {});
     sh.run();
@@ -473,51 +252,59 @@ TEST(ShardQ, ReportNamesShardsAndWindows)
     EXPECT_NE(r.find("windows"), std::string::npos);
 }
 
-TEST(ShardQ, ParallelRunRecordsWindowTelemetry)
+TEST(EventKernelParallel, ParallelRunRecordsWindowTelemetry)
 {
     const int cells = 16, hops = 40;
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(2, cells, kLookahead);
+    std::vector<WindowRecord> recs;
+    sh.set_window_hook(
+        [&](const WindowRecord &w) { recs.push_back(w); });
     Workload w(cells);
     w.start(sh, cells, hops);
     sh.run();
 
+    // The hook saw every window, in order, and the records add up to
+    // the aggregate and to the run.
     const WindowAgg &agg = sh.window_stats();
-    EXPECT_EQ(agg.windows, sh.windows());
-    EXPECT_GT(agg.windows, 0u);
-    EXPECT_EQ(agg.events, sh.executed());
-    EXPECT_GT(agg.horizonAdvance, 0u);
-    // Imbalance is max/mean x1000, so >= 1000 whenever any window
-    // executed events.
-    EXPECT_GE(agg.imbalanceMaxX1000, 1000u);
-    EXPECT_GE(agg.imbalanceSumX1000, 1000u);
-
-    std::vector<WindowRecord> recs = sh.window_records();
-    ASSERT_FALSE(recs.empty());
-    EXPECT_EQ(recs.size() + sh.window_records_dropped(),
-              agg.windows);
+    ASSERT_GT(agg.windows, 0u);
+    ASSERT_EQ(recs.size(), agg.windows);
     std::uint64_t events = 0;
+    Tick advance = 0;
     for (std::size_t i = 0; i < recs.size(); ++i) {
+        const WindowRecord &r = recs[i];
+        EXPECT_EQ(r.index, i);
         if (i > 0) {
-            EXPECT_EQ(recs[i].index, recs[i - 1].index + 1);
-            EXPECT_GE(recs[i].start, recs[i - 1].start);
+            EXPECT_GT(r.start, recs[i - 1].start);
+            EXPECT_EQ(r.advance, r.start - recs[i - 1].start);
         }
-        EXPECT_GE(recs[i].end, recs[i].start);
-        ASSERT_EQ(recs[i].shards.size(), 2u);
+        EXPECT_EQ(r.end, r.start + kLookahead);
+        ASSERT_EQ(r.shards.size(), 2u);
         std::uint64_t inWindow = 0, maxShard = 0;
-        for (const WindowShard &ws : recs[i].shards) {
+        for (const WindowShard &ws : r.shards) {
             inWindow += ws.events;
             maxShard = std::max(maxShard, ws.events);
+            if (ws.events > 0) {
+                EXPECT_GE(ws.last, r.start);
+                EXPECT_LT(ws.last, r.end);
+            }
         }
-        EXPECT_EQ(inWindow, recs[i].events);
-        EXPECT_EQ(maxShard, recs[i].maxShardEvents);
-        events += recs[i].events;
+        EXPECT_EQ(inWindow, r.events);
+        EXPECT_EQ(maxShard, r.maxShardEvents);
+        // Imbalance is max/mean x1000, so >= 1000 whenever the
+        // window executed events.
+        if (r.events > 0) {
+            EXPECT_EQ(r.imbalanceX1000,
+                      maxShard * 2 * 1000 / r.events);
+        }
+        events += r.events;
+        advance += r.advance;
     }
-    if (sh.window_records_dropped() == 0) {
-        EXPECT_EQ(events, sh.executed());
-    }
+    EXPECT_EQ(events, sh.executed());
+    EXPECT_EQ(agg.events, sh.executed());
+    EXPECT_EQ(agg.horizonAdvance, advance);
+    EXPECT_GT(agg.horizonAdvance, 0u);
+    EXPECT_GE(agg.imbalanceMaxX1000, 1000u);
+    EXPECT_GE(agg.imbalanceSumX1000, 1000u);
 
     // Both shards ran events and the registry-facing per-shard
     // counters saw them.
@@ -525,49 +312,31 @@ TEST(ShardQ, ParallelRunRecordsWindowTelemetry)
         EXPECT_GT(sh.shard_stats(s).executed, 0u);
 }
 
-TEST(ShardQ, WindowHookSeesEveryWindowInOrder)
+TEST(EventKernelParallel, SingleShardHasNoWindowTelemetry)
 {
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    std::vector<std::uint64_t> indices;
-    sh.set_window_hook([&](const WindowRecord &rec) {
-        indices.push_back(rec.index);
-    });
-    Workload w(8);
-    w.start(sh, 8, 20);
-    sh.run();
-
-    ASSERT_EQ(indices.size(), sh.windows());
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        EXPECT_EQ(indices[i], i);
-}
-
-TEST(ShardQ, SingleShardHasNoWindowTelemetry)
-{
-    // shards == 1 takes the sequential fast path: the windowed
-    // machinery (and its bookkeeping) must not run at all.
-    ShardConfig cfg;
-    cfg.shards = 1;
-    ShardedSimulator sh(cfg);
+    // One shard drains inline: the windowed machinery (and its
+    // bookkeeping) must not run at all.
+    Simulator sh(1, 8, kLookahead);
+    int windows = 0;
+    sh.set_window_hook([&](const WindowRecord &) { ++windows; });
     Workload w(8);
     w.start(sh, 8, 20);
     sh.run();
 
     EXPECT_GT(sh.executed(), 0u);
+    EXPECT_EQ(sh.shard_stats(0).executed, sh.executed());
+    EXPECT_EQ(windows, 0);
     EXPECT_EQ(sh.window_stats().windows, 0u);
-    EXPECT_TRUE(sh.window_records().empty());
-    EXPECT_EQ(sh.window_records_dropped(), 0u);
     EXPECT_EQ(sh.shard_stats(0).barrierWaitNs, 0u);
+    EXPECT_EQ(sh.shard_stats(0).handoffsOut, 0u);
 }
 
 namespace
 {
 
 /**
- * Kill cell 3 at t=100us on a machine driven by the sharded kernel
- * and assert the full failure contract: survivors cross the barrier
+ * Kill cell 3 at t=100us on a machine driven by worker threads and
+ * assert the full failure contract: survivors cross the barrier
  * degraded, the dead cell lands in SpmdResult::failedCells, and the
  * run itself still passes. Mirrors the single-threaded
  * CellFailure.SurvivorsFinishBarrierAndReductionsDegraded — this is
@@ -615,47 +384,12 @@ run_threaded_kill(int threads)
 
 } // namespace
 
-TEST(ShardQKill, FailedCellsSurvivesTwoWorkerThreads)
+TEST(ThreadedKill, FailedCellsSurvivesTwoWorkerThreads)
 {
     run_threaded_kill(2);
 }
 
-TEST(ShardQKill, FailedCellsSurvivesFourWorkerThreads)
+TEST(ThreadedKill, FailedCellsSurvivesFourWorkerThreads)
 {
     run_threaded_kill(4);
-}
-
-TEST(TickHistoryUnit, DigestFollowsEachTimelinesOwnOrder)
-{
-    auto digest = [](std::initializer_list<std::pair<Tick, int>> evs) {
-        TickHistory h;
-        for (auto [t, a] : evs)
-            h.record(t, a);
-        return h;
-    };
-    TickHistory base = digest({{10, 1}, {20, 1}, {10, 2}, {30, 2}});
-    EXPECT_EQ(base.events(), 4u);
-
-    // How two timelines interleave does not matter...
-    TickHistory interleaved =
-        digest({{10, 2}, {10, 1}, {30, 2}, {20, 1}});
-    EXPECT_TRUE(base == interleaved);
-    EXPECT_EQ(base.digest(), interleaved.digest());
-
-    // ...but one timeline's own sequence does: a retimed, dropped,
-    // duplicated or reordered event changes the digest.
-    for (const TickHistory &changed :
-         {digest({{10, 1}, {21, 1}, {10, 2}, {30, 2}}),
-          digest({{10, 1}, {10, 2}, {30, 2}}),
-          digest({{10, 1}, {20, 1}, {20, 1}, {10, 2}, {30, 2}}),
-          digest({{20, 1}, {10, 1}, {10, 2}, {30, 2}}),
-          digest({{10, 1}, {20, 2}, {10, 2}, {30, 2}})}) {
-        EXPECT_NE(base.hash(), changed.hash());
-        EXPECT_FALSE(base == changed);
-    }
-
-    TickHistory c = base;
-    c.reset();
-    EXPECT_EQ(c.events(), 0u);
-    EXPECT_EQ(c.hash(), TickHistory{}.hash());
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * T-net transport tests: the MLSim latency formula, per-pair FIFO
- * ordering (the property the GET-as-ack trick needs), statistics, and
- * the optional link-contention extension.
+ * ordering (the property the GET-as-ack trick needs) and statistics.
  */
 
 #include <gtest/gtest.h>
@@ -130,44 +129,4 @@ TEST(Tnet, SelfSendStillWorks)
     net.send(mk(1, 1, 8));
     sim.run();
     EXPECT_TRUE(got);
-}
-
-TEST(TnetContention, SharedLinkSerializes)
-{
-    // Two messages crossing the same directed link back-to-back must
-    // arrive strictly later than either alone.
-    TnetParams p;
-    p.linkContention = true;
-    p.perByteUs = 0.04;
-
-    sim::Simulator sim1;
-    Tnet solo(sim1, Torus(4, 1), p);
-    Tick solo_arrival = 0;
-    for (CellId c = 0; c < 4; ++c)
-        solo.attach(c, [](Message) {});
-    solo_arrival = solo.send(mk(0, 2, 10000));
-
-    sim::Simulator sim2;
-    Tnet busy(sim2, Torus(4, 1), p);
-    for (CellId c = 0; c < 4; ++c)
-        busy.attach(c, [](Message) {});
-    busy.send(mk(0, 2, 10000));
-    Tick second = busy.send(mk(0, 2, 10000));
-    EXPECT_GT(second, solo_arrival);
-    // Roughly doubled: the second waits out the first's body.
-    EXPECT_GE(second, 2 * solo_arrival - us_to_ticks(1.0));
-}
-
-TEST(TnetContention, DisjointPathsDoNotSerialize)
-{
-    TnetParams p;
-    p.linkContention = true;
-
-    sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), p);
-    for (CellId c = 0; c < 4; ++c)
-        net.attach(c, [](Message) {});
-    Tick a = net.send(mk(0, 1, 10000));  // link 0->1
-    Tick b = net.send(mk(2, 3, 10000));  // link 2->3
-    EXPECT_EQ(a, b);
 }

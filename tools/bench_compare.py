@@ -16,9 +16,10 @@ Tolerance classes (per-metric relative change, worse direction only):
          coverage): deterministic given the seed, so tight —
          fail beyond --fail-pct (default 15), warn beyond --warn-pct
          (default 5).
-  host   host wall-clock metrics (wall_s, wall_ms, ratio,
-         events_per_sec, speedup): noisy across CI machines — fail
-         only beyond --host-fail-pct (default 50), never warn.
+  host   host wall-clock metrics (every path under speed., wall_s,
+         wall_ms, ratio, events_per_sec, speedup): noisy across CI
+         machines — fail only beyond --host-fail-pct (default 50),
+         never warn.
   count  integer event counts (events, traces, retransmits, puts,
          bytes): differences mean the workload changed, not a perf
          regression — report as info, never fail.
@@ -47,7 +48,8 @@ import re
 import sys
 
 HOST_PAT = re.compile(
-    r"(^|\.)(wall_s|wall_ms|events_per_sec|ratio|speedup[^.]*)$")
+    r"(^|\.)speed\."
+    r"|(^|\.)(wall_s|wall_ms|events_per_sec|ratio|speedup[^.]*)$")
 HIGHER_BETTER_PAT = re.compile(
     r"(^|\.)([^.]*(per_sec|mb_s)|coverage[^.]*|speedup[^.]*)$")
 LOWER_BETTER_PAT = re.compile(
