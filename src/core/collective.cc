@@ -109,6 +109,36 @@ Context::combine(double a, double b, ReduceOp op) const
 
 // -- communication-register exchange primitive ----------------------------
 
+std::uint32_t
+Context::commreg_load(int index)
+{
+    // A load finding the p-bit clear stalls in hardware until a store
+    // sets it; the parked fiber is that retry loop.
+    hw::CommRegisterFile &regs = cell().mc().regs();
+    std::uint32_t v = 0;
+    bool stalled = false;
+    park(regs.store_cond(index),
+         [&] {
+             if (regs.try_load(index, v, stalled))
+                 return true;
+             stalled = true;
+             return false;
+         },
+         {"commreg_load",
+          hw::Mc::commreg_base + static_cast<Addr>(index) * 4,
+          /*p-bit*/ 1});
+    return v;
+}
+
+double
+Context::commreg_load_f64(int index)
+{
+    std::uint32_t lo = commreg_load(index);
+    std::uint32_t hi = commreg_load(index + 1);
+    return std::bit_cast<double>(
+        (static_cast<std::uint64_t>(hi) << 32) | lo);
+}
+
 double
 Context::commreg_exchange(CellId partner, int reg_index, double value)
 {
@@ -127,10 +157,7 @@ Context::commreg_exchange(CellId partner, int reg_index, double value)
 
     // Load my own pair; the p-bit retry stalls until data arrives.
     proc.delay(us_to_ticks(2 * t.commRegAccessUs));
-    std::uint32_t lo = cell().mc().regs().load(reg_index, proc);
-    std::uint32_t hi = cell().mc().regs().load(reg_index + 1, proc);
-    return std::bit_cast<double>(
-        (static_cast<std::uint64_t>(hi) << 32) | lo);
+    return commreg_load_f64(reg_index);
 }
 
 // -- S-net barrier ---------------------------------------------------------
@@ -166,18 +193,7 @@ Context::barrier()
         rel->done = true;
         rel->released.notify_all();
     });
-    Tick deadline = watchdog_deadline();
-    if (deadline == 0) {
-        while (!rel->done)
-            proc.wait(rel->released);
-        return;
-    }
-    machine.set_wait(cellId, "barrier", /*addr=*/0, /*target=*/0);
-    while (!rel->done) {
-        if (!proc.wait_until(rel->released, deadline) && !rel->done)
-            watchdog_fire("barrier", /*addr=*/0, /*target=*/0);
-    }
-    machine.clear_wait(cellId);
+    park(rel->released, [&] { return rel->done; }, {"barrier"});
 }
 
 // -- scalar all-cell reduction ----------------------------------------------
@@ -233,19 +249,12 @@ Context::allreduce(double value, ReduceOp op)
             std::move(data));
 
         proc.delay(us_to_ticks(2 * t.commRegAccessUs));
-        std::uint32_t lo = cell().mc().regs().load(bank + 2, proc);
-        std::uint32_t hi = cell().mc().regs().load(bank + 3, proc);
-        return std::bit_cast<double>(
-            (static_cast<std::uint64_t>(hi) << 32) | lo);
+        return commreg_load_f64(bank + 2);
     }
 
     if (me + r < p) {
         proc.delay(us_to_ticks(2 * t.commRegAccessUs));
-        std::uint32_t lo = cell().mc().regs().load(bank + 0, proc);
-        std::uint32_t hi = cell().mc().regs().load(bank + 1, proc);
-        double o = std::bit_cast<double>(
-            (static_cast<std::uint64_t>(hi) << 32) | lo);
-        v = combine(v, o, op);
+        v = combine(v, commreg_load_f64(bank + 0), op);
     }
 
     int step = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "base/logging.hh"
 
@@ -157,32 +156,21 @@ Context::check_alive()
                       cellId, machine.postmortem().c_str()));
 }
 
-Tick
-Context::watchdog_deadline() const
-{
-    const hw::RetryPolicy &rp = machine.config().retry;
-    if (!rp.watchdog_enabled())
-        return 0;
-    return machine.sim().now() + us_to_ticks(rp.watchdogUs);
-}
-
 void
-Context::watchdog_fire(const char *what, Addr addr,
-                       std::uint64_t target)
+Context::watchdog_fire(const WaitOn &on)
 {
-    machine.clear_wait(cellId);
     if (machine.cell_failed(cellId))
         throw CommError(
             CommError::Kind::cell_failed, cellId, cellId,
             strprintf("cell %d: %s interrupted: cell is fail-stop\n%s",
-                      cellId, what, machine.postmortem().c_str()));
+                      cellId, on.what, machine.postmortem().c_str()));
     throw CommError(
         CommError::Kind::watchdog, cellId, cellId,
         strprintf("cell %d: watchdog expired after %.0f us blocked in "
                   "%s (addr=%#llx want %llu)\n%s%s",
-                  cellId, machine.config().retry.watchdogUs, what,
-                  static_cast<unsigned long long>(addr),
-                  static_cast<unsigned long long>(target),
+                  cellId, machine.config().retry.watchdogUs, on.what,
+                  static_cast<unsigned long long>(on.addr),
+                  static_cast<unsigned long long>(on.target),
                   machine.wait_graph().c_str(),
                   machine.postmortem().c_str()));
 }
@@ -279,18 +267,9 @@ Context::peek_u32(Addr addr) const
 void
 Context::wait_flag_internal(Addr flag_addr, std::uint32_t target)
 {
-    Tick deadline = watchdog_deadline();
-    if (deadline == 0) {
-        while (flag(flag_addr) < target)
-            proc.wait(cell().mc().flag_cond());
-        return;
-    }
-    machine.set_wait(cellId, "wait_flag_internal", flag_addr, target);
-    while (flag(flag_addr) < target)
-        if (!proc.wait_until(cell().mc().flag_cond(), deadline) &&
-            flag(flag_addr) < target)
-            watchdog_fire("wait_flag_internal", flag_addr, target);
-    machine.clear_wait(cellId);
+    park(cell().mc().flag_cond(),
+         [&] { return flag(flag_addr) >= target; },
+         {"wait_flag_internal", flag_addr, target});
 }
 
 void
@@ -329,23 +308,13 @@ hw::SendRecord
 Context::ring_take_guarded(CellId src, std::int32_t tag,
                            bool in_place, const char *what)
 {
-    Tick deadline = watchdog_deadline();
-    if (deadline == 0) {
-        return in_place
-                   ? cell().ring().consume_in_place(src, tag, proc)
-                   : cell().ring().receive(src, tag, proc);
-    }
-    machine.set_wait(cellId, what, /*addr=*/0,
-                     static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(tag)));
-    std::optional<hw::SendRecord> got = cell().ring().receive_until(
-        src, tag, proc, deadline, in_place);
-    if (!got)
-        watchdog_fire(what, /*addr=*/0,
-                      static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(tag)));
-    machine.clear_wait(cellId);
-    return std::move(*got);
+    hw::RingBuffer &ring = cell().ring();
+    hw::SendRecord rec;
+    park(ring.arrival_cond(),
+         [&] { return ring.try_receive(src, tag, rec, in_place); },
+         {what, /*addr=*/0,
+          static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))});
+    return rec;
 }
 
 // -- command issue -----------------------------------------------------
@@ -560,8 +529,9 @@ void
 Context::wait_user_commands_done()
 {
     hw::Msc &msc = cell().msc();
-    while (msc.user_done() < msc.user_issued())
-        proc.wait(msc.user_done_cond());
+    park(msc.user_done_cond(),
+         [&] { return msc.user_done() >= msc.user_issued(); },
+         {"user_commands", no_flag, msc.user_issued()});
 }
 
 void
@@ -663,27 +633,9 @@ Context::wait_flag(Addr flag_addr, std::uint32_t target)
 
     check_alive();
     proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
-    Tick begin = machine.sim().now();
-    Tick deadline = watchdog_deadline();
-    bool waited = false;
-    if (deadline == 0) {
-        while (flag(flag_addr) < target) {
-            waited = true;
-            proc.wait(cell().mc().flag_cond());
-        }
-    } else {
-        machine.set_wait(cellId, "wait_flag", flag_addr, target);
-        while (flag(flag_addr) < target) {
-            waited = true;
-            if (!proc.wait_until(cell().mc().flag_cond(), deadline) &&
-                flag(flag_addr) < target)
-                watchdog_fire("wait_flag", flag_addr, target);
-        }
-        machine.clear_wait(cellId);
-    }
-    if (waited)
-        machine.spans().span(cellId, "wait", "wait_flag", begin,
-                             machine.sim().now());
+    park(cell().mc().flag_cond(),
+         [&] { return flag(flag_addr) >= target; },
+         {"wait_flag", flag_addr, target, /*span=*/true});
 }
 
 void
@@ -699,28 +651,10 @@ Context::wait_all_acks()
 
     check_alive();
     proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
-    Tick begin = machine.sim().now();
-    Tick deadline = watchdog_deadline();
-    bool waited = false;
     std::uint64_t target = ackBase + acksOutstanding;
-    if (deadline == 0) {
-        while (cell().msc().ack_count() < target) {
-            waited = true;
-            proc.wait(cell().msc().ack_cond());
-        }
-    } else {
-        machine.set_wait(cellId, "wait_acks", no_flag, target);
-        while (cell().msc().ack_count() < target) {
-            waited = true;
-            if (!proc.wait_until(cell().msc().ack_cond(), deadline) &&
-                cell().msc().ack_count() < target)
-                watchdog_fire("wait_acks", no_flag, target);
-        }
-        machine.clear_wait(cellId);
-    }
-    if (waited)
-        machine.spans().span(cellId, "wait", "wait_acks", begin,
-                             machine.sim().now());
+    park(cell().msc().ack_cond(),
+         [&] { return cell().msc().ack_count() >= target; },
+         {"wait_acks", no_flag, target, /*span=*/true});
 }
 
 bool
@@ -728,11 +662,9 @@ Context::wait_flag_for(Addr flag_addr, std::uint32_t target,
                        Tick deadline)
 {
     proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
-    while (flag(flag_addr) < target) {
-        if (!proc.wait_until(cell().mc().flag_cond(), deadline))
-            return flag(flag_addr) >= target;
-    }
-    return true;
+    return park(cell().mc().flag_cond(),
+                [&] { return flag(flag_addr) >= target; },
+                {"wait_flag_for", flag_addr, target}, deadline);
 }
 
 bool
@@ -740,11 +672,9 @@ Context::wait_all_acks_for(Tick deadline)
 {
     proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
     std::uint64_t target = ackBase + acksOutstanding;
-    while (cell().msc().ack_count() < target) {
-        if (!proc.wait_until(cell().msc().ack_cond(), deadline))
-            return cell().msc().ack_count() >= target;
-    }
-    return true;
+    return park(cell().msc().ack_cond(),
+                [&] { return cell().msc().ack_count() >= target; },
+                {"wait_acks_for", no_flag, target}, deadline);
 }
 
 void
@@ -788,21 +718,10 @@ void
 Context::wait_load_reply(std::uint64_t token, Addr raddr,
                          std::vector<std::uint8_t> &data)
 {
-    Tick deadline = watchdog_deadline();
-    if (deadline != 0)
-        machine.set_wait(cellId, "remote_load", raddr, token);
-    while (!cell().msc().take_load_reply(token, data)) {
-        if (deadline == 0) {
-            proc.wait(cell().msc().load_cond());
-        } else if (!proc.wait_until(cell().msc().load_cond(),
-                                    deadline)) {
-            if (cell().msc().take_load_reply(token, data))
-                break;
-            watchdog_fire("remote_load", raddr, token);
-        }
-    }
-    if (deadline != 0)
-        machine.clear_wait(cellId);
+    hw::Msc &msc = cell().msc();
+    park(msc.load_cond(),
+         [&] { return msc.take_load_reply(token, data); },
+         {"remote_load", raddr, token});
 }
 
 void

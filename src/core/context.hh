@@ -399,30 +399,56 @@ class Context
     hw::Cell &cell() { return machine.cell(cellId); }
     const hw::Cell &cell() const { return machine.cell(cellId); }
 
-    /** The underlying process (for advanced waiting). */
-    sim::Process &process() { return proc; }
-
     /** The owning machine. */
     hw::Machine &owner() { return machine; }
 
   private:
+    /** What a parked cell waits for, as Machine::wait_graph() names
+     *  it: "blocked on <what> addr=<addr> (want <target>)". */
+    struct WaitOn
+    {
+        const char *what;
+        Addr addr = 0;
+        std::uint64_t target = 0;
+        /** Record a wait that parked as a "wait" span named what. */
+        bool span = false;
+    };
+
+    /**
+     * The one blocking wait of a cell program: park this cell's fiber
+     * on @p cond until @p ready() holds. ready() is re-tested after
+     * every wakeup and never again once it returned true, so it may
+     * consume what it finds. While RetryPolicy::watchdogUs is set, a
+     * parked wait is recorded for Machine::wait_graph(). With
+     * @p deadline 0 the watchdog owns the wait: it throws
+     * CommError once watchdogUs passes (an untimed park when the
+     * watchdog is off). A caller's own @p deadline replaces the
+     * watchdog.
+     * @return false only when @p deadline passed first.
+     */
+    template <typename Ready>
+    bool park(sim::Condition &cond, Ready &&ready, const WaitOn &on,
+              Tick deadline = 0);
+    /** park()'s expired watchdog: CommError(cell_failed) on a
+     *  fail-stop cell, else CommError(watchdog) with the wait graph. */
+    [[noreturn]] void watchdog_fire(const WaitOn &on);
+
     void trace(TraceEvent ev);
     /** Throw CommError(cell_failed) when this cell is fail-stop. */
     void check_alive();
-    /** Throw CommError(watchdog) with a machine wait-graph dump. */
-    [[noreturn]] void watchdog_fire(const char *what, Addr addr,
-                                    std::uint64_t target);
-    /** Watchdog deadline from now, or 0 when the watchdog is off. */
-    Tick watchdog_deadline() const;
     /** Park until the DSM load reply for @p token arrives. */
     void wait_load_reply(std::uint64_t token, Addr raddr,
                          std::vector<std::uint8_t> &data);
     /** The group of all non-failed cells. */
     Group live_group() const;
-    /** Ring-buffer take with the watchdog armed (copy or in-place). */
+    /** Guarded ring-buffer take (copy or in-place). */
     hw::SendRecord ring_take_guarded(CellId src, std::int32_t tag,
                                      bool in_place,
                                      const char *what);
+    /** Guarded load of communication register @p index. */
+    std::uint32_t commreg_load(int index);
+    /** Two register loads: the double in @p index, @p index + 1. */
+    double commreg_load_f64(int index);
     /** group_reduce() body, after failed members were filtered out. */
     double group_reduce_impl(const Group &group, double value,
                              ReduceOp op);
@@ -484,6 +510,38 @@ class Context
     bool lastCollectiveDegraded = false;
     ContextStats ctxStats;
 };
+
+template <typename Ready>
+bool
+Context::park(sim::Condition &cond, Ready &&ready, const WaitOn &on,
+              Tick deadline)
+{
+    if (ready())
+        return true;
+    const hw::RetryPolicy &rp = machine.config().retry;
+    bool watchdog = deadline == 0 && rp.watchdog_enabled();
+    if (watchdog)
+        deadline = now() + us_to_ticks(rp.watchdogUs);
+    if (rp.watchdog_enabled())
+        machine.set_wait(cellId, on.what, on.addr, on.target);
+    Tick begin = now();
+    bool done = true;
+    do {
+        if (deadline == 0) {
+            proc.wait(cond);
+        } else if (!proc.wait_until(cond, deadline)) {
+            done = ready();
+            break;
+        }
+    } while (!ready());
+    if (rp.watchdog_enabled())
+        machine.clear_wait(cellId);
+    if (!done && watchdog)
+        watchdog_fire(on);
+    if (on.span)
+        machine.spans().span(cellId, "wait", on.what, begin, now());
+    return done;
+}
 
 } // namespace ap::core
 

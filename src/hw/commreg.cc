@@ -30,30 +30,15 @@ CommRegisterFile::store(int index, std::uint32_t value)
     conds[static_cast<std::size_t>(index)].notify_all();
 }
 
-std::uint32_t
-CommRegisterFile::load(int index, sim::Process &proc)
-{
-    check(index);
-    Reg &r = regs[static_cast<std::size_t>(index)];
-    bool stalled = false;
-    while (!r.pbit) {
-        stalled = true;
-        proc.wait(conds[static_cast<std::size_t>(index)]);
-    }
-    if (stalled)
-        ++regStats.stalledLoads;
-    r.pbit = false;
-    ++regStats.loads;
-    return r.value;
-}
-
 bool
-CommRegisterFile::try_load(int index, std::uint32_t &value)
+CommRegisterFile::try_load(int index, std::uint32_t &value, bool stalled)
 {
     check(index);
     Reg &r = regs[static_cast<std::size_t>(index)];
     if (!r.pbit)
         return false;
+    if (stalled)
+        ++regStats.stalledLoads;
     r.pbit = false;
     value = r.value;
     ++regStats.loads;

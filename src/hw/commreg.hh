@@ -7,6 +7,10 @@
  * p-bit clear stalls the processor in hardware (no software polling)
  * until data arrives. Scalar barriers and reductions are built from
  * exactly this primitive.
+ *
+ * The model never blocks: a load probes with try_load() and parks on
+ * store_cond() itself (core::Context does, through its one blocking
+ * wait), which is the hardware retry loop.
  */
 
 #ifndef AP_HW_COMMREG_HH
@@ -45,17 +49,19 @@ class CommRegisterFile
     void store(int index, std::uint32_t value);
 
     /**
-     * Blocking load: parks @p proc until the p-bit is set, then
-     * clears it and returns the value. Models the hardware retry
-     * loop.
-     */
-    std::uint32_t load(int index, sim::Process &proc);
-
-    /**
      * Non-blocking probe: returns true and fills @p value when the
-     * p-bit is set (clearing it), false otherwise.
+     * p-bit is set (clearing it), false otherwise. Pass @p stalled
+     * when an earlier probe of the same load found the p-bit clear,
+     * so the load counts in CommRegStats::stalledLoads.
      */
-    bool try_load(int index, std::uint32_t &value);
+    bool try_load(int index, std::uint32_t &value, bool stalled = false);
+
+    /** Notified on every store to register @p index. */
+    sim::Condition &store_cond(int index)
+    {
+        check(index);
+        return conds[static_cast<std::size_t>(index)];
+    }
 
     /** @return the p-bit of register @p index. */
     bool present(int index) const;

@@ -89,8 +89,6 @@ struct HwTimings
     double flagUpdateUs = 0.04;
     /** OS interrupt servicing a queue refill or fault. */
     double interruptUs = 20.0;
-    /** MSC+ bookkeeping to deposit a SEND in the ring buffer. */
-    double ringDepositUs = 0.50;
     /** RECEIVE library search of the ring buffer (processor). */
     double receiveSearchUs = 1.00;
     /** RECEIVE user-area copy per byte (processor). */

@@ -74,58 +74,20 @@ RingBuffer::take(std::size_t index)
     return r;
 }
 
-SendRecord
-RingBuffer::receive(CellId src, std::int32_t tag, sim::Process &proc)
-{
-    std::optional<std::size_t> hit;
-    while (!(hit = find(src, tag)))
-        proc.wait(arrival);
-    ++rbStats.receives;
-    ++rbStats.copies;
-    return take(*hit);
-}
-
 bool
-RingBuffer::try_receive(CellId src, std::int32_t tag, SendRecord &out)
+RingBuffer::try_receive(CellId src, std::int32_t tag, SendRecord &out,
+                        bool in_place)
 {
     auto hit = find(src, tag);
     if (!hit)
         return false;
     ++rbStats.receives;
-    ++rbStats.copies;
-    out = take(*hit);
-    return true;
-}
-
-SendRecord
-RingBuffer::consume_in_place(CellId src, std::int32_t tag,
-                             sim::Process &proc)
-{
-    std::optional<std::size_t> hit;
-    while (!(hit = find(src, tag)))
-        proc.wait(arrival);
-    ++rbStats.receives;
-    ++rbStats.inPlaceReads;
-    return take(*hit);
-}
-
-std::optional<SendRecord>
-RingBuffer::receive_until(CellId src, std::int32_t tag,
-                          sim::Process &proc, Tick deadline,
-                          bool in_place)
-{
-    std::optional<std::size_t> hit;
-    while (!(hit = find(src, tag))) {
-        if (!proc.wait_until(arrival, deadline) &&
-            !(hit = find(src, tag)))
-            return std::nullopt;
-    }
-    ++rbStats.receives;
     if (in_place)
         ++rbStats.inPlaceReads;
     else
         ++rbStats.copies;
-    return take(*hit);
+    out = take(*hit);
+    return true;
 }
 
 } // namespace ap::hw

@@ -10,8 +10,12 @@
  * (modelled as growth plus a counted interrupt).
  *
  * Vector global reductions read their operands directly out of the
- * ring buffer (peek/consume) without the user-area copy — the paper's
- * optimization for reduction pipelines.
+ * ring buffer (in-place takes) without the user-area copy — the
+ * paper's optimization for reduction pipelines.
+ *
+ * The model never blocks: a receiver probes with try_receive() and
+ * parks on arrival_cond() itself (core::Context does, through its one
+ * blocking wait).
  */
 
 #ifndef AP_HW_RINGBUF_HH
@@ -73,35 +77,16 @@ class RingBuffer
     void deposit(SendRecord rec);
 
     /**
-     * Blocking receive with an explicit user-area copy. Parks
-     * @p proc until a record matching (@p src, @p tag) exists.
+     * Non-blocking probe: takes the oldest record matching (@p src,
+     * @p tag) into @p out and returns true, or returns false. The take
+     * counts as a user-area copy, or as a copy-free in-place read
+     * (vector reductions) when @p in_place.
      */
-    SendRecord receive(CellId src, std::int32_t tag,
-                       sim::Process &proc);
+    bool try_receive(CellId src, std::int32_t tag, SendRecord &out,
+                     bool in_place = false);
 
-    /**
-     * Non-blocking probe; fills @p out and returns true on a match.
-     */
-    bool try_receive(CellId src, std::int32_t tag, SendRecord &out);
-
-    /**
-     * Blocking copy-free consumption (vector reductions): identical
-     * matching, but counted as an in-place read.
-     */
-    SendRecord consume_in_place(CellId src, std::int32_t tag,
-                                sim::Process &proc);
-
-    /**
-     * Deadline-aware blocking take: like receive() (or
-     * consume_in_place() when @p in_place), but gives up when
-     * @p deadline passes with no matching record — the watchdog's
-     * hook into SEND/RECEIVE and reduction waits.
-     */
-    std::optional<SendRecord> receive_until(CellId src,
-                                            std::int32_t tag,
-                                            sim::Process &proc,
-                                            Tick deadline,
-                                            bool in_place);
+    /** Notified on every deposit; receivers park here and re-probe. */
+    sim::Condition &arrival_cond() { return arrival; }
 
     /** Messages currently buffered. */
     std::size_t depth() const { return records.size(); }

@@ -54,10 +54,20 @@ TimelineSampler::next_boundary(Tick now) const
     return b <= now ? max_tick : b;
 }
 
+std::vector<std::uint64_t>
+TimelineSampler::sums() const
+{
+    std::vector<std::uint64_t> out;
+    out.reserve(specs.size());
+    for (const SeriesSpec &s : specs)
+        out.push_back(reg.sum(s.pattern));
+    return out;
+}
+
 void
 TimelineSampler::start()
 {
-    prev = reg.snapshot();
+    prev = sums();
     started = true;
 }
 
@@ -66,29 +76,16 @@ TimelineSampler::sample(Tick now)
 {
     if (!started)
         start();
-    StatsRegistry::Snapshot snap = reg.snapshot();
+    std::vector<std::uint64_t> cur = sums();
 
     TimelineSample row;
     row.tick = now;
     row.values.reserve(specs.size());
-    for (const SeriesSpec &s : specs) {
-        std::int64_t v = 0;
-        for (const auto &[path, val] : snap) {
-            if (!StatsRegistry::matches(s.pattern, path))
-                continue;
-            if (s.level) {
-                v += static_cast<std::int64_t>(val);
-            } else {
-                auto it = prev.find(path);
-                std::uint64_t was =
-                    it == prev.end() ? 0 : it->second;
-                v += static_cast<std::int64_t>(val) -
-                     static_cast<std::int64_t>(was);
-            }
-        }
-        row.values.push_back(v);
-    }
-    prev = std::move(snap);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        row.values.push_back(
+            static_cast<std::int64_t>(cur[i]) -
+            (specs[i].level ? 0 : static_cast<std::int64_t>(prev[i])));
+    prev = std::move(cur);
 
     if (ring.size() < cap) {
         ring.push_back(std::move(row));

@@ -9,9 +9,9 @@
  * climbing as cells leave the startup barrier, handoffs/sec spiking
  * when a fault plan reorders traffic, queue depth breathing with each
  * collective. This sampler closes that gap: every `period` ticks of
- * model time it snapshots the registry (reusing snapshot() /
- * delta_since()) and stores one row per configured series in a
- * bounded ring, exported as a JSON timeline (`ap_run
+ * model time it takes one StatsRegistry::sum() per configured series
+ * and stores one row of them (a delta series as the change since the
+ * previous sum) in a bounded ring, exported as a JSON timeline (`ap_run
  * --timeline-out=FILE`, validated by tools/check_profile_schema.py
  * timeline) or as CSV for spreadsheets and pandas
  * (`--timeline-csv=FILE`).
@@ -23,6 +23,11 @@
  * byte-identity is preserved by construction (tests/test_sampler.cc
  * pins this). Samples are taken only while the machine is quiescent,
  * so no shard is concurrently mutating the counters being read.
+ *
+ * A delta series is the difference of two sums, so a path that joins
+ * the registry mid-run counts from zero, and a path that leaves it
+ * takes its last value out of the sum: that period's delta drops by
+ * it. The default series never lose a path.
  */
 
 #ifndef AP_OBS_SAMPLER_HH
@@ -47,8 +52,8 @@ namespace ap::obs
 struct SeriesSpec
 {
     std::string name;    ///< label in the export ("events", ...)
-    /** Registry pattern folded with StatsRegistry rules ("*" matches
-     *  one segment); matching scalars are summed. */
+    /** Registry pattern folded with StatsRegistry::sum() ("*"
+     *  matches one segment). */
     std::string pattern;
     /**
      * false: the series is the per-period delta of the summed value
@@ -93,8 +98,8 @@ class TimelineSampler
     Tick next_boundary(Tick now) const;
 
     /**
-     * Capture the base snapshot deltas count from. Implicit on the
-     * first sample()/run() if never called.
+     * Capture the base sums deltas count from. Implicit on the first
+     * sample()/run() if never called.
      */
     void start();
 
@@ -145,12 +150,16 @@ class TimelineSampler
     bool write_csv(const std::string &path) const;
 
   private:
+    /** The current sum of every series' pattern. */
+    std::vector<std::uint64_t> sums() const;
+
     const StatsRegistry &reg;
     Tick periodTicks;
     std::vector<SeriesSpec> specs;
     std::size_t cap;
     bool started = false;
-    StatsRegistry::Snapshot prev;
+    /** Each series' sum at the previous sample. */
+    std::vector<std::uint64_t> prev;
     std::vector<TimelineSample> ring;
     std::size_t head = 0;
     std::uint64_t total = 0;

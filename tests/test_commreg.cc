@@ -1,7 +1,8 @@
 /**
  * @file
  * Communication register tests: p-bit semantics and hardware-retry
- * loads (Section 4.4).
+ * loads (Section 4.4). A blocking load is the probe-and-park loop
+ * core::Context runs: try_load(), park on store_cond(), re-probe.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,25 @@
 
 using namespace ap;
 using namespace ap::hw;
+
+namespace
+{
+
+/** Blocking load: probe, park on the register's store condition,
+ *  re-probe — counting the stall the way core::Context does. */
+std::uint32_t
+load(CommRegisterFile &regs, int index, sim::Process &proc)
+{
+    std::uint32_t v = 0;
+    bool stalled = false;
+    while (!regs.try_load(index, v, stalled)) {
+        stalled = true;
+        proc.wait(regs.store_cond(index));
+    }
+    return v;
+}
+
+} // namespace
 
 TEST(CommReg, StoreSetsPresentBit)
 {
@@ -51,7 +71,7 @@ TEST(CommReg, BlockingLoadStallsUntilStore)
     Tick when = 0;
 
     sim::Process consumer(sim, "consumer", [&](sim::Process &p) {
-        got = regs.load(7, p);
+        got = load(regs, 7, p);
         when = sim.now();
     });
     sim::Process producer(sim, "producer", [&](sim::Process &p) {
@@ -74,7 +94,7 @@ TEST(CommReg, LoadOfPresentValueDoesNotStall)
     regs.store(1, 5);
     std::uint32_t got = 0;
     sim::Process p(sim, "p",
-                   [&](sim::Process &self) { got = regs.load(1, self); });
+                   [&](sim::Process &self) { got = load(regs, 1, self); });
     p.start(0);
     sim.run();
     EXPECT_EQ(got, 5u);
@@ -90,7 +110,7 @@ TEST(CommReg, PingPongThroughOneRegister)
 
     sim::Process reader(sim, "reader", [&](sim::Process &p) {
         for (int i = 0; i < 5; ++i)
-            seen.push_back(regs.load(0, p));
+            seen.push_back(load(regs, 0, p));
     });
     sim::Process writer(sim, "writer", [&](sim::Process &p) {
         for (std::uint32_t i = 0; i < 5; ++i) {

@@ -144,8 +144,7 @@ TEST(Dsm, StoresToCommRegSpaceLandInRegisters)
         ctx.barrier();
         if (ctx.id() == 1) {
             present_before_load = ctx.cell().mc().regs().present(5);
-            reg_value =
-                ctx.cell().mc().regs().load(5, ctx.process());
+            EXPECT_TRUE(ctx.cell().mc().regs().try_load(5, reg_value));
         }
         ctx.barrier();
     });

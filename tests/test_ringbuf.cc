@@ -1,7 +1,9 @@
 /**
  * @file
  * Ring buffer tests: SEND/RECEIVE matching, blocking receives,
- * overflow growth, in-place consumption (Section 4.3).
+ * overflow growth, in-place consumption (Section 4.3). A blocking
+ * receive is the probe-and-park loop core::Context runs:
+ * try_receive(), park on arrival_cond(), re-probe.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,17 @@ rec(CellId src, std::int32_t tag, std::size_t n)
                       std::vector<std::uint8_t>(n,
                                                 static_cast<std::uint8_t>(
                                                     tag))};
+}
+
+/** Blocking take: probe, park on the arrival condition, re-probe. */
+SendRecord
+receive(RingBuffer &rb, CellId src, std::int32_t tag, sim::Process &proc,
+        bool in_place = false)
+{
+    SendRecord out;
+    while (!rb.try_receive(src, tag, out, in_place))
+        proc.wait(rb.arrival_cond());
+    return out;
 }
 
 } // namespace
@@ -69,7 +82,7 @@ TEST(RingBuffer, BlockingReceiveWaitsForDeposit)
     RingBuffer rb;
     Tick when = 0;
     sim::Process p(sim, "rx", [&](sim::Process &self) {
-        SendRecord r = rb.receive(any_source, any_tag, self);
+        SendRecord r = receive(rb, any_source, any_tag, self);
         when = sim.now();
         EXPECT_EQ(r.payload.size(), 16u);
     });
@@ -97,8 +110,8 @@ TEST(RingBuffer, InPlaceConsumptionCountsSeparately)
     rb.deposit(rec(0, 1, 8));
     rb.deposit(rec(0, 2, 8));
     sim::Process p(sim, "p", [&](sim::Process &self) {
-        rb.receive(0, 1, self);
-        rb.consume_in_place(0, 2, self);
+        receive(rb, 0, 1, self);
+        receive(rb, 0, 2, self, /*in_place=*/true);
     });
     p.start(0);
     sim.run();

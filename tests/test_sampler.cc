@@ -127,6 +127,29 @@ TEST(Sampler, DeltaAndLevelSeriesAgainstHandComputedSnapshots)
     EXPECT_EQ(rows[2].values[1], 3);
 }
 
+TEST(Sampler, DeltaOfPathsJoiningAndLeavingTheRegistry)
+{
+    // The header's rule: a delta series differences two sums, so a
+    // path that joins counts from zero and a path that leaves takes
+    // its last value out of that period's delta.
+    StatsRegistry reg;
+    std::uint64_t a0 = 3, a1 = 4;
+    reg.add_counter("cell0.msc.puts_sent", &a0);
+    TimelineSampler tl(reg, 100, {{"puts", "*.msc.puts_sent", false}});
+    tl.start();
+
+    reg.add_counter("cell1.msc.puts_sent", &a1);
+    tl.sample(100);
+    a0 = 5;
+    reg.remove_prefix("cell1.");
+    tl.sample(200);
+
+    std::vector<TimelineSample> rows = tl.samples();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].values[0], 4);      // cell1 joined at 4
+    EXPECT_EQ(rows[1].values[0], 2 - 4);  // cell0 +2, cell1 left
+}
+
 TEST(Sampler, DrivesARealSimulatorInPeriodSlices)
 {
     StatsRegistry reg;

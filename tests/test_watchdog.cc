@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/program.hh"
 #include "hw/config.hh"
@@ -74,6 +75,32 @@ TEST(Watchdog, AckWaitIsGuardedToo)
     ASSERT_EQ(r.errors.size(), 1u);
     EXPECT_NE(r.errors.front().find("wait_acks"), std::string::npos)
         << r.errors.front();
+}
+
+TEST(Watchdog, CommRegisterLoadIsGuarded)
+{
+    // Total loss: each cell's store into its partner's communication
+    // register is dropped, so the scalar allreduce's register load
+    // finds the p-bit clear for good. The watchdog must cover that
+    // hardware stall like any other wait: both cells unwind with a
+    // typed error naming the register load, and nothing hangs.
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
+    cfg.faults = sim::FaultPlan::drops(31, 1.0);
+    cfg.retry.watchdogUs = 500.0;
+    hw::Machine m(cfg);
+
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        ctx.allreduce(1.0, core::ReduceOp::sum);
+    });
+
+    EXPECT_FALSE(r.deadlock) << "a register load outlived the watchdog";
+    ASSERT_EQ(r.errors.size(), 2u);
+    for (const std::string &err : r.errors) {
+        EXPECT_NE(err.find("watchdog expired"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("blocked in commreg_load"), std::string::npos)
+            << err;
+    }
 }
 
 TEST(CellFailure, SurvivorsFinishBarrierAndReductionsDegraded)
@@ -192,4 +219,43 @@ TEST(CellFailure, GroupReduceFiltersDeadMembers)
                                      ? "deadlock"
                                      : r.errors.front());
     EXPECT_EQ(wrong, 0);
+}
+
+TEST(CellFailure, KillInsideScalarAllreduceNeverHangs)
+{
+    // Cell 1 dies at one of 109 ticks spread over back-to-back
+    // scalar reductions, so some kills land after a survivor started
+    // loading a register the dead cell was to fill. That survivor
+    // must unwind through the watchdog: no kill tick may deadlock,
+    // and 1 and 4 kernel threads must agree on the outcome.
+    for (int k = 0; k <= 108; ++k) {
+        double atUs = 20.0 + 0.37 * k;
+        std::vector<std::string> outcome;
+        for (int threads : {1, 4}) {
+            hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
+            cfg.faults.kills.push_back({1, atUs});
+            cfg.retry.watchdogUs = 1000.0;
+            cfg.threads = threads;
+            hw::Machine m(cfg);
+
+            core::SpmdResult r =
+                core::run_spmd(m, [](core::Context &ctx) {
+                    for (int i = 0; i < 40; ++i) {
+                        ctx.allreduce(1.0, core::ReduceOp::sum);
+                        ctx.compute_us(0.3);
+                    }
+                });
+
+            EXPECT_FALSE(r.deadlock) << "kill at " << atUs
+                                     << " us, " << threads
+                                     << " threads: " << r.stuck.size()
+                                     << " cells stuck";
+            ASSERT_EQ(r.failedCells, std::vector<CellId>{1});
+            std::string o = std::to_string(r.finishTick);
+            for (const std::string &e : r.errors)
+                o += "\n" + e;
+            outcome.push_back(std::move(o));
+        }
+        EXPECT_EQ(outcome[0], outcome[1]) << "kill at " << atUs << " us";
+    }
 }
