@@ -142,13 +142,11 @@ Context::commreg_load_f64(int index)
 double
 Context::commreg_exchange(CellId partner, int reg_index, double value)
 {
-    const auto &t = machine.config().timings;
-
     // Store my value to the partner's register pair: the registers
     // sit in shared space, so this is one hardware remote store.
     std::vector<std::uint8_t> data(8);
     std::memcpy(data.data(), &value, 8);
-    proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(hw::remote_access_issue_us));
     ++acksOutstanding;
     cell().msc().issue_remote_store(
         partner,
@@ -156,7 +154,7 @@ Context::commreg_exchange(CellId partner, int reg_index, double value)
         std::move(data));
 
     // Load my own pair; the p-bit retry stalls until data arrives.
-    proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+    proc.delay(us_to_ticks(2 * hw::commreg_access_us));
     return commreg_load_f64(reg_index);
 }
 
@@ -178,7 +176,7 @@ Context::barrier()
     if (lastCollectiveDegraded)
         ++ctxStats.degradedCollectives;
 
-    proc.delay(us_to_ticks(machine.config().timings.barrierIssueUs));
+    proc.delay(us_to_ticks(machine.costs().barrier_prolog_time));
 
     // The release state is heap-owned by the S-net callback: if the
     // watchdog throws us out of the wait, a later release must not
@@ -236,24 +234,22 @@ Context::allreduce(double value, ReduceOp op)
         r *= 2;
 
     double v = value;
-    const auto &t = machine.config().timings;
-
     if (me >= r) {
         // Fold my value into my low partner, then pick up the result.
         std::vector<std::uint8_t> data(8);
         std::memcpy(data.data(), &v, 8);
-        proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+        proc.delay(us_to_ticks(hw::remote_access_issue_us));
         ++acksOutstanding;
         cell().msc().issue_remote_store(
             me - r, hw::Mc::commreg_base + (bank + 0) * 4,
             std::move(data));
 
-        proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+        proc.delay(us_to_ticks(2 * hw::commreg_access_us));
         return commreg_load_f64(bank + 2);
     }
 
     if (me + r < p) {
-        proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+        proc.delay(us_to_ticks(2 * hw::commreg_access_us));
         v = combine(v, commreg_load_f64(bank + 0), op);
     }
 
@@ -268,7 +264,7 @@ Context::allreduce(double value, ReduceOp op)
     if (me + r < p) {
         std::vector<std::uint8_t> data(8);
         std::memcpy(data.data(), &v, 8);
-        proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+        proc.delay(us_to_ticks(hw::remote_access_issue_us));
         ++acksOutstanding;
         cell().msc().issue_remote_store(
             me + r, hw::Mc::commreg_base + (bank + 2) * 4,

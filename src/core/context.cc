@@ -299,7 +299,7 @@ Context::internal_send(CellId dst, std::int32_t tag,
 hw::SendRecord
 Context::internal_recv(CellId src, std::int32_t tag)
 {
-    proc.delay(us_to_ticks(machine.config().timings.receiveSearchUs));
+    proc.delay(us_to_ticks(machine.costs().recv_search_time));
     return ring_take_guarded(src, tag, /*in_place=*/true,
                              "recv_reduce");
 }
@@ -325,7 +325,7 @@ Context::issue(hw::Command cmd)
     check_alive();
     // Writing the 8 parameter words to the MSC+ special address.
     Tick t0 = machine.sim().now();
-    proc.delay(us_to_ticks(machine.config().timings.enqueueUs));
+    proc.delay(us_to_ticks(machine.costs().put_enqueue_time));
     if ((cmd.traceId = machine.spans().new_trace(cellId)) != 0) {
         obs::SpanOp op = obs::SpanOp::none;
         switch (cmd.kind) {
@@ -632,7 +632,7 @@ Context::wait_flag(Addr flag_addr, std::uint32_t target)
     trace(ev);
 
     check_alive();
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.costs().flag_check_prolog_time));
     park(cell().mc().flag_cond(),
          [&] { return flag(flag_addr) >= target; },
          {"wait_flag", flag_addr, target, /*span=*/true});
@@ -650,7 +650,7 @@ Context::wait_all_acks()
     trace(ev);
 
     check_alive();
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.costs().flag_check_prolog_time));
     std::uint64_t target = ackBase + acksOutstanding;
     park(cell().msc().ack_cond(),
          [&] { return cell().msc().ack_count() >= target; },
@@ -661,7 +661,7 @@ bool
 Context::wait_flag_for(Addr flag_addr, std::uint32_t target,
                        Tick deadline)
 {
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.costs().flag_check_prolog_time));
     return park(cell().mc().flag_cond(),
                 [&] { return flag(flag_addr) >= target; },
                 {"wait_flag_for", flag_addr, target}, deadline);
@@ -670,7 +670,7 @@ Context::wait_flag_for(Addr flag_addr, std::uint32_t target,
 bool
 Context::wait_all_acks_for(Tick deadline)
 {
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.costs().flag_check_prolog_time));
     std::uint64_t target = ackBase + acksOutstanding;
     return park(cell().msc().ack_cond(),
                 [&] { return cell().msc().ack_count() >= target; },
@@ -690,8 +690,7 @@ std::uint32_t
 Context::remote_load_u32(CellId dst, Addr raddr)
 {
     check_alive();
-    proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(hw::remote_access_issue_us));
     std::uint64_t token = cell().msc().issue_remote_load(dst, raddr, 4);
     std::vector<std::uint8_t> data;
     wait_load_reply(token, raddr, data);
@@ -704,8 +703,7 @@ std::uint64_t
 Context::remote_load_u64(CellId dst, Addr raddr)
 {
     check_alive();
-    proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(hw::remote_access_issue_us));
     std::uint64_t token = cell().msc().issue_remote_load(dst, raddr, 8);
     std::vector<std::uint8_t> data;
     wait_load_reply(token, raddr, data);
@@ -728,8 +726,7 @@ void
 Context::remote_store_u32(CellId dst, Addr raddr, std::uint32_t v)
 {
     check_alive();
-    proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(hw::remote_access_issue_us));
     std::vector<std::uint8_t> data(4);
     std::memcpy(data.data(), &v, 4);
     ++acksOutstanding;
@@ -740,8 +737,7 @@ void
 Context::remote_store_u64(CellId dst, Addr raddr, std::uint64_t v)
 {
     check_alive();
-    proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(hw::remote_access_issue_us));
     std::vector<std::uint8_t> data(8);
     std::memcpy(data.data(), &v, 8);
     ++acksOutstanding;
@@ -798,7 +794,7 @@ Context::broadcast(CellId root, Addr laddr, std::uint32_t size,
 
     // The B-net is driven like a PUT: parameters plus payload gather.
     Tick t0 = machine.sim().now();
-    proc.delay(us_to_ticks(machine.config().timings.enqueueUs));
+    proc.delay(us_to_ticks(machine.costs().put_enqueue_time));
     std::vector<std::uint8_t> payload(size);
     peek(laddr, payload);
 
@@ -847,14 +843,14 @@ Context::recv(CellId src, std::int32_t tag, Addr laddr,
 
     // RECEIVE searches the ring buffer, then copies to the user area
     // — the intrinsic SEND/RECEIVE overhead (Section 1.3).
-    proc.delay(us_to_ticks(machine.config().timings.receiveSearchUs));
+    proc.delay(us_to_ticks(machine.costs().recv_search_time));
     hw::SendRecord rec =
         ring_take_guarded(src, tag, /*in_place=*/false, "recv");
     if (rec.payload.size() > max_size)
         fatal("cell %d: received %zu bytes into a %u-byte area",
               cellId, rec.payload.size(), max_size);
     proc.delay(us_to_ticks(
-        machine.config().timings.receiveCopyPerByteUs *
+        machine.costs().recv_copy_time *
         static_cast<double>(rec.payload.size())));
     poke(laddr, rec.payload);
     std::uint32_t got =

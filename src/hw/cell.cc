@@ -3,13 +3,14 @@
 namespace ap::hw
 {
 
-Cell::Cell(sim::Simulator &sim, const MachineConfig &cfg, CellId id,
-           net::Link &tnet, BufferPool &pool, net::Tnet *direct)
+Cell::Cell(sim::Simulator &sim, const MachineConfig &cfg,
+           const mlsim::Params &costs, CellId id, net::Link &tnet,
+           BufferPool &pool, net::Tnet *direct)
     : cellId(id),
       mem(cfg.memBytesPerCell),
       mcUnit(mem),
       ringBuf(cfg.ringBufferBytes),
-      mscUnit(sim, cfg, *this, tnet, pool, direct)
+      mscUnit(sim, cfg, costs, *this, tnet, pool, direct)
 {
     // The runtime's default address-space layout: the whole DRAM
     // identity-mapped with 4 KB pages. Tests exercising faults and

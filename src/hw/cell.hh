@@ -34,15 +34,16 @@ class Cell
     /**
      * @param sim owning simulator
      * @param cfg machine configuration
+     * @param costs the machine's Figure 6 cost table
      * @param id this cell's id
      * @param tnet the outgoing message link
      * @param pool payload buffer pool of this cell's kernel shard
      * @param direct the raw T-net for devirtualized sends, or
      *               nullptr when a reliable layer is stacked
      */
-    Cell(sim::Simulator &sim, const MachineConfig &cfg, CellId id,
-         net::Link &tnet, BufferPool &pool,
-         net::Tnet *direct = nullptr);
+    Cell(sim::Simulator &sim, const MachineConfig &cfg,
+         const mlsim::Params &costs, CellId id, net::Link &tnet,
+         BufferPool &pool, net::Tnet *direct = nullptr);
 
     Cell(const Cell &) = delete;
     Cell &operator=(const Cell &) = delete;

@@ -1,7 +1,10 @@
 /**
  * @file
- * Machine configuration: Table 1 specifications plus the hardware
- * timing knobs of the functional AP1000+ model.
+ * Machine configuration: Table 1 specifications plus the model's
+ * knobs. The emulator's costs are not configured here: every cost
+ * with a Figure 6 item comes from the machine's one
+ * mlsim::Params::ap1000_plus() table (Machine::costs()); the three
+ * below have none.
  */
 
 #ifndef AP_HW_CONFIG_HH
@@ -12,15 +15,21 @@
 #include <string>
 
 #include "base/types.hh"
-#include "net/bnet.hh"
 #include "obs/span.hh"
-#include "net/reliable.hh"
-#include "net/snet.hh"
-#include "net/tnet.hh"
 #include "sim/fault.hh"
 
 namespace ap::hw
 {
+
+/** Time, in microseconds, of the OS interrupt that services an MSC+
+ *  queue refill or a page fault during a transfer. */
+inline constexpr double interrupt_us = 20.0;
+/** Processor time, in microseconds, to issue one hardware remote
+ *  load or store. */
+inline constexpr double remote_access_issue_us = 0.04;
+/** Processor time, in microseconds, of one local
+ *  communication-register access. */
+inline constexpr double commreg_access_us = 0.08;
 
 /**
  * Recovery policy for blocking PUT/GET completion waits. Disabled by
@@ -68,41 +77,6 @@ struct RetryPolicy
     }
 };
 
-/**
- * MSC+/MC timing parameters in microseconds. Defaults model the
- * AP1000+ (hardware message handling): a PUT costs the processor 8
- * store instructions (8 cycles at 50 MHz = 0.16 us, Section 4.1), the
- * DMA setup is 0.5 us (Figure 6 put_dma_set_time) and data streams at
- * the 25 MB/s link rate.
- */
-struct HwTimings
-{
-    /** processor cost to enqueue one 8-word command. */
-    double enqueueUs = 0.16;
-    /** send DMA setup per command. */
-    double dmaSetUs = 0.50;
-    /** DMA streaming per payload byte (25 MB/s). */
-    double dmaPerByteUs = 0.04;
-    /** receive DMA setup per message. */
-    double recvDmaSetUs = 0.50;
-    /** MC fetch-and-increment of one flag. */
-    double flagUpdateUs = 0.04;
-    /** OS interrupt servicing a queue refill or fault. */
-    double interruptUs = 20.0;
-    /** RECEIVE library search of the ring buffer (processor). */
-    double receiveSearchUs = 1.00;
-    /** RECEIVE user-area copy per byte (processor). */
-    double receiveCopyPerByteUs = 0.02;
-    /** processor cost of a local communication-register access. */
-    double commRegAccessUs = 0.08;
-    /** processor cost of issuing a remote load/store (hardware). */
-    double remoteAccessIssueUs = 0.04;
-    /** processor cost of one flag check (read + compare). */
-    double flagCheckUs = 0.10;
-    /** processor cost of entering the S-net barrier. */
-    double barrierIssueUs = 0.20;
-};
-
 /** Full machine configuration (Table 1 plus model knobs). */
 struct MachineConfig
 {
@@ -121,11 +95,6 @@ struct MachineConfig
     int queueCapacityWords = 64;
     /** Initial ring buffer capacity per cell. */
     std::size_t ringBufferBytes = 256 * 1024;
-
-    net::TnetParams tnet;
-    net::BnetParams bnet;
-    net::SnetParams snet;
-    HwTimings timings;
 
     /**
      * Host worker threads driving the event kernel (sim/eventq.hh):
@@ -146,14 +115,10 @@ struct MachineConfig
      *  the MSC+ and the T-net. Off by default: the paper's T-net is
      *  lossless, and benches measure the layer's overhead. */
     bool reliableNet = false;
-    /** Reliable-layer protocol parameters (window, RTO, ...). */
-    net::ReliableParams rnet;
 
     /** Causal span recording mode (obs/span.hh). The flight
      *  recorder is on by default: probes cost a POD ring store. */
     obs::SpanMode spanMode = obs::SpanMode::flight;
-    /** Per-cell flight-recorder capacity in span events. */
-    std::size_t flightEvents = obs::FlightRecorder::default_capacity;
     /** When set, CommError postmortems also dump the merged flight
      *  rings as Chrome trace JSON to this path. */
     std::string postmortemOut = "";

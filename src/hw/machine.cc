@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "base/logging.hh"
+#include "mlsim/costmodel.hh"
 #include "obs/json.hh"
 
 namespace ap::hw
@@ -15,23 +16,22 @@ namespace
 {
 
 /**
- * The conservative lookahead of this configuration: the minimum
- * model-time distance of any cross-cell effect. A T-net message pays
- * at least prolog + one hop + epilog before touching another cell; a
- * B-net broadcast pays the bus prolog to reach the bus event on the
- * machine timeline and then at least its 32 header bytes' transfer
- * time to reach the receivers; an S-net release pays the combine
- * latency.
+ * The conservative lookahead under the Figure 6 table @p c: the
+ * minimum model-time distance of any cross-cell effect. A T-net
+ * message pays at least a one-hop, zero-byte flight before touching
+ * another cell; a B-net broadcast pays the bus prolog to reach the
+ * bus event on the machine timeline and then at least its 32 header
+ * bytes' transfer time to reach the receivers; an S-net release pays
+ * the barrier time.
  */
 Tick
-derive_lookahead(const MachineConfig &cfg)
+derive_lookahead(const mlsim::Params &c)
 {
-    double us = cfg.tnet.prologUs + cfg.tnet.delayPerHopUs +
-                cfg.tnet.epilogUs;
-    us = std::min(us, cfg.bnet.prologUs);
-    us = std::min(us, cfg.bnet.perByteUs *
+    double us = mlsim::CostModel(c).network(1, 0);
+    us = std::min(us, c.bnet_prolog_time);
+    us = std::min(us, c.bnet_msg_time *
                           static_cast<double>(net::Message::header_bytes));
-    us = std::min(us, cfg.snet.releaseUs);
+    us = std::min(us, c.barrier_time);
     Tick l = us_to_ticks(us);
     return l < 1 ? 1 : l;
 }
@@ -139,18 +139,19 @@ constexpr obs::StatField rnet_fields[] = {
 } // namespace
 
 Machine::Machine(MachineConfig config)
-    : cfg(config), faultInj(cfg.faults),
-      simulator(cfg.threads, cfg.cells, derive_lookahead(cfg)),
-      tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.tnet),
-      bnetNet(simulator, cfg.cells, cfg.bnet),
-      snetNet(simulator, cfg.cells, cfg.snet),
+    : cfg(config), costTable(mlsim::Params::ap1000_plus()),
+      faultInj(cfg.faults),
+      simulator(cfg.threads, cfg.cells, derive_lookahead(costTable)),
+      tnetNet(simulator, net::Torus::squarest(cfg.cells), costTable),
+      bnetNet(simulator, cfg.cells, costTable),
+      snetNet(simulator, cfg.cells, costTable),
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
       failTicks(static_cast<std::size_t>(cfg.cells)),
       killed(static_cast<std::size_t>(cfg.cells), 0),
       waitLogs(static_cast<std::size_t>(cfg.cells)),
       waitLocks(std::make_unique<std::mutex[]>(
           static_cast<std::size_t>(cfg.cells))),
-      spanLayer(cfg.cells, cfg.flightEvents)
+      spanLayer(cfg.cells, obs::FlightRecorder::default_capacity)
 {
     spanLayer.set_mode(cfg.spanMode);
     for (std::atomic<Tick> &t : failTicks)
@@ -169,7 +170,7 @@ Machine::Machine(MachineConfig config)
     }
     if (cfg.reliableNet)
         rnetNet = std::make_unique<net::ReliableNet>(
-            simulator, tnetNet, cfg.rnet);
+            simulator, tnetNet, net::ReliableParams{});
     // The span layer is wired unconditionally: the default flight
     // mode is the always-on black box, and off-mode probes reduce to
     // one branch inside record()/new_trace().
@@ -213,7 +214,7 @@ Machine::Machine(MachineConfig config)
     for (int i = 0; i < cfg.cells; ++i) {
         std::uint32_t shard = shardOfCell[static_cast<std::size_t>(i)];
         cells.push_back(std::make_unique<Cell>(
-            simulator, cfg, i, link,
+            simulator, cfg, costTable, i, link,
             *payloadPools[static_cast<std::size_t>(shard)], direct));
         Cell *c = cells.back().get();
         c->msc().set_spans(&spanLayer);
@@ -708,7 +709,8 @@ Machine::flight_report() const
         "(%zu per-cell capacity, mode %s)\n",
         static_cast<unsigned long long>(retained),
         static_cast<unsigned long long>(spanLayer.flight_dropped()),
-        cfg.flightEvents, obs::to_string(spanLayer.mode()));
+        obs::FlightRecorder::default_capacity,
+        obs::to_string(spanLayer.mode()));
 }
 
 Cell &

@@ -18,6 +18,7 @@
 #include "hw/cell.hh"
 #include "hw/config.hh"
 #include "hw/dsm.hh"
+#include "mlsim/params.hh"
 #include "net/bnet.hh"
 #include "net/reliable.hh"
 #include "net/snet.hh"
@@ -73,6 +74,10 @@ class Machine
     const DsmMap &dsm() const { return dsmMap; }
 
     const MachineConfig &config() const { return cfg; }
+
+    /** The Figure 6 cost table every component charges: MLSim's
+     *  Params::ap1000_plus(), built once per machine. */
+    const mlsim::Params &costs() const { return costTable; }
 
     /** The fault injector built from cfg.faults (inert when the plan
      *  injects nothing). */
@@ -279,6 +284,8 @@ class Machine
     void fail_cell(CellId id);
 
     MachineConfig cfg;
+    /** Declared before everything that charges it. */
+    const mlsim::Params costTable;
     sim::FaultInjector faultInj;
     sim::Simulator simulator;
     net::Tnet tnetNet;

@@ -12,9 +12,10 @@
 namespace ap::hw
 {
 
-Msc::Msc(sim::Simulator &sim, const MachineConfig &cfg, Cell &cell,
-         net::Link &tnet, BufferPool &pool, net::Tnet *direct)
-    : sim(sim), cfg(cfg), cell(cell), tnet(tnet), pool(pool),
+Msc::Msc(sim::Simulator &sim, const MachineConfig &cfg,
+         const mlsim::Params &costs, Cell &cell, net::Link &tnet,
+         BufferPool &pool, net::Tnet *direct)
+    : sim(sim), costs(costs), cell(cell), tnet(tnet), pool(pool),
       direct(direct), userQ(cfg.queueCapacityWords),
       systemQ(cfg.queueCapacityWords),
       remoteQ(cfg.queueCapacityWords),
@@ -163,7 +164,7 @@ Msc::maybe_refill(CommandQueue &q)
     if (!q.needs_refill() || q.refill_scheduled())
         return;
     q.set_refill_scheduled(true);
-    sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
+    sim.schedule_after(us_to_ticks(interrupt_us),
                        [this, &q]() {
                            int moved = q.refill();
                            q.set_refill_scheduled(false);
@@ -198,8 +199,8 @@ Msc::kick()
     // completion time (the send flag keeps the sending area stable
     // until then per Section 3.1) and the network injection lands at
     // the exact tick the two-event pipeline used to produce — at half
-    // the event cost per send.
-    Tick stream = us_to_ticks(cfg.timings.dmaPerByteUs *
+    // the event cost per send. The DMA streams at the link rate.
+    Tick stream = us_to_ticks(costs.network_msg_time *
                               static_cast<double>(cmd.bytes()));
     auto fire = [this, cmd = std::move(cmd), popT]() mutable {
         process(std::move(cmd), popT);
@@ -207,7 +208,7 @@ Msc::kick()
     static_assert(sim::EventFn::fits<decltype(fire)>(),
                   "send-pipeline closure must stay in the EventFn "
                   "inline buffer");
-    sim.schedule_after(us_to_ticks(cfg.timings.dmaSetUs) + stream,
+    sim.schedule_after(us_to_ticks(costs.put_dma_set_time) + stream,
                        std::move(fire));
 }
 
@@ -363,7 +364,7 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
         cmd.kind == CommandKind::get_reply) {
         if (cmd.sendFlag != no_flag) {
             sim.schedule_after(
-                us_to_ticks(cfg.timings.flagUpdateUs),
+                us_to_ticks(costs.send_complete_flag_time),
                 [this, flag = cmd.sendFlag, tid = cmd.traceId,
                  fbegin = sim.now()]() {
                     if (spans && tid != 0)
@@ -400,7 +401,7 @@ Msc::local_fault(Addr addr)
     if (faultHook)
         faultHook(cell.id(), addr, false);
     // The OS services the fault; the command is dropped.
-    sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
+    sim.schedule_after(us_to_ticks(interrupt_us),
                        [this]() { sender_idle(); });
 }
 
@@ -420,7 +421,7 @@ Msc::remote_fault(Addr addr)
         faultHook(cell.id(), addr, true);
     recvBusyUntil =
         std::max(recvBusyUntil, sim.now()) +
-        us_to_ticks(cfg.timings.interruptUs);
+        us_to_ticks(interrupt_us);
 }
 
 void
@@ -430,8 +431,8 @@ Msc::deliver(net::Message msg)
     // the network into memory.
     Tick start = std::max(sim.now(), recvBusyUntil);
     Tick dma = us_to_ticks(
-        cfg.timings.recvDmaSetUs +
-        cfg.timings.dmaPerByteUs *
+        costs.recv_dma_set_time +
+        costs.network_msg_time *
             static_cast<double>(msg.payload.size()));
     Tick finish = start + dma;
     recvBusyUntil = finish;

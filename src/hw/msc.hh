@@ -37,6 +37,7 @@
 #include "hw/command.hh"
 #include "hw/config.hh"
 #include "hw/queues.hh"
+#include "mlsim/params.hh"
 #include "net/link.hh"
 #include "net/message.hh"
 #include "obs/span.hh"
@@ -89,7 +90,9 @@ class Msc
   public:
     /**
      * @param sim owning simulator
-     * @param cfg machine configuration (timings, queue sizes)
+     * @param cfg machine configuration (queue sizes)
+     * @param costs the machine's Figure 6 cost table (outlives this
+     *              controller)
      * @param cell the cell this controller belongs to
      * @param tnet the outgoing link (raw T-net or the reliable
      *             layer stacked on it)
@@ -98,9 +101,9 @@ class Msc
      *               (no reliable layer stacked), for devirtualized
      *               sends; nullptr otherwise
      */
-    Msc(sim::Simulator &sim, const MachineConfig &cfg, Cell &cell,
-        net::Link &tnet, BufferPool &pool,
-        net::Tnet *direct = nullptr);
+    Msc(sim::Simulator &sim, const MachineConfig &cfg,
+        const mlsim::Params &costs, Cell &cell, net::Link &tnet,
+        BufferPool &pool, net::Tnet *direct = nullptr);
 
     // -- processor side ------------------------------------------------
 
@@ -223,7 +226,7 @@ class Msc
     void remote_fault(Addr addr);
 
     sim::Simulator &sim;
-    const MachineConfig &cfg;
+    const mlsim::Params &costs;
     Cell &cell;
     net::Link &tnet;
     BufferPool &pool;

@@ -1,5 +1,6 @@
 #include "mlsim/params.hh"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -208,6 +209,12 @@ Params::from_file(const std::string &text)
         if (!value)
             fatal("parameter file line %d: bad value '%s'", lineno,
                   toks[1].c_str());
+        // A negative or non-finite cost would schedule events in the
+        // past or overflow the tick conversion.
+        if (!std::isfinite(*value) || *value < 0.0)
+            fatal("parameter file line %d: '%s' must be a finite "
+                  "value >= 0, got '%s'",
+                  lineno, toks[0].c_str(), toks[1].c_str());
         if (!p.set(toks[0], *value))
             fatal("parameter file line %d: unknown parameter '%s'",
                   lineno, toks[0].c_str());

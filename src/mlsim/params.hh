@@ -114,7 +114,8 @@ struct Params
 
     /**
      * Parse the Figure 6 file format. Unknown keys are fatal (a
-     * typo'd parameter silently defaulting would poison results).
+     * typo'd parameter silently defaulting would poison results),
+     * and so are negative and non-finite values.
      */
     static Params from_file(const std::string &text);
 

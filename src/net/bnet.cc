@@ -9,8 +9,8 @@
 namespace ap::net
 {
 
-Bnet::Bnet(sim::Simulator &sim, int cells, BnetParams params)
-    : sim(sim), prm(params), handlers(static_cast<std::size_t>(cells))
+Bnet::Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs)
+    : sim(sim), costs(costs), handlers(static_cast<std::size_t>(cells))
 {
 }
 
@@ -26,7 +26,7 @@ void
 Bnet::broadcast(Message msg)
 {
     Tick issued = sim.now();
-    sim.schedule_for(-1, issued + us_to_ticks(prm.prologUs),
+    sim.schedule_for(-1, issued + us_to_ticks(costs.bnet_prolog_time),
                      [this, issued, msg = std::move(msg)]() mutable {
                          arbitrate(std::move(msg), issued);
                      });
@@ -37,8 +37,8 @@ Bnet::arbitrate(Message msg, Tick issued)
 {
     Tick start = std::max(issued, busyUntil);
     Tick occupy = us_to_ticks(
-        prm.prologUs +
-        prm.perByteUs * static_cast<double>(msg.wire_bytes()));
+        costs.bnet_prolog_time +
+        costs.bnet_msg_time * static_cast<double>(msg.wire_bytes()));
     Tick arrive = start + occupy;
     busyUntil = arrive;
     ++netStats.broadcasts;

@@ -4,7 +4,8 @@
  *
  * Used for program/data distribution and host communication. Modelled
  * as a single serialized channel: one broadcast occupies the bus for
- * size / bandwidth and is then delivered to every attached cell.
+ * bnet_prolog_time + bnet_msg_time * wire bytes (Figure 6 table) and
+ * is then delivered to every attached cell.
  * The bus is arbitrated on the machine timeline: a broadcast issued
  * at tick t becomes a bus event at t + prolog carrying t, and bus
  * events claim the bus in (tick, key) order; the arrival formula is
@@ -20,21 +21,13 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "mlsim/params.hh"
 #include "net/message.hh"
 #include "obs/span.hh"
 #include "sim/eventq.hh"
 
 namespace ap::net
 {
-
-/** B-net timing parameters (microseconds). */
-struct BnetParams
-{
-    /** fixed bus acquisition cost. */
-    double prologUs = 0.5;
-    /** per-byte time; 50 MB/s -> 0.02 us/byte. */
-    double perByteUs = 0.02;
-};
 
 /** Aggregate B-net statistics. */
 struct BnetStats
@@ -55,9 +48,10 @@ class Bnet
     /**
      * @param sim owning simulator
      * @param cells number of attached cells
-     * @param params timing parameters
+     * @param costs the Figure 6 table (bnet_prolog_time,
+     *              bnet_msg_time)
      */
-    Bnet(sim::Simulator &sim, int cells, BnetParams params);
+    Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs);
 
     /** Register the receive handler for cell @p id. */
     void attach(CellId id, Deliver deliver);
@@ -81,7 +75,7 @@ class Bnet
     void arbitrate(Message msg, Tick issued);
 
     sim::Simulator &sim;
-    BnetParams prm;
+    mlsim::Params costs;
     std::vector<Deliver> handlers;
     /** Bus free-at tick; machine timeline only. */
     Tick busyUntil = 0;

@@ -8,8 +8,8 @@
 namespace ap::net
 {
 
-Snet::Snet(sim::Simulator &sim, int cells, SnetParams params)
-    : sim(sim), numCells(cells), prm(params),
+Snet::Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs)
+    : sim(sim), numCells(cells), costs(costs),
       failedAt(static_cast<std::size_t>(cells), max_tick)
 {
 }
@@ -80,7 +80,7 @@ Snet::maybe_release(Context &ctx)
         last = std::max(last, died);
     }
 
-    Tick release = last + us_to_ticks(prm.releaseUs);
+    Tick release = last + us_to_ticks(costs.barrier_time);
     if (spans)
         if (std::uint64_t tid =
                 spans->episode_trace(ctx.id, ctx.completed))

@@ -26,18 +26,12 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "mlsim/params.hh"
 #include "obs/span.hh"
 #include "sim/eventq.hh"
 
 namespace ap::net
 {
-
-/** S-net timing parameters (microseconds). */
-struct SnetParams
-{
-    /** Combine-and-release latency after the last arrival. */
-    double releaseUs = 1.0;
-};
 
 /** Hardware barrier engine. */
 class Snet
@@ -49,9 +43,10 @@ class Snet
     /**
      * @param sim owning simulator
      * @param cells machine size
-     * @param params timing parameters
+     * @param costs the Figure 6 table; barrier_time is the
+     *              combine-and-release latency after the last arrival
      */
-    Snet(sim::Simulator &sim, int cells, SnetParams params);
+    Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs);
 
     /**
      * Create a barrier context over @p members (empty = all cells).
@@ -113,7 +108,7 @@ class Snet
 
     sim::Simulator &sim;
     int numCells;
-    SnetParams prm;
+    mlsim::Params costs;
     /** Serializes create_context()/arrive()/fail_cell(): barrier
      *  contexts are shared by every member cell's shard and may be
      *  created mid-run. */

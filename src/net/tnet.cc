@@ -9,8 +9,8 @@
 namespace ap::net
 {
 
-Tnet::Tnet(sim::Simulator &sim, Torus topo, TnetParams params)
-    : sim(sim), topo(topo), prm(params),
+Tnet::Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs)
+    : sim(sim), topo(topo), cost(costs),
       handlers(static_cast<std::size_t>(topo.size())), rows(1),
       rowOf(static_cast<std::size_t>(topo.size()), 0)
 {
@@ -60,11 +60,7 @@ Tnet::attach(CellId id, Deliver deliver)
 Tick
 Tnet::latency(CellId src, CellId dst, std::uint64_t bytes) const
 {
-    int dist = topo.distance(src, dst);
-    double us = prm.prologUs + prm.delayPerHopUs * dist +
-                prm.perByteUs * static_cast<double>(bytes) +
-                prm.epilogUs;
-    return us_to_ticks(us);
+    return us_to_ticks(cost.network(topo.distance(src, dst), bytes));
 }
 
 void

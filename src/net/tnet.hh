@@ -2,7 +2,9 @@
  * @file
  * The T-net: point-to-point 2-D torus interconnect.
  *
- * Timing follows MLSim's network model (Figure 7, items 15-18):
+ * A message's flight time is MLSim's network term (Figure 7, items
+ * 15-18), charged by mlsim::CostModel::network() from the machine's
+ * Figure 6 table — the expression MLSim's replay charges:
  *
  *   latency = network_prolog_time
  *           + network_delay_time * distance
@@ -29,6 +31,7 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "mlsim/costmodel.hh"
 #include "net/link.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
@@ -38,19 +41,6 @@
 
 namespace ap::net
 {
-
-/** Timing parameters of the T-net (microseconds, Figure 6 names). */
-struct TnetParams
-{
-    /** network_prolog_time: fixed injection cost. */
-    double prologUs = 0.16;
-    /** network_delay_time: per-hop routing delay. */
-    double delayPerHopUs = 0.16;
-    /** per-byte transfer time; 25 MB/s links -> 0.04 us/byte. */
-    double perByteUs = 0.04;
-    /** network_epilog_time: fixed ejection cost. */
-    double epilogUs = 0.0;
-};
 
 /** Aggregate T-net statistics. */
 struct TnetStats
@@ -86,9 +76,10 @@ class Tnet final : public Link
     /**
      * @param sim owning simulator
      * @param topo torus shape
-     * @param params timing parameters
+     * @param costs the Figure 6 table whose network_* items price a
+     *              flight
      */
-    Tnet(sim::Simulator &sim, Torus topo, TnetParams params);
+    Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs);
 
     /** Register the receive handler for cell @p id. */
     void attach(CellId id, Deliver deliver);
@@ -113,7 +104,6 @@ class Tnet final : public Link
      *  shards at each fold_stats() (every window barrier). */
     const TnetStats &stats() const { return netStats; }
     void fold_stats();
-    const TnetParams &params() const { return prm; }
 
     /**
      * Attach a fault injector (nullptr detaches). Injected faults:
@@ -157,7 +147,7 @@ class Tnet final : public Link
 
     sim::Simulator &sim;
     Torus topo;
-    TnetParams prm;
+    mlsim::CostModel cost;
     sim::FaultInjector *faults = nullptr;
     std::function<bool(CellId)> alive;
     std::vector<Deliver> handlers;

@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "core/ap1000p.hh"
+#include "mlsim/params.hh"
 #include "mlsim/replay.hh"
 #include "net/bnet.hh"
 
@@ -31,7 +32,7 @@ small(int cells)
 TEST(BnetUnit, DeliversToAllButSource)
 {
     sim::Simulator sim;
-    net::Bnet bus(sim, 4, net::BnetParams{});
+    net::Bnet bus(sim, 4, mlsim::Params::ap1000_plus());
     std::vector<int> hits(4, 0);
     for (CellId c = 0; c < 4; ++c)
         bus.attach(c, [&, c](net::Message) { ++hits[c]; });
@@ -49,9 +50,9 @@ TEST(BnetUnit, DeliversToAllButSource)
 TEST(BnetUnit, BusSerializesBackToBackBroadcasts)
 {
     sim::Simulator sim;
-    net::BnetParams p;
-    p.prologUs = 1.0;
-    p.perByteUs = 0.02;
+    mlsim::Params p = mlsim::Params::ap1000_plus();
+    p.bnet_prolog_time = 1.0;
+    p.bnet_msg_time = 0.02;
     net::Bnet bus(sim, 2, p);
     std::vector<Tick> arrivals;
     bus.attach(0, [](net::Message) {});

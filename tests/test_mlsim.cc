@@ -92,6 +92,18 @@ TEST(ParamsDeath, UnknownKeyInFileIsFatal)
     EXPECT_DEATH(Params::from_file("bogus_time 1.0\n"), "unknown");
 }
 
+TEST(ParamsDeath, NegativeOrNonFiniteValueInFileIsFatal)
+{
+    // Unchecked, a negative or NaN cost schedules events in the past
+    // and an infinite one overflows us_to_ticks.
+    EXPECT_DEATH(Params::from_file("# AP1000+\nnetwork_msg_time -1\n"),
+                 "line 2: 'network_msg_time' must be a finite value");
+    EXPECT_DEATH(Params::from_file("network_msg_time nan\n"),
+                 "line 1: 'network_msg_time' must be a finite value");
+    EXPECT_DEATH(Params::from_file("recv_search_time inf\n"),
+                 "line 1: 'recv_search_time' must be a finite value");
+}
+
 // ------------------------------------------------------------ cost model
 
 TEST(CostModel, PaperSendOverheadFormula)

@@ -13,12 +13,14 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "base/logging.hh"
 #include "core/ap1000p.hh"
+#include "mlsim/costmodel.hh"
 #include "obs/cli.hh"
 #include "obs/debug.hh"
 #include "obs/json.hh"
@@ -654,4 +656,24 @@ TEST(Annotations, TwoCellPutFullLogReadsThePipelineInOrder)
         "dma_recv", "flag",  "wait_flag",
     };
     EXPECT_EQ(names, expect);
+
+    // Each stage lasts what its Figure 6 items cost, rounded to ticks
+    // the way the emulator rounds them: the send DMA's setup and its
+    // stream are two delays. Today 160, 3060, 4160 and 3060 ticks.
+    const mlsim::Params c = mlsim::Params::ap1000_plus();
+    std::map<std::string, Tick> length;
+    for (const SpanEvent &ev : m.spans().events())
+        if (ev.name == 0)
+            length[to_string(ev.stage)] = ev.end - ev.begin;
+    EXPECT_EQ(length["issue"], us_to_ticks(c.put_enqueue_time));
+    EXPECT_EQ(length["dma_send"],
+              us_to_ticks(c.put_dma_set_time) +
+                  us_to_ticks(c.network_msg_time * 64));
+    EXPECT_EQ(length["net"],
+              us_to_ticks(mlsim::CostModel(c).network(
+                  m.topology().distance(0, 1),
+                  64 + net::Message::header_bytes)));
+    EXPECT_EQ(length["dma_recv"],
+              us_to_ticks(c.recv_dma_set_time +
+                          c.network_msg_time * 64));
 }

@@ -12,6 +12,7 @@
 
 #include "base/logging.hh"
 #include "core/ap1000p.hh"
+#include "mlsim/params.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -398,7 +399,7 @@ TEST(PutGet, OverlapKeepsProcessorFree)
     // to the processor.
     EXPECT_EQ(issue_small, issue_big);
     EXPECT_EQ(issue_small,
-              us_to_ticks(m1.config().timings.enqueueUs));
+              us_to_ticks(mlsim::Params::ap1000_plus().put_enqueue_time));
 }
 
 TEST(PutGet, DeadlockIsReportedNotHung)

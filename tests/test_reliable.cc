@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "mlsim/params.hh"
 #include "net/reliable.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
@@ -55,7 +56,7 @@ struct Rig
 
     explicit Rig(sim::FaultPlan plan = {},
                  ReliableParams params = {})
-        : inj(plan), tnet(sim, Torus(4, 1), TnetParams{}),
+        : inj(plan), tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus()),
           rnet(sim, tnet, params), delivered(4)
     {
         inj.set_cells(4);
@@ -262,7 +263,7 @@ TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
     sim::Simulator sim;
     sim::FaultInjector inj(plan);
     inj.set_cells(4);
-    Tnet tnet(sim, Torus(4, 1), TnetParams{});
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
     tnet.set_fault_injector(&inj);
     int arrived = 0;
     for (CellId c = 0; c < 4; ++c)
@@ -307,7 +308,7 @@ TEST(FaultHolding, CapIsEnforcedPerSender)
     sim::Simulator sim;
     sim::FaultInjector inj(plan);
     inj.set_cells(4);
-    Tnet tnet(sim, Torus(4, 1), TnetParams{});
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
     tnet.set_fault_injector(&inj);
     for (CellId c = 0; c < 4; ++c)
         tnet.attach(c, [](Message) {});

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mlsim/params.hh"
 #include "net/snet.hh"
 #include "sim/eventq.hh"
 
@@ -15,11 +16,19 @@ using namespace ap::net;
 namespace
 {
 
+/** The AP1000+ table with a 2 us S-net release. */
+mlsim::Params
+two_us_release()
+{
+    mlsim::Params p = mlsim::Params::ap1000_plus();
+    p.barrier_time = 2.0;
+    return p;
+}
+
 struct Rig
 {
     sim::Simulator sim;
-    SnetParams params{2.0}; // 2 us release
-    Snet snet{sim, 8, params};
+    Snet snet{sim, 8, two_us_release()};
 };
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "mlsim/params.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
 
@@ -33,11 +34,11 @@ mk(CellId src, CellId dst, std::size_t bytes)
 TEST(Tnet, LatencyFollowsTheModel)
 {
     sim::Simulator sim;
-    TnetParams p;
-    p.prologUs = 0.16;
-    p.delayPerHopUs = 0.16;
-    p.perByteUs = 0.04;
-    p.epilogUs = 0.0;
+    mlsim::Params p = mlsim::Params::ap1000_plus();
+    p.network_prolog_time = 0.16;
+    p.network_delay_time = 0.16;
+    p.network_msg_time = 0.04;
+    p.network_epilog_time = 0.0;
     Tnet net(sim, Torus(4, 4), p);
 
     // distance(0, 1) = 1 hop; 100-byte wire message.
@@ -52,7 +53,7 @@ TEST(Tnet, LatencyFollowsTheModel)
 TEST(Tnet, DeliversToAttachedHandler)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), TnetParams{});
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus());
     std::vector<Message> got;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&](Message m) { got.push_back(std::move(m)); });
@@ -70,7 +71,7 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
     // A big message injected first must not be overtaken by a small
     // one on the same pair — static routing passes messages in order.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
     std::vector<std::size_t> sizes;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c,
@@ -87,7 +88,7 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
 TEST(Tnet, DifferentPairsMayOvertake)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
     std::vector<CellId> arrivals;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&, c](Message) { arrivals.push_back(c); });
@@ -103,7 +104,7 @@ TEST(Tnet, DifferentPairsMayOvertake)
 TEST(Tnet, StatsAccumulate)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 4), TnetParams{});
+    Tnet net(sim, Torus(4, 4), mlsim::Params::ap1000_plus());
     for (CellId c = 0; c < 16; ++c)
         net.attach(c, [](Message) {});
 
@@ -122,7 +123,7 @@ TEST(Tnet, StatsAccumulate)
 TEST(Tnet, SelfSendStillWorks)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), TnetParams{});
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus());
     bool got = false;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&](Message) { got = true; });
