@@ -9,7 +9,7 @@ Cell::Cell(sim::Simulator &sim, const MachineConfig &cfg,
     : cellId(id),
       mem(cfg.memBytesPerCell),
       mcUnit(mem),
-      ringBuf(cfg.ringBufferBytes),
+      ringBuf(sim, id, cfg.ringBufferBytes),
       mscUnit(sim, cfg, costs, *this, tnet, pool, direct)
 {
     // The runtime's default address-space layout: the whole DRAM

@@ -140,22 +140,19 @@ constexpr obs::StatField rnet_fields[] = {
 
 Machine::Machine(MachineConfig config)
     : cfg(config), costTable(mlsim::Params::ap1000_plus()),
-      faultInj(cfg.faults),
+      killTable(cfg.cells), faultInj(cfg.faults),
       simulator(cfg.threads, cfg.cells, derive_lookahead(costTable)),
-      tnetNet(simulator, net::Torus::squarest(cfg.cells), costTable),
+      tnetNet(simulator, net::Torus::squarest(cfg.cells), costTable,
+              killTable),
       bnetNet(simulator, cfg.cells, costTable),
-      snetNet(simulator, cfg.cells, costTable),
+      snetNet(simulator, cfg.cells, costTable, killTable),
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
-      failTicks(static_cast<std::size_t>(cfg.cells)),
-      killed(static_cast<std::size_t>(cfg.cells), 0),
       waitLogs(static_cast<std::size_t>(cfg.cells)),
       waitLocks(std::make_unique<std::mutex[]>(
           static_cast<std::size_t>(cfg.cells))),
       spanLayer(cfg.cells, obs::FlightRecorder::default_capacity)
 {
     spanLayer.set_mode(cfg.spanMode);
-    for (std::atomic<Tick> &t : failTicks)
-        t.store(max_tick, std::memory_order_relaxed);
     // Wire fault injection only when the plan injects something: a
     // machine built with the default (empty) plan runs the exact same
     // code paths as before the fault layer existed.
@@ -170,7 +167,7 @@ Machine::Machine(MachineConfig config)
     }
     if (cfg.reliableNet)
         rnetNet = std::make_unique<net::ReliableNet>(
-            simulator, tnetNet, net::ReliableParams{});
+            simulator, tnetNet, killTable, net::ReliableParams{});
     // The span layer is wired unconditionally: the default flight
     // mode is the always-on black box, and off-mode probes reduce to
     // one branch inside record()/new_trace().
@@ -179,58 +176,39 @@ Machine::Machine(MachineConfig config)
     snetNet.set_spans(&spanLayer);
     if (rnetNet)
         rnetNet->set_spans(&spanLayer);
-    if (!cfg.faults.kills.empty()) {
-        auto aliveFn = [this](CellId id) { return !cell_failed(id); };
-        tnetNet.set_liveness(aliveFn);
-        if (rnetNet)
-            rnetNet->set_liveness(aliveFn);
-    }
 
     // The MSC+ injects into the reliable layer when it is on, the raw
-    // T-net otherwise; delivery takes the same path in reverse, and a
-    // failed cell's inbound traffic is discarded at the last hop.
+    // T-net otherwise; arrivals on that link and on the B-net all
+    // come back through deliver().
     net::Link &link =
         rnetNet ? static_cast<net::Link &>(*rnetNet)
                 : static_cast<net::Link &>(tnetNet);
+    link.set_receiver([this](net::Message m) { deliver(std::move(m)); });
+    bnetNet.set_receiver([this](net::Message m) { deliver(std::move(m)); });
     // Sealed fast path: with no reliable layer the link IS the final
     // T-net, so the MSC+ can bypass the Link vtable on every send.
     net::Tnet *direct = rnetNet ? nullptr : &tnetNet;
-    // One payload pool and one T-net send row per kernel shard, shared
-    // by that shard's cells, so each is only touched from its shard.
-    // squarest() numbers cells row-major, so the kernel's contiguous
-    // blocks are bands of torus rows and most single-hop neighbours
-    // stay shard-local.
+    // One payload pool per kernel shard (the T-net keeps one send row
+    // per shard too), shared by that shard's cells, so each is only
+    // touched from its shard. squarest() numbers cells row-major, so
+    // the kernel's contiguous blocks are bands of torus rows and most
+    // single-hop neighbours stay shard-local.
     int shards = simulator.shards();
     payloadPools.reserve(static_cast<std::size_t>(shards));
     for (int s = 0; s < shards; ++s)
         payloadPools.push_back(std::make_unique<BufferPool>());
-    std::vector<std::uint32_t> shardOfCell(
-        static_cast<std::size_t>(cfg.cells));
-    for (int i = 0; i < cfg.cells; ++i)
-        shardOfCell[static_cast<std::size_t>(i)] =
-            static_cast<std::uint32_t>(simulator.shard_of(i));
-    tnetNet.set_shards(shardOfCell);
     cells.reserve(static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i) {
-        std::uint32_t shard = shardOfCell[static_cast<std::size_t>(i)];
-        cells.push_back(std::make_unique<Cell>(
-            simulator, cfg, costTable, i, link,
-            *payloadPools[static_cast<std::size_t>(shard)], direct));
-        Cell *c = cells.back().get();
-        c->msc().set_spans(&spanLayer);
-        c->ring().set_spans(&spanLayer, i, &simulator);
+        auto shard = static_cast<std::size_t>(simulator.shard_of(i));
+        cells.push_back(std::make_unique<Cell>(simulator, cfg, costTable,
+                                               i, link,
+                                               *payloadPools[shard],
+                                               direct));
+        Cell &c = *cells.back();
+        c.msc().set_spans(&spanLayer);
+        c.ring().set_spans(&spanLayer);
         if (cfg.faults.any())
-            c->msc().set_fault_injector(&faultInj);
-        auto deliver = [this, c](net::Message msg) {
-            if (cell_failed(c->id()))
-                return;
-            c->msc().deliver(std::move(msg));
-        };
-        if (rnetNet)
-            rnetNet->attach(i, deliver);
-        else
-            tnetNet.attach(i, deliver);
-        bnetNet.attach(i, deliver);
+            c.msc().set_fault_injector(&faultInj);
     }
     for (const sim::FaultPlan::CellKill &k : cfg.faults.kills)
         kill_cell(k.cell, us_to_ticks(k.atUs));
@@ -312,21 +290,19 @@ Machine::kill_cell(CellId id, Tick at)
               id, static_cast<unsigned long long>(at),
               static_cast<unsigned long long>(lookahead()),
               static_cast<unsigned long long>(simulator.now()));
-    std::atomic<Tick> &t = failTicks[static_cast<std::size_t>(id)];
-    if (at < t.load(std::memory_order_relaxed))
-        t.store(at, std::memory_order_relaxed);
-    if (at < firstFailTick.load(std::memory_order_relaxed))
-        firstFailTick.store(at, std::memory_order_relaxed);
-    simulator.schedule_for(id, at, [this, id]() { fail_cell(id); });
+    // Only a kill that moves the cell's death earlier schedules the
+    // kill event; an event whose tick a later call moved earlier does
+    // nothing.
+    if (killTable.record(id, at))
+        simulator.schedule_for(id, at, [this, id, at]() {
+            if (killTable.kill_tick(id) == at)
+                fail_cell(id);
+        });
 }
 
 void
 Machine::fail_cell(CellId id)
 {
-    char &dead = killed[static_cast<std::size_t>(id)];
-    if (dead)
-        return;
-    dead = 1;
     ++cellKills;
     warn("cell %d declared failed at t=%.1f us", id,
          ticks_to_us(simulator.now()));
@@ -344,6 +320,15 @@ void
 Machine::set_kill_hook(std::function<void(CellId)> hook)
 {
     killHook = std::move(hook);
+}
+
+void
+Machine::deliver(net::Message msg)
+{
+    if (cell_failed(msg.dst))
+        return;
+    cells[static_cast<std::size_t>(msg.dst)]->msc().deliver(
+        std::move(msg));
 }
 
 void
@@ -729,13 +714,6 @@ Machine::cell(CellId id) const
         panic("cell id %d outside machine of %zu cells", id,
               cells.size());
     return *cells[static_cast<std::size_t>(id)];
-}
-
-void
-Machine::set_fault_hook(FaultHook hook)
-{
-    for (auto &c : cells)
-        c->msc().set_fault_hook(hook);
 }
 
 std::string

@@ -20,6 +20,7 @@
 #include "hw/dsm.hh"
 #include "mlsim/params.hh"
 #include "net/bnet.hh"
+#include "net/kills.hh"
 #include "net/reliable.hh"
 #include "net/snet.hh"
 #include "net/tnet.hh"
@@ -84,9 +85,6 @@ class Machine
     sim::FaultInjector &faults() { return faultInj; }
     const sim::FaultInjector &faults() const { return faultInj; }
 
-    /** Install a PUT/GET page-fault observer on every cell. */
-    void set_fault_hook(FaultHook hook);
-
     // -- fail-stop cells -----------------------------------------------
 
     /** @return true when @p id is fail-stop at the current model
@@ -98,19 +96,15 @@ class Machine
     }
 
     /** @return true when @p id is fail-stop at model tick @p t. */
-    bool
-    failed_by(CellId id, Tick t) const
+    bool failed_by(CellId id, Tick t) const
     {
-        return t >= failTicks[static_cast<std::size_t>(id)].load(
-                        std::memory_order_relaxed);
+        return killTable.failed_by(id, t);
     }
 
     /** @return true when any cell is fail-stop at the current time. */
-    bool
-    any_failed() const
+    bool any_failed() const
     {
-        return simulator.now() >=
-               firstFailTick.load(std::memory_order_relaxed);
+        return killTable.any_failed_by(simulator.now());
     }
 
     /**
@@ -119,7 +113,8 @@ class Machine
      * and barriers release without it. The tick is recorded now, so
      * inside an event @p at must be at least lookahead() ahead, and
      * no shard can reach it before seeing it. FaultPlan::kills are
-     * scheduled this way at construction.
+     * scheduled this way at construction; a kill issued during the
+     * run behaves the same.
      */
     void kill_cell(CellId id, Tick at);
 
@@ -248,14 +243,6 @@ class Machine
     obs::SpanLayer &spans() { return spanLayer; }
     const obs::SpanLayer &spans() const { return spanLayer; }
 
-    /** Switch the span recording mode at runtime (off/flight/full).
-     *  Use full before a run that feeds the critical-path
-     *  profiler (obs/critpath.hh). */
-    void set_span_mode(obs::SpanMode mode)
-    {
-        spanLayer.set_mode(mode);
-    }
-
     /**
      * The black box: render the merged flight rings (last
      * @p maxPerCell events per cell that ended by one lookahead
@@ -282,10 +269,15 @@ class Machine
     void on_window(const sim::WindowRecord &w);
     /** The kill event: runs on @p id 's timeline at its kill tick. */
     void fail_cell(CellId id);
+    /** The receiver of both networks: hands @p msg to its
+     *  destination's MSC+, unless that cell is fail-stop. */
+    void deliver(net::Message msg);
 
     MachineConfig cfg;
     /** Declared before everything that charges it. */
     const mlsim::Params costTable;
+    /** Declared before the networks that read it. */
+    net::KillTable killTable;
     sim::FaultInjector faultInj;
     sim::Simulator simulator;
     net::Tnet tnetNet;
@@ -297,13 +289,6 @@ class Machine
      *  `cells` so the MSC+ pool references outlive their users. */
     std::vector<std::unique_ptr<BufferPool>> payloadPools;
     std::vector<std::unique_ptr<Cell>> cells;
-    /** Kill tick per cell (max_tick: alive). Atomic: recorded by
-     *  kill_cell() at least a lookahead ahead, read by liveness
-     *  checks on every shard. */
-    std::vector<std::atomic<Tick>> failTicks;
-    std::atomic<Tick> firstFailTick{max_tick};
-    /** Set by fail_cell() on the dead cell's own timeline. */
-    std::vector<char> killed;
     /** Per cell: its waits of the last two lookaheads, newest last,
      *  written by the cell's own timeline, read by wait_graph() on
      *  any, under the cell's lock. */

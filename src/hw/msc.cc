@@ -398,8 +398,6 @@ Msc::local_fault(Addr addr)
     AP_DPRINTF(Fault, "cell %d: local fault at 0x%llx (command "
                "dropped)", cell.id(),
                static_cast<unsigned long long>(addr));
-    if (faultHook)
-        faultHook(cell.id(), addr, false);
     // The OS services the fault; the command is dropped.
     sim.schedule_after(us_to_ticks(interrupt_us),
                        [this]() { sender_idle(); });
@@ -417,8 +415,6 @@ Msc::remote_fault(Addr addr)
     AP_DPRINTF(Fault, "cell %d: remote fault at 0x%llx (message "
                "flushed)", cell.id(),
                static_cast<unsigned long long>(addr));
-    if (faultHook)
-        faultHook(cell.id(), addr, true);
     recvBusyUntil =
         std::max(recvBusyUntil, sim.now()) +
         us_to_ticks(interrupt_us);

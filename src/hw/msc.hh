@@ -27,7 +27,6 @@
 #define AP_HW_MSC_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -77,12 +76,6 @@ struct MscStats
     /** Issue-to-network latency of sent commands, microseconds. */
     Histogram cmdLatencyUs;
 };
-
-/**
- * Hook invoked when a PUT/GET faults; (cell, faulting logical
- * address, true when the fault happened on the receiving side).
- */
-using FaultHook = std::function<void(CellId, Addr, bool)>;
 
 /** The message controller of one cell. */
 class Msc
@@ -181,9 +174,6 @@ class Msc
     const CommandQueue &get_reply_queue() const { return getReplyQ; }
     const CommandQueue &load_reply_queue() const { return loadReplyQ; }
 
-    /** Install a page-fault observer. */
-    void set_fault_hook(FaultHook hook) { faultHook = std::move(hook); }
-
     /**
      * Attach a fault injector (nullptr detaches). Injected faults:
      * forced queue overflows (pushes take the DRAM spill + refill
@@ -254,7 +244,6 @@ class Msc
     sim::Condition loadCond;
 
     MscStats mscStats;
-    FaultHook faultHook;
     sim::FaultInjector *faults = nullptr;
     obs::SpanLayer *spans = nullptr;
 };

@@ -9,8 +9,9 @@
 namespace ap::hw
 {
 
-RingBuffer::RingBuffer(std::size_t capacity_bytes)
-    : capacityBytes(capacity_bytes)
+RingBuffer::RingBuffer(sim::Simulator &sim, CellId cell,
+                       std::size_t capacity_bytes)
+    : sim(sim), cell(cell), capacityBytes(capacity_bytes)
 {
 }
 
@@ -22,9 +23,8 @@ RingBuffer::deposit(SendRecord rec)
         // operating system, which then allocates a new buffer."
         capacityBytes *= 2;
         ++rbStats.growInterrupts;
-        if (spans && simPtr)
-            spans->instant(spanCell, "ring", "ring_grow",
-                           simPtr->now());
+        if (spans)
+            spans->instant(cell, "ring", "ring_grow", sim.now());
         AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
                    capacityBytes);
     }
@@ -32,10 +32,9 @@ RingBuffer::deposit(SendRecord rec)
     AP_DPRINTF(Ring, "deposit from cell %d tag %d (%zu bytes, depth "
                "%zu)", rec.src, rec.tag, rec.payload.size(),
                records.size() + 1);
-    if (simPtr)
-        rec.depositedAt = simPtr->now();
-    if (spans && rec.traceId != 0 && simPtr)
-        spans->record(spanCell, rec.traceId,
+    rec.depositedAt = sim.now();
+    if (spans && rec.traceId != 0)
+        spans->record(cell, rec.traceId,
                       obs::SpanStage::ring_deposit, rec.depositedAt,
                       rec.depositedAt);
     records.push_back(std::move(rec));
@@ -67,10 +66,9 @@ RingBuffer::take(std::size_t index)
                   static_cast<std::ptrdiff_t>(index));
     usedBytes -= r.payload.size();
     // The buffered wait: deposit to the matching RECEIVE/consume.
-    if (spans && r.traceId != 0 && simPtr)
-        spans->record(spanCell, r.traceId,
-                      obs::SpanStage::ring_receive, r.depositedAt,
-                      simPtr->now());
+    if (spans && r.traceId != 0)
+        spans->record(cell, r.traceId, obs::SpanStage::ring_receive,
+                      r.depositedAt, sim.now());
     return r;
 }
 

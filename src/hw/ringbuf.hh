@@ -67,8 +67,13 @@ constexpr std::int32_t any_tag = -1;
 class RingBuffer
 {
   public:
-    /** @param capacity_bytes initial payload capacity. */
-    explicit RingBuffer(std::size_t capacity_bytes = 64 * 1024);
+    /**
+     * @param sim the simulator that timestamps deposits and matches
+     * @param cell the owning cell (its span track)
+     * @param capacity_bytes initial payload capacity
+     */
+    RingBuffer(sim::Simulator &sim, CellId cell,
+               std::size_t capacity_bytes = 64 * 1024);
 
     /**
      * Deposit an arriving SEND (called by the MSC+ receive path).
@@ -99,31 +104,21 @@ class RingBuffer
 
     const RingBufferStats &stats() const { return rbStats; }
 
-    /**
-     * Attach the machine's span layer (nullptr detaches). @p cell is
-     * the owning cell; @p s_im timestamps deposits and matches.
-     */
-    void
-    set_spans(obs::SpanLayer *s, std::int32_t cell,
-              sim::Simulator *s_im)
-    {
-        spans = s;
-        spanCell = cell;
-        simPtr = s_im;
-    }
+    /** Attach the machine's span layer (nullptr detaches). */
+    void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
     std::optional<std::size_t> find(CellId src, std::int32_t tag) const;
     SendRecord take(std::size_t index);
 
+    sim::Simulator &sim;
+    CellId cell;
     std::size_t capacityBytes;
     std::size_t usedBytes = 0;
     std::deque<SendRecord> records;
     sim::Condition arrival;
     RingBufferStats rbStats;
     obs::SpanLayer *spans = nullptr;
-    std::int32_t spanCell = -1;
-    sim::Simulator *simPtr = nullptr;
 };
 
 } // namespace ap::hw

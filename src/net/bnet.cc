@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/logging.hh"
 #include "obs/debug.hh"
 
 namespace ap::net
 {
 
 Bnet::Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs)
-    : sim(sim), costs(costs), handlers(static_cast<std::size_t>(cells))
+    : sim(sim), numCells(cells), costs(costs)
 {
-}
-
-void
-Bnet::attach(CellId id, Deliver deliver)
-{
-    if (id < 0 || static_cast<std::size_t>(id) >= handlers.size())
-        panic("B-net attach to invalid cell %d", id);
-    handlers[static_cast<std::size_t>(id)] = std::move(deliver);
 }
 
 void
@@ -53,16 +44,15 @@ Bnet::arbitrate(Message msg, Tick issued)
                msg.src,
                static_cast<unsigned long long>(msg.wire_bytes()));
 
-    for (std::size_t id = 0; id < handlers.size(); ++id) {
-        if (static_cast<CellId>(id) == msg.src || !handlers[id])
+    for (CellId id = 0; id < numCells; ++id) {
+        if (id == msg.src)
             continue;
         Message copy = msg;
-        copy.dst = static_cast<CellId>(id);
+        copy.dst = id;
         // Each receiving cell's copy lands on that cell's shard.
-        sim.schedule_for(static_cast<int>(id), arrive,
+        sim.schedule_for(id, arrive,
                          [this, copy = std::move(copy)]() mutable {
-            handlers[static_cast<std::size_t>(copy.dst)](
-                std::move(copy));
+            receiver(std::move(copy));
         });
     }
 }

@@ -5,7 +5,7 @@
  * Used for program/data distribution and host communication. Modelled
  * as a single serialized channel: one broadcast occupies the bus for
  * bnet_prolog_time + bnet_msg_time * wire bytes (Figure 6 table) and
- * is then delivered to every attached cell.
+ * is then delivered to every other cell.
  * The bus is arbitrated on the machine timeline: a broadcast issued
  * at tick t becomes a bus event at t + prolog carrying t, and bus
  * events claim the bus in (tick, key) order; the arrival formula is
@@ -16,8 +16,7 @@
 #ifndef AP_NET_BNET_HH
 #define AP_NET_BNET_HH
 
-#include <functional>
-#include <vector>
+#include <utility>
 
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -43,18 +42,16 @@ struct BnetStats
 class Bnet
 {
   public:
-    using Deliver = std::function<void(Message)>;
-
     /**
      * @param sim owning simulator
-     * @param cells number of attached cells
+     * @param cells number of cells on the bus
      * @param costs the Figure 6 table (bnet_prolog_time,
      *              bnet_msg_time)
      */
     Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs);
 
-    /** Register the receive handler for cell @p id. */
-    void attach(CellId id, Deliver deliver);
+    /** Install the receiver of every cell's copy of a broadcast. */
+    void set_receiver(Deliver d) { receiver = std::move(d); }
 
     /**
      * Broadcast @p msg from msg.src to every other cell. The bus
@@ -75,8 +72,9 @@ class Bnet
     void arbitrate(Message msg, Tick issued);
 
     sim::Simulator &sim;
+    int numCells;
     mlsim::Params costs;
-    std::vector<Deliver> handlers;
+    Deliver receiver;
     /** Bus free-at tick; machine timeline only. */
     Tick busyUntil = 0;
     BnetStats netStats;

@@ -5,11 +5,15 @@
  * The MSC+ hands outgoing messages to a Link; concretely that is
  * either the raw T-net or the reliable-delivery layer stacked on top
  * of it (net/reliable.hh). The seam keeps the MSC+ oblivious to
- * whether sequencing/retransmission happens underneath.
+ * whether sequencing/retransmission happens underneath. Arrivals go
+ * to the link's one receiver: the reliable layer is the T-net's
+ * receiver when it is stacked, and the machine is the top link's.
  */
 
 #ifndef AP_NET_LINK_HH
 #define AP_NET_LINK_HH
+
+#include <utility>
 
 #include "base/types.hh"
 #include "net/message.hh"
@@ -24,7 +28,7 @@ class Link
     virtual ~Link() = default;
 
     /**
-     * Accept @p msg for delivery to its destination's handler.
+     * Accept @p msg for delivery at its destination.
      * @return the scheduled arrival tick of the initial transmission
      * (informational; reliable links may deliver later).
      *
@@ -34,6 +38,12 @@ class Link
      * link boundary.
      */
     virtual Tick send(Message msg) = 0;
+
+    /** Install the receiver of every message this link delivers. */
+    void set_receiver(Deliver d) { receiver = std::move(d); }
+
+  protected:
+    Deliver receiver;
 };
 
 } // namespace ap::net

@@ -12,6 +12,7 @@
 #define AP_NET_MESSAGE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,10 @@ struct Message
     /** Diagnostic one-liner. */
     std::string describe() const;
 };
+
+/** A network's receiver: where it hands every arriving message
+ *  (hw::Machine::deliver(), or the reliable layer under the MSC+). */
+using Deliver = std::function<void(Message)>;
 
 } // namespace ap::net
 

@@ -11,19 +11,12 @@ namespace ap::net
 {
 
 ReliableNet::ReliableNet(sim::Simulator &sim, Tnet &tnet,
-                         ReliableParams params)
-    : sim(sim), tnet(tnet), prm(params), cells(tnet.topology().size()),
-      handlers(static_cast<std::size_t>(cells)),
+                         const KillTable &kills, ReliableParams params)
+    : sim(sim), tnet(tnet), kills(kills), prm(params),
+      cells(tnet.topology().size()),
       cellStats(static_cast<std::size_t>(cells))
 {
-}
-
-void
-ReliableNet::attach(CellId id, Deliver deliver)
-{
-    handlers[static_cast<std::size_t>(id)] = std::move(deliver);
-    tnet.attach(id,
-                [this](Message m) { on_deliver(std::move(m)); });
+    tnet.set_receiver([this](Message m) { on_deliver(std::move(m)); });
 }
 
 std::uint64_t
@@ -208,7 +201,7 @@ ReliableNet::on_deliver(Message msg)
     }
     if (!msg.reliable) {
         // Defensive pass-through for unsequenced traffic.
-        deliver_up(std::move(msg));
+        receiver(std::move(msg));
         return;
     }
 
@@ -240,14 +233,14 @@ ReliableNet::on_deliver(Message msg)
     }
     if (msg.seq == rc.expected) {
         ++rc.expected;
-        deliver_up(std::move(msg));
+        receiver(std::move(msg));
         // Release any directly following out-of-order arrivals.
         auto it = rc.ooo.find(rc.expected);
         while (it != rc.ooo.end()) {
             ++rc.expected;
             Message next = std::move(it->second);
             rc.ooo.erase(it);
-            deliver_up(std::move(next));
+            receiver(std::move(next));
             it = rc.ooo.find(rc.expected);
         }
         schedule_ack(src, dst);
@@ -319,14 +312,6 @@ ReliableNet::schedule_ack(CellId src, CellId dst)
                      ++stats_of(dst).acksSent;
                      tnet.send(std::move(ack));
                  });
-}
-
-void
-ReliableNet::deliver_up(Message msg)
-{
-    Deliver &h = handlers[static_cast<std::size_t>(msg.dst)];
-    if (h)
-        h(std::move(msg));
 }
 
 void

@@ -20,9 +20,9 @@
  *    channel; a go-back-N retransmit fires on an exponentially
  *    backed-off timer driven by the simulator's event queue.
  *
- * Fail-stop cells are handled by a liveness hook: channels touching
- * a dead cell are flushed (their queued traffic is aborted) so the
- * event queue drains instead of retransmitting into the void.
+ * Fail-stop cells are read from the machine's kill table: channels
+ * touching a dead cell are flushed (their queued traffic is aborted)
+ * so the event queue drains instead of retransmitting into the void.
  *
  * The layer is toggleable (MachineConfig::reliableNet); when off the
  * MSC+ talks to the raw T-net and no message carries the envelope.
@@ -33,14 +33,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
-#include <functional>
 #include <map>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "net/kills.hh"
 #include "net/link.hh"
 #include "net/tnet.hh"
 #include "obs/span.hh"
@@ -93,20 +93,16 @@ struct RnetStats
 /**
  * The machine-wide reliable link. Sits between every MSC+ and the
  * T-net: the MSC+ send path calls send(), the T-net delivers into
- * on_deliver() (installed via Tnet::attach), and in-order messages
- * come out through the per-cell handler given to attach().
+ * on_deliver() (this layer is the T-net's receiver), and in-order
+ * messages come out through this link's receiver.
  */
 class ReliableNet : public Link
 {
   public:
-    using Deliver = std::function<void(Message)>;
-
-    ReliableNet(sim::Simulator &sim, Tnet &tnet,
+    /** Install this layer as @p tnet 's receiver. @p kills is the
+     *  machine's kill table. */
+    ReliableNet(sim::Simulator &sim, Tnet &tnet, const KillTable &kills,
                 ReliableParams params);
-
-    /** Register the upper (MSC+) receive handler for cell @p id and
-     *  interpose on the T-net delivery path for that cell. */
-    void attach(CellId id, Deliver deliver);
 
     /** Stamp, sequence and transmit (or window-park) @p msg. */
     Tick send(Message msg) override;
@@ -115,12 +111,6 @@ class ReliableNet : public Link
      *  go-back-N resend records a retransmit child span under the
      *  message's original trace id (aux = try count). */
     void set_spans(obs::SpanLayer *s) { spans = s; }
-
-    /** Install a cell-liveness predicate (fail-stop support). */
-    void set_liveness(std::function<bool(CellId)> aliveFn)
-    {
-        alive = std::move(aliveFn);
-    }
 
     /** Abort the queued traffic of a failed cell (its own channels;
      *  live senders drop theirs to it at their next timer or send)
@@ -175,7 +165,7 @@ class ReliableNet : public Link
         return cellStats[static_cast<std::size_t>(id)];
     }
 
-    bool is_dead(CellId id) const { return alive && !alive(id); }
+    bool is_dead(CellId id) const { return kills.failed_by(id, sim.now()); }
 
     /** Refresh the piggybacked cumulative ack on an outgoing data
      *  message (reverse channel dst->src). */
@@ -200,25 +190,22 @@ class ReliableNet : public Link
     /** Schedule a delayed standalone ack on channel src -> dst. */
     void schedule_ack(CellId src, CellId dst);
 
-    void deliver_up(Message msg);
-
     sim::Simulator &sim;
     Tnet &tnet;
+    const KillTable &kills;
     ReliableParams prm;
     /** Serializes the channel maps, which rehash on insert from
      *  any shard. Each channel has one owner timeline: a (src, dst)
      *  send channel is driven by src's events (send, retransmit
      *  timers, ack processing), its receive channel by dst's
      *  (delivery, delayed acks), so the protocol's decisions do not
-     *  depend on lock order. Recursive because deliver_up() may
+     *  depend on lock order. Recursive because the receiver may
      *  re-enter send() (GET replies). */
     std::recursive_mutex mu;
     int cells = 0;
-    std::vector<Deliver> handlers;
     std::unordered_map<std::uint64_t, SendChannel> sendChans;
     std::unordered_map<std::uint64_t, RecvChannel> recvChans;
     std::vector<RnetStats> cellStats;
-    std::function<bool(CellId)> alive;
     obs::SpanLayer *spans = nullptr;
 };
 

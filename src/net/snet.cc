@@ -8,9 +8,9 @@
 namespace ap::net
 {
 
-Snet::Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs)
-    : sim(sim), numCells(cells), costs(costs),
-      failedAt(static_cast<std::size_t>(cells), max_tick)
+Snet::Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
+           const KillTable &kills)
+    : sim(sim), numCells(cells), costs(costs), kills(kills)
 {
 }
 
@@ -29,7 +29,11 @@ Snet::create_context(std::vector<CellId> members)
 
     Context ctx;
     ctx.members = std::move(members);
-    ctx.arrived.assign(static_cast<std::size_t>(numCells), false);
+    ctx.arrived.assign(static_cast<std::size_t>(numCells), true);
+    // No other timeline reaches a context created inside an event
+    // before a lookahead has passed.
+    begin_episode(ctx, sim.executing() ? sim.now() + sim.lookahead()
+                                       : sim.now());
     std::lock_guard<std::mutex> lock(ctxMutex);
     ctx.id = static_cast<std::uint32_t>(contexts.size());
     contexts.push_back(std::move(ctx));
@@ -49,10 +53,11 @@ Snet::arrive(ContextId id, CellId cell, std::function<void()> on_release)
     if (!member)
         panic("cell %d is not a member of barrier context %d", cell,
               id);
-    if (ctx.arrived[static_cast<std::size_t>(cell)])
+    Tick now = sim.now();
+    if (ctx.arrived[static_cast<std::size_t>(cell)] &&
+        !kills.failed_by(cell, now))
         panic("cell %d arrived twice at barrier context %d", cell, id);
 
-    Tick now = sim.now();
     ctx.arrived[static_cast<std::size_t>(cell)] = true;
     ctx.waiters.push_back({cell, sim.next_key(), std::move(on_release)});
     ctx.episodeBegin = std::min(ctx.episodeBegin, now);
@@ -62,25 +67,24 @@ Snet::arrive(ContextId id, CellId cell, std::function<void()> on_release)
 }
 
 void
+Snet::begin_episode(Context &ctx, Tick t) const
+{
+    ctx.episodeBegin = max_tick;
+    ctx.lastArrival = 0;
+    for (CellId m : ctx.members)
+        ctx.arrived[static_cast<std::size_t>(m)] = kills.failed_by(m, t);
+}
+
+void
 Snet::maybe_release(Context &ctx)
 {
     if (ctx.waiters.empty())
         return;
-    // Release once every live member has arrived. With no failed
-    // cells this is exactly the classic "count == members" condition.
-    // A member that died without arriving holds the episode open
-    // until its failure tick.
-    Tick last = ctx.lastArrival;
-    for (CellId m : ctx.members) {
-        if (ctx.arrived[static_cast<std::size_t>(m)])
-            continue;
-        Tick died = failedAt[static_cast<std::size_t>(m)];
-        if (died == max_tick)
+    for (CellId m : ctx.members)
+        if (!ctx.arrived[static_cast<std::size_t>(m)])
             return;
-        last = std::max(last, died);
-    }
 
-    Tick release = last + us_to_ticks(costs.barrier_time);
+    Tick release = ctx.lastArrival + us_to_ticks(costs.barrier_time);
     if (spans)
         if (std::uint64_t tid =
                 spans->episode_trace(ctx.id, ctx.completed))
@@ -90,10 +94,8 @@ Snet::maybe_release(Context &ctx)
     std::vector<Waiter> waiters;
     waiters.swap(ctx.waiters);
     ctx.completed++;
-    ctx.episodeBegin = max_tick;
-    ctx.lastArrival = 0;
-    for (CellId m : ctx.members)
-        ctx.arrived[static_cast<std::size_t>(m)] = false;
+    // Every arrival at the next episode comes after this release.
+    begin_episode(ctx, release);
     // Each release callback resumes its own cell: route it to that
     // cell's shard, not the shard of whichever arrival released us.
     for (Waiter &w : waiters)
@@ -107,11 +109,15 @@ Snet::fail_cell(CellId cell)
     if (cell < 0 || cell >= numCells)
         panic("fail_cell %d outside machine of %d cells", cell,
               numCells);
+    auto idx = static_cast<std::size_t>(cell);
     std::lock_guard<std::mutex> lock(ctxMutex);
-    failedAt[static_cast<std::size_t>(cell)] = sim.now();
-    // Contexts already blocked only on the dead cell release now.
-    for (Context &ctx : contexts)
+    for (Context &ctx : contexts) {
+        if (ctx.arrived[idx])
+            continue;
+        ctx.arrived[idx] = true;
+        ctx.lastArrival = std::max(ctx.lastArrival, sim.now());
         maybe_release(ctx);
+    }
 }
 
 std::uint64_t

@@ -6,13 +6,17 @@
  * software (communication registers) for group barriers; this model
  * supports arbitrary member sets so both modes and the group
  * extension can be exercised. A barrier context collects arrivals and
- * releases every member a fixed latency after the last arrival.
+ * releases every member a fixed latency after the last arrival. A
+ * member that dies without arriving counts as arriving at its kill
+ * tick (the machine's kill table, net/kills.hh).
  * Members arrive on their own timelines, possibly on different
  * host threads, so nothing depends on which arrival the host
- * processes last: the release tick is the latest arrival tick (or
- * failure tick of a member that died without arriving) plus the
- * latency, and each release carries the key its member reserved at
- * arrival.
+ * processes last: the release tick is the latest arrival or kill
+ * tick plus the latency, and each release carries the key its member
+ * reserved at arrival. A death enters an episode only from the dead
+ * cell's own timeline (fail_cell()) or from before the episode can
+ * begin, never from another shard's clock, so it is ordered against
+ * that cell's arrivals exactly as in a one-shard run.
  */
 
 #ifndef AP_NET_SNET_HH
@@ -27,6 +31,7 @@
 
 #include "base/types.hh"
 #include "mlsim/params.hh"
+#include "net/kills.hh"
 #include "obs/span.hh"
 #include "sim/eventq.hh"
 
@@ -45,8 +50,10 @@ class Snet
      * @param cells machine size
      * @param costs the Figure 6 table; barrier_time is the
      *              combine-and-release latency after the last arrival
+     * @param kills the machine's kill table
      */
-    Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs);
+    Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
+         const KillTable &kills);
 
     /**
      * Create a barrier context over @p members (empty = all cells).
@@ -60,7 +67,9 @@ class Snet
 
     /**
      * Cell @p cell arrives at barrier @p ctx; @p on_release fires at
-     * the release tick. Arriving twice before release is an error.
+     * the release tick. Arriving twice before release is an error,
+     * except for a cell whose barrier began before its kill tick and
+     * arrives after it, onto its own death.
      */
     void arrive(ContextId ctx, CellId cell,
                 std::function<void()> on_release);
@@ -72,9 +81,9 @@ class Snet
     std::uint64_t total_episodes() const;
 
     /**
-     * Declare @p cell failed (on its own timeline, at its kill tick):
-     * contexts release once all their *live* members have arrived; a
-     * member that dies without arriving counts as arriving then.
+     * Deliver @p cell 's death, on its own timeline at its kill tick:
+     * it counts as arriving then at every context it has not arrived
+     * at, and contexts blocked only on it release.
      */
     void fail_cell(CellId cell);
 
@@ -96,19 +105,26 @@ class Snet
     {
         std::uint32_t id = 0;
         std::vector<CellId> members;
+        /** Per cell: arrived or dead this episode (non-members are
+         *  always set). */
         std::vector<bool> arrived;
         std::vector<Waiter> waiters;
         std::uint64_t completed = 0;
         Tick episodeBegin = max_tick; ///< earliest arrival
-        Tick lastArrival = 0;         ///< latest arrival
+        Tick lastArrival = 0;         ///< latest arrival or death
     };
 
-    /** Release @p ctx when every live member has arrived. */
+    /** Start @p ctx 's next episode: members dead by @p t, before
+     *  any arrival can reach it, enter it as arrived. */
+    void begin_episode(Context &ctx, Tick t) const;
+
+    /** Release @p ctx when every member has arrived or died. */
     void maybe_release(Context &ctx);
 
     sim::Simulator &sim;
     int numCells;
     mlsim::Params costs;
+    const KillTable &kills;
     /** Serializes create_context()/arrive()/fail_cell(): barrier
      *  contexts are shared by every member cell's shard and may be
      *  created mid-run. */
@@ -116,7 +132,6 @@ class Snet
     /** Deque, not vector: growth must not invalidate references a
      *  concurrent arrive() holds across maybe_release(). */
     std::deque<Context> contexts;
-    std::vector<Tick> failedAt; ///< per cell; max_tick while alive
     obs::SpanLayer *spans = nullptr;
 };
 

@@ -9,24 +9,11 @@
 namespace ap::net
 {
 
-Tnet::Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs)
-    : sim(sim), topo(topo), cost(costs),
-      handlers(static_cast<std::size_t>(topo.size())), rows(1),
-      rowOf(static_cast<std::size_t>(topo.size()), 0)
+Tnet::Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs,
+           const KillTable &kills)
+    : sim(sim), topo(topo), cost(costs), kills(kills),
+      rows(static_cast<std::size_t>(sim.shards()))
 {
-}
-
-void
-Tnet::set_shards(std::vector<std::uint32_t> shardOfCell)
-{
-    if (shardOfCell.size() != rowOf.size())
-        panic("T-net shard map covers %zu of %zu cells",
-              shardOfCell.size(), rowOf.size());
-    rowOf = std::move(shardOfCell);
-    std::uint32_t n = 0;
-    for (std::uint32_t s : rowOf)
-        n = std::max(n, s + 1);
-    rows.resize(n);
 }
 
 void
@@ -49,14 +36,6 @@ Tnet::fold_stats()
     }
 }
 
-void
-Tnet::attach(CellId id, Deliver deliver)
-{
-    if (!topo.valid(id))
-        panic("attach to invalid cell %d", id);
-    handlers[static_cast<std::size_t>(id)] = std::move(deliver);
-}
-
 Tick
 Tnet::latency(CellId src, CellId dst, std::uint64_t bytes) const
 {
@@ -72,7 +51,7 @@ Tnet::schedule_delivery(Message msg, Tick arrive)
     CellId dst = msg.dst;
     sim.schedule_for(dst, arrive,
                      [this, msg = std::move(msg)]() mutable {
-        handlers[static_cast<std::size_t>(msg.dst)](std::move(msg));
+        receiver(std::move(msg));
     });
 }
 
@@ -90,18 +69,19 @@ Tnet::send(Message msg)
     if (!topo.valid(msg.src) || !topo.valid(msg.dst))
         panic("send between invalid cells %d -> %d", msg.src, msg.dst);
 
-    std::uint32_t r = rowOf[static_cast<std::size_t>(msg.src)];
-    SendRow &row = rows[r];
+    int r = sim.shard_of(msg.src);
+    SendRow &row = rows[static_cast<std::size_t>(r)];
     TnetStats &st = r == 0 ? netStats : row.stats;
+    Tick inject = sim.now();
 
     // Fail-stop cells neither send nor receive: discard silently so
     // retransmission logic above (or a watchdog) surfaces the loss.
-    if (alive && (!alive(msg.src) || !alive(msg.dst))) {
+    if (kills.failed_by(msg.src, inject) ||
+        kills.failed_by(msg.dst, inject)) {
         ++st.deadCellDrops;
-        return sim.now();
+        return inject;
     }
 
-    Tick inject = sim.now();
     Tick arrive = inject + latency(msg.src, msg.dst, msg.wire_bytes());
 
     // Injected latency jitter is added before the FIFO clamp below,
@@ -132,10 +112,6 @@ Tnet::send(Message msg)
     st.messageSize.sample(msg.payload.size());
     st.latencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(arrive - inject)));
-
-    auto &handler = handlers[static_cast<std::size_t>(msg.dst)];
-    if (!handler)
-        panic("no receive handler attached to cell %d", msg.dst);
 
     AP_DPRINTF(TNet, "%s %d -> %d (%llu wire bytes, %.2f us)",
                to_string(msg.kind), msg.src, msg.dst,

@@ -16,22 +16,22 @@
  * property that makes a GET reply usable as a PUT acknowledgement.
  *
  * Like MLSim, the model has no link contention. Everything a send
- * touches belongs to the sender's kernel shard (set_shards()) or,
- * for fault decisions, the sender itself, so senders on different
- * shards share nothing and take no lock.
+ * touches belongs to the sender's kernel shard (Simulator::shard_of()
+ * of the source cell) or, for fault decisions, the sender itself, so
+ * senders on different shards share nothing and take no lock.
  */
 
 #ifndef AP_NET_TNET_HH
 #define AP_NET_TNET_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "mlsim/costmodel.hh"
+#include "net/kills.hh"
 #include "net/link.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
@@ -61,8 +61,8 @@ struct TnetStats
 };
 
 /**
- * The torus network. Cells attach a delivery callback; send() injects
- * a message and schedules that callback at the arrival tick.
+ * The torus network. send() injects a message and hands it to the
+ * receiver (Link::set_receiver()) at the arrival tick.
  *
  * Sealed (final) so the MSC+ fast path can devirtualize: when no
  * reliable layer is stacked, the MSC+ holds a Tnet* and send() calls
@@ -71,23 +71,17 @@ struct TnetStats
 class Tnet final : public Link
 {
   public:
-    using Deliver = std::function<void(Message)>;
-
     /**
-     * @param sim owning simulator
+     * @param sim owning simulator; each of its kernel shards gets its
+     *            own FIFO clamp and stats row
      * @param topo torus shape
      * @param costs the Figure 6 table whose network_* items price a
      *              flight
+     * @param kills the machine's kill table: traffic to or from a
+     *              fail-stop cell is discarded (deadCellDrops)
      */
-    Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs);
-
-    /** Register the receive handler for cell @p id. */
-    void attach(CellId id, Deliver deliver);
-
-    /** Give each kernel shard its own FIFO clamp and stats row;
-     *  @p shardOfCell maps a cell to the shard running its events.
-     *  Call before the first send (default: one row). */
-    void set_shards(std::vector<std::uint32_t> shardOfCell);
+    Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs,
+         const KillTable &kills);
 
     /**
      * Inject @p msg now. @return the arrival tick at the destination.
@@ -119,17 +113,6 @@ class Tnet final : public Link
      *  network faults are annotated on the machine track. */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
-    /**
-     * Install a cell-liveness predicate. When set, traffic to or
-     * from a cell the predicate declares dead is silently discarded
-     * (counted as deadCellDrops) — a fail-stop cell neither sends
-     * nor receives.
-     */
-    void set_liveness(std::function<bool(CellId)> aliveFn)
-    {
-        alive = std::move(aliveFn);
-    }
-
   private:
     /** What one shard's senders write; only that shard touches it. */
     struct SendRow
@@ -148,11 +131,9 @@ class Tnet final : public Link
     sim::Simulator &sim;
     Torus topo;
     mlsim::CostModel cost;
+    const KillTable &kills;
     sim::FaultInjector *faults = nullptr;
-    std::function<bool(CellId)> alive;
-    std::vector<Deliver> handlers;
-    std::vector<SendRow> rows;         ///< one per kernel shard
-    std::vector<std::uint32_t> rowOf; ///< cell -> row
+    std::vector<SendRow> rows; ///< one per kernel shard
     TnetStats netStats;
     obs::SpanLayer *spans = nullptr;
 };

@@ -334,6 +334,9 @@ GangScheduler::finish_attempt(std::uint64_t gen, Tick now)
     Tick held = now >= a.startTick ? now - a.startTick : 0;
     r.serviceTicks += held;
     r.cellTicks += held * a.place.cells.size();
+    // The makespan covers every attempt's cell-ticks, including those
+    // of a job that later starves.
+    lastFinishTick = std::max(lastFinishTick, now);
 
     bool deadMember = false;
     for (CellId c : a.place.cells)
@@ -418,9 +421,6 @@ GangScheduler::finish_attempt(std::uint64_t gen, Tick now)
         tot.completed++;
         outcome = "completed";
     }
-    if (r.terminal())
-        lastFinishTick = std::max(lastFinishTick, r.finishTick);
-
     if (machine.spans().full())
         machine.spans().span(
             a.place.cells.front(), "serve",

@@ -200,7 +200,8 @@ class GangScheduler
      *  (1.0 = perfectly fair; 0 when nothing completed). */
     double tenant_fairness() const;
 
-    /** Completed-attempt cell-ticks / (machine cells x makespan). */
+    /** Every attempt's cell-ticks / (machine cells x makespan); the
+     *  makespan ends at the last attempt finish or shed. */
     double utilization() const;
 
     /**

@@ -34,8 +34,7 @@ TEST(BnetUnit, DeliversToAllButSource)
     sim::Simulator sim;
     net::Bnet bus(sim, 4, mlsim::Params::ap1000_plus());
     std::vector<int> hits(4, 0);
-    for (CellId c = 0; c < 4; ++c)
-        bus.attach(c, [&, c](net::Message) { ++hits[c]; });
+    bus.set_receiver([&](net::Message m) { ++hits[m.dst]; });
 
     net::Message m;
     m.kind = net::MsgKind::broadcast;
@@ -55,8 +54,10 @@ TEST(BnetUnit, BusSerializesBackToBackBroadcasts)
     p.bnet_msg_time = 0.02;
     net::Bnet bus(sim, 2, p);
     std::vector<Tick> arrivals;
-    bus.attach(0, [](net::Message) {});
-    bus.attach(1, [&](net::Message) { arrivals.push_back(sim.now()); });
+    bus.set_receiver([&](net::Message m) {
+        if (m.dst == 1)
+            arrivals.push_back(sim.now());
+    });
 
     net::Message m;
     m.kind = net::MsgKind::broadcast;

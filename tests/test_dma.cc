@@ -240,11 +240,6 @@ TEST(DmaMachine, RemoteScatterFaultFlushesMessageAndSkipsFlag)
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
     cfg.memBytesPerCell = 1 << 20;
     hw::Machine m(cfg);
-    int remote_faults = 0;
-    m.set_fault_hook([&](CellId, Addr, bool remote) {
-        if (remote)
-            ++remote_faults;
-    });
     std::uint32_t final_flag = 0;
     double landed = 0.0;
 
@@ -269,7 +264,7 @@ TEST(DmaMachine, RemoteScatterFaultFlushesMessageAndSkipsFlag)
     });
     set_quiet(false);
     ASSERT_FALSE(r.deadlock);
-    EXPECT_EQ(remote_faults, 1);
+    EXPECT_EQ(m.stats_registry().sum("*.msc.remote_faults"), 1u);
     // Only the healthy PUT bumped the flag; the faulted one flushed.
     EXPECT_EQ(final_flag, 1u);
     EXPECT_DOUBLE_EQ(landed, 6.5);

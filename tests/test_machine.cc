@@ -170,11 +170,9 @@ TEST(Machine, StatsJsonRoundTripsWithPerCellCounters)
     std::remove(path.c_str());
 }
 
-TEST(Machine, FaultHookCoversEveryCell)
+TEST(Machine, FaultCountersCoverEveryCell)
 {
     hw::Machine m(small(4));
-    int faults = 0;
-    m.set_fault_hook([&](CellId, Addr, bool) { ++faults; });
     set_quiet(true);
     run_spmd(m, [](Context &ctx) {
         if (ctx.id() == 2)
@@ -186,7 +184,10 @@ TEST(Machine, FaultHookCoversEveryCell)
         ctx.barrier();
     });
     set_quiet(false);
-    EXPECT_EQ(faults, 3);
+    const obs::StatsRegistry &reg = m.stats_registry();
+    EXPECT_EQ(reg.sum("*.msc.local_faults") +
+                  reg.sum("*.msc.remote_faults"),
+              3u);
     EXPECT_EQ(m.cell(2).msc().stats().remoteFaults, 3u);
 }
 

@@ -245,11 +245,6 @@ TEST(Msc, LocalFaultDropsCommandAndContinues)
     // A PUT whose *local* gather faults is dropped after the OS
     // services the fault; later commands still flow.
     hw::Machine m(small(2));
-    int faults = 0;
-    m.set_fault_hook([&](CellId, Addr, bool remote) {
-        if (!remote)
-            ++faults;
-    });
     std::uint32_t final_flag = 0;
 
     set_quiet(true);
@@ -269,7 +264,7 @@ TEST(Msc, LocalFaultDropsCommandAndContinues)
     });
     set_quiet(false);
     ASSERT_FALSE(r.deadlock);
-    EXPECT_EQ(faults, 1);
+    EXPECT_EQ(m.stats_registry().sum("*.msc.local_faults"), 1u);
     EXPECT_EQ(final_flag, 1u);
     EXPECT_EQ(m.cell(0).msc().stats().localFaults, 1u);
 }

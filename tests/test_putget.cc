@@ -309,11 +309,6 @@ TEST(PutGet, RemotePageFaultFlushesMessage)
     hw::MachineConfig cfg = small(2);
     hw::Machine m(cfg);
     // Unmap most of cell 1's memory: PUTs there will fault.
-    int faults = 0;
-    m.set_fault_hook([&](CellId, Addr, bool remote) {
-        if (remote)
-            ++faults;
-    });
 
     auto r = run_spmd(m, [&](Context &ctx) {
         Addr buf = ctx.alloc(64);
@@ -331,7 +326,7 @@ TEST(PutGet, RemotePageFaultFlushesMessage)
         ctx.barrier();
     });
     ASSERT_FALSE(r.deadlock);
-    EXPECT_EQ(faults, 1);
+    EXPECT_EQ(m.stats_registry().sum("*.msc.remote_faults"), 1u);
     EXPECT_EQ(m.cell(1).msc().stats().flushedMessages, 1u);
 }
 

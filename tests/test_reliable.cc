@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mlsim/params.hh"
+#include "net/kills.hh"
 #include "net/reliable.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
@@ -50,23 +51,24 @@ struct Rig
 {
     sim::Simulator sim;
     sim::FaultInjector inj;
+    KillTable kills{4};
     Tnet tnet;
     ReliableNet rnet;
     std::vector<std::vector<std::uint32_t>> delivered;
 
     explicit Rig(sim::FaultPlan plan = {},
                  ReliableParams params = {})
-        : inj(plan), tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus()),
-          rnet(sim, tnet, params), delivered(4)
+        : inj(plan),
+          tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills),
+          rnet(sim, tnet, kills, params), delivered(4)
     {
         inj.set_cells(4);
         if (plan.any())
             tnet.set_fault_injector(&inj);
-        for (CellId c = 0; c < 4; ++c)
-            rnet.attach(c, [this, c](Message m) {
-                delivered[static_cast<std::size_t>(c)].push_back(
-                    marker_of(m));
-            });
+        rnet.set_receiver([this](Message m) {
+            delivered[static_cast<std::size_t>(m.dst)].push_back(
+                marker_of(m));
+        });
     }
 };
 
@@ -211,19 +213,14 @@ TEST(Reliable, ReverseTrafficPiggybacksAcks)
 TEST(Reliable, DeadPeerChannelsFlushAndTheQueueDrains)
 {
     Rig r(sim::FaultPlan::drops(11, 1.0)); // nothing ever arrives
-    bool dead = false;
-    r.rnet.set_liveness([&dead](CellId id) {
-        return id != 1 || !dead;
-    });
     for (std::uint32_t i = 0; i < 5; ++i)
         r.rnet.send(mk(0, 1, i));
-    // Declare cell 1 dead shortly after; flush_cell must abort the
-    // retransmit queue or sim.run() would spin on backed-off timers
-    // until the give-up bound.
-    r.sim.schedule(us_to_ticks(500.0), [&] {
-        dead = true;
-        r.rnet.flush_cell(1);
-    });
+    // Cell 1 dies shortly after; flush_cell must abort the retransmit
+    // queue or sim.run() would spin on backed-off timers until the
+    // give-up bound.
+    Tick at = us_to_ticks(500.0);
+    r.kills.record(1, at);
+    r.sim.schedule(at, [&] { r.rnet.flush_cell(1); });
     r.sim.run();
 
     EXPECT_TRUE(r.delivered[1].empty());
@@ -235,11 +232,11 @@ TEST(Reliable, DeadPeerChannelsFlushAndTheQueueDrains)
     EXPECT_EQ(r.rnet.stats(0).abortedMsgs, before + 1);
 }
 
-TEST(Reliable, GiveUpBoundAbortsUnreachablePeerWithoutLiveness)
+TEST(Reliable, GiveUpBoundAbortsUnreachableLivePeer)
 {
-    // Total blackout and no liveness oracle: retransmission must not
-    // run forever — the per-message give-up bound abandons the
-    // channel and lets the event queue drain.
+    // Total blackout and no kill: retransmission must not run
+    // forever — the per-message give-up bound abandons the channel
+    // and lets the event queue drain.
     ReliableParams params;
     params.maxRetransmits = 3;
     Rig r(sim::FaultPlan::drops(13, 1.0), params);
@@ -263,11 +260,11 @@ TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
     sim::Simulator sim;
     sim::FaultInjector inj(plan);
     inj.set_cells(4);
-    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
     tnet.set_fault_injector(&inj);
     int arrived = 0;
-    for (CellId c = 0; c < 4; ++c)
-        tnet.attach(c, [&](Message) { ++arrived; });
+    tnet.set_receiver([&](Message) { ++arrived; });
 
     auto burst = [&](CellId src, int n) {
         for (int i = 0; i < n; ++i) {
@@ -308,10 +305,10 @@ TEST(FaultHolding, CapIsEnforcedPerSender)
     sim::Simulator sim;
     sim::FaultInjector inj(plan);
     inj.set_cells(4);
-    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
     tnet.set_fault_injector(&inj);
-    for (CellId c = 0; c < 4; ++c)
-        tnet.attach(c, [](Message) {});
+    tnet.set_receiver([](Message) {});
     for (CellId src : {0, 2})
         for (int i = 0; i < 5; ++i) {
             Message m;

@@ -42,7 +42,8 @@ receive(RingBuffer &rb, CellId src, std::int32_t tag, sim::Process &proc,
 
 TEST(RingBuffer, TryReceiveMatchesTagAndSource)
 {
-    RingBuffer rb;
+    sim::Simulator sim;
+    RingBuffer rb(sim, 0);
     rb.deposit(rec(1, 10, 4));
     rb.deposit(rec(2, 20, 4));
 
@@ -56,7 +57,8 @@ TEST(RingBuffer, TryReceiveMatchesTagAndSource)
 
 TEST(RingBuffer, WildcardsMatchAnything)
 {
-    RingBuffer rb;
+    sim::Simulator sim;
+    RingBuffer rb(sim, 0);
     rb.deposit(rec(5, 55, 8));
     SendRecord out;
     EXPECT_TRUE(rb.try_receive(any_source, any_tag, out));
@@ -66,7 +68,8 @@ TEST(RingBuffer, WildcardsMatchAnything)
 
 TEST(RingBuffer, FifoAmongMatchingRecords)
 {
-    RingBuffer rb;
+    sim::Simulator sim;
+    RingBuffer rb(sim, 0);
     rb.deposit(SendRecord{1, 7, {1}});
     rb.deposit(SendRecord{1, 7, {2}});
     SendRecord out;
@@ -79,7 +82,7 @@ TEST(RingBuffer, FifoAmongMatchingRecords)
 TEST(RingBuffer, BlockingReceiveWaitsForDeposit)
 {
     sim::Simulator sim;
-    RingBuffer rb;
+    RingBuffer rb(sim, 0);
     Tick when = 0;
     sim::Process p(sim, "rx", [&](sim::Process &self) {
         SendRecord r = receive(rb, any_source, any_tag, self);
@@ -94,7 +97,8 @@ TEST(RingBuffer, BlockingReceiveWaitsForDeposit)
 
 TEST(RingBuffer, OverflowGrowsWithInterrupt)
 {
-    RingBuffer rb(64);
+    sim::Simulator sim;
+    RingBuffer rb(sim, 0, 64);
     rb.deposit(rec(0, 1, 48));
     EXPECT_EQ(rb.stats().growInterrupts, 0u);
     rb.deposit(rec(0, 2, 48)); // 96 > 64: grow
@@ -106,7 +110,7 @@ TEST(RingBuffer, OverflowGrowsWithInterrupt)
 TEST(RingBuffer, InPlaceConsumptionCountsSeparately)
 {
     sim::Simulator sim;
-    RingBuffer rb;
+    RingBuffer rb(sim, 0);
     rb.deposit(rec(0, 1, 8));
     rb.deposit(rec(0, 2, 8));
     sim::Process p(sim, "p", [&](sim::Process &self) {
@@ -122,7 +126,8 @@ TEST(RingBuffer, InPlaceConsumptionCountsSeparately)
 
 TEST(RingBuffer, BytesTrackUsage)
 {
-    RingBuffer rb;
+    sim::Simulator sim;
+    RingBuffer rb(sim, 0);
     rb.deposit(rec(0, 1, 100));
     EXPECT_EQ(rb.bytes(), 100u);
     SendRecord out;

@@ -325,6 +325,43 @@ TEST(GangScheduler, ExhaustedRetryBudgetReportsTerminalFailure)
     EXPECT_GE(sched.totals().partitionsQuarantined, 1u);
 }
 
+TEST(GangScheduler, UtilizationCoversAttemptsOfJobsThatStarve)
+{
+    // A quick 1x1 job completes; then a whole-machine job is killed,
+    // its partition is quarantined and its retry starves. The killed
+    // attempt held every cell until after the last terminal job, so
+    // the makespan must run to that attempt's finish for its
+    // cell-ticks to fit.
+    hw::Machine m(serve_machine(4));
+    GangScheduler sched(m, ServeConfig{});
+
+    JobSpec quick = small_job(0);
+    quick.pw = 1;
+    quick.ph = 1;
+    quick.iters = 1;
+    JobSpec whole = small_job(1);
+    whole.arrivalUs = 400.0;
+    whole.iters = 50;
+    whole.computeUs = 50.0;
+    sched.schedule_stream({quick, whole});
+
+    m.sim().schedule_for(-1, us_to_ticks(1000.0), [&] {
+        CellId victim = sched.pick_busy_cell(0);
+        ASSERT_GE(victim, 0);
+        m.kill_cell(victim, m.sim().now() + us_to_ticks(5.0));
+    });
+
+    m.run_to_completion();
+    sched.finalize();
+
+    ASSERT_EQ(sched.jobs().size(), 2u);
+    EXPECT_EQ(sched.jobs()[0].state, JobState::completed);
+    EXPECT_EQ(sched.jobs()[1].state, JobState::starved)
+        << sched.jobs()[1].reason;
+    EXPECT_GT(sched.utilization(), 0.0);
+    EXPECT_LE(sched.utilization(), 1.0);
+}
+
 TEST(GangScheduler, JobsWithNoFeasiblePartitionStarve)
 {
     // Kill a cell before the stream starts: the 2x2 torus can never

@@ -4,21 +4,27 @@
  * shard: equality with one shard at several shard counts, the window
  * arithmetic (including saturation at max_tick), the contiguous-block
  * timeline map, cross-shard handoffs, safe-horizon execution, the
- * lookahead contract, window telemetry, and the kill path under
- * worker threads (SpmdResult::failedCells).
+ * lookahead contract, window telemetry, the kill path under worker
+ * threads (SpmdResult::failedCells), and S-net deaths against
+ * arrivals under both host interleavings of one window.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/program.hh"
 #include "hw/config.hh"
 #include "hw/machine.hh"
+#include "mlsim/params.hh"
+#include "net/kills.hh"
+#include "net/snet.hh"
 #include "phold_workload.hh"
 #include "sim/eventq.hh"
 
@@ -392,4 +398,89 @@ TEST(ThreadedKill, FailedCellsSurvivesTwoWorkerThreads)
 TEST(ThreadedKill, FailedCellsSurvivesFourWorkerThreads)
 {
     run_threaded_kill(4);
+}
+
+namespace
+{
+
+/** Block the calling shard until @p flag is set by another shard's
+ *  event in the same window (bounded). @return whether it was. */
+bool
+wait_for_other_shard(const std::atomic<bool> &flag)
+{
+    auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < until)
+        std::this_thread::yield();
+    return flag.load();
+}
+
+/** Barrier members 0 (shard 0) and 3 (shard 1) of a two-shard
+ *  kernel whose windows are 500 ticks; cell 3 dies at @p killAt. */
+struct SnetRace
+{
+    Simulator sim{2, 4, 500};
+    net::KillTable kills{4};
+    net::Snet snet{sim, 4, mlsim::Params::ap1000_plus(), kills};
+    net::Snet::ContextId ctx = snet.create_context({0, 3});
+    /** Per cell, its release tick (0: none); each is written on its
+     *  own cell's timeline. */
+    std::vector<Tick> released = std::vector<Tick>(4, 0);
+    std::atomic<bool> flag{false};
+
+    explicit SnetRace(Tick killAt)
+    {
+        kills.record(3, killAt);
+        sim.schedule_for(3, killAt, [this] { snet.fail_cell(3); });
+    }
+
+    void
+    arrive(CellId cell)
+    {
+        snet.arrive(ctx, cell, [this, cell] {
+            released[static_cast<std::size_t>(cell)] = sim.now();
+        });
+    }
+};
+
+} // namespace
+
+TEST(SnetParallel, DeathBeforeAnEarlierArrivalInHostTimeStillReleases)
+{
+    // Cell 3 dies at 1300 without arriving; cell 0 arrives at 1200.
+    // Shard 0 holds its 1000 event until shard 1 has run the kill, so
+    // the death reaches the S-net first: the barrier must still
+    // release at the kill tick plus the latency, as in one shard.
+    SnetRace r(1300);
+    bool seen = false;
+    r.sim.schedule_for(0, 1000, [&] { seen = wait_for_other_shard(r.flag); });
+    r.sim.schedule_for(0, 1200, [&] { r.arrive(0); });
+    r.sim.schedule_for(3, 1300, [&] { r.flag = true; });
+    r.sim.run();
+
+    ASSERT_TRUE(seen) << "the shards did not run concurrently";
+    EXPECT_EQ(r.released[0], 1300 + us_to_ticks(1.0));
+    EXPECT_EQ(r.released[3], 0u);
+}
+
+TEST(SnetParallel, ArrivalAfterTheKillTickWaitsForTheDeadCellsArrival)
+{
+    // Cell 3 arrives at 1100 and dies at 1200; cell 0 arrives at
+    // 1300. Shard 1 holds its 1000 event until shard 0 has run that
+    // arrival, so the S-net sees cell 0 before cell 3's earlier
+    // arrival: it must not count cell 3 dead yet, and releases both
+    // at the last arrival plus the latency, as in one shard.
+    SnetRace r(1200);
+    bool seen = false;
+    r.sim.schedule_for(3, 1000, [&] { seen = wait_for_other_shard(r.flag); });
+    r.sim.schedule_for(3, 1100, [&] { r.arrive(3); });
+    r.sim.schedule_for(0, 1300, [&] {
+        r.arrive(0);
+        r.flag = true;
+    });
+    r.sim.run();
+
+    ASSERT_TRUE(seen) << "the shards did not run concurrently";
+    EXPECT_EQ(r.released[0], 1300 + us_to_ticks(1.0));
+    EXPECT_EQ(r.released[3], 1300 + us_to_ticks(1.0));
+    EXPECT_EQ(r.snet.episodes(r.ctx), 1u);
 }

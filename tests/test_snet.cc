@@ -1,12 +1,14 @@
 /**
  * @file
  * S-net unit tests: context creation, arrival/release semantics,
- * re-arming, subset contexts, and misuse detection.
+ * re-arming, subset contexts, members killed through the kill table,
+ * and misuse detection.
  */
 
 #include <gtest/gtest.h>
 
 #include "mlsim/params.hh"
+#include "net/kills.hh"
 #include "net/snet.hh"
 #include "sim/eventq.hh"
 
@@ -28,7 +30,28 @@ two_us_release()
 struct Rig
 {
     sim::Simulator sim;
-    Snet snet{sim, 8, two_us_release()};
+    KillTable kills{8};
+    Snet snet{sim, 8, two_us_release(), kills};
+    std::vector<Tick> released;
+
+    /** Cell @p cell arrives at @p ctx at tick @p at. */
+    void
+    arrive_at(Snet::ContextId ctx, CellId cell, Tick at)
+    {
+        sim.schedule(at, [this, ctx, cell] {
+            snet.arrive(ctx, cell,
+                        [this] { released.push_back(sim.now()); });
+        });
+    }
+
+    /** Kill @p cell at tick @p at, the way the machine does: record
+     *  it in the table, then deliver the death on its timeline. */
+    void
+    kill_at(CellId cell, Tick at)
+    {
+        kills.record(cell, at);
+        sim.schedule_for(cell, at, [this, cell] { snet.fail_cell(cell); });
+    }
 };
 
 } // namespace
@@ -96,6 +119,78 @@ TEST(Snet, IndependentContextsDoNotInterfere)
     rig.sim.run();
     EXPECT_FALSE(a_released); // cell 1 never arrived
     EXPECT_TRUE(b_released);
+}
+
+TEST(Snet, MemberKilledAfterTheOthersArriveReleasesAtItsKill)
+{
+    // fail_cell() is the event that releases: kill tick + latency.
+    Rig rig;
+    auto ctx = rig.snet.create_context({0, 1, 2});
+    rig.arrive_at(ctx, 0, 100);
+    rig.arrive_at(ctx, 1, 300);
+    rig.kill_at(2, 5000);
+    rig.sim.run();
+
+    EXPECT_EQ(rig.released,
+              (std::vector<Tick>(2, 5000 + us_to_ticks(2.0))));
+    EXPECT_EQ(rig.snet.episodes(ctx), 1u);
+}
+
+TEST(Snet, MemberKilledBeforeTheLastArrivalReleasesAtThatArrival)
+{
+    // The dead member stays dead in later episodes and in contexts
+    // created after its kill.
+    Rig rig;
+    auto ctx = rig.snet.create_context({0, 1, 2});
+    rig.kill_at(2, 150);
+    rig.arrive_at(ctx, 0, 100);
+    rig.arrive_at(ctx, 1, 300);
+    rig.sim.run();
+    EXPECT_EQ(rig.released,
+              (std::vector<Tick>(2, 300 + us_to_ticks(2.0))));
+
+    rig.released.clear();
+    rig.arrive_at(ctx, 1, 9000);
+    rig.arrive_at(ctx, 0, 9100);
+    auto later = rig.snet.create_context({1, 2});
+    rig.arrive_at(later, 1, 9200);
+    rig.sim.run();
+    EXPECT_EQ(rig.released,
+              (std::vector<Tick>{9100 + us_to_ticks(2.0),
+                                 9100 + us_to_ticks(2.0),
+                                 9200 + us_to_ticks(2.0)}));
+    EXPECT_EQ(rig.snet.episodes(ctx), 2u);
+    EXPECT_EQ(rig.snet.episodes(later), 1u);
+}
+
+TEST(Snet, MemberKilledAtTheLastArrivalTickReleasesThen)
+{
+    Rig rig;
+    auto ctx = rig.snet.create_context({0, 1, 2});
+    rig.arrive_at(ctx, 0, 100);
+    rig.arrive_at(ctx, 1, 300);
+    rig.kill_at(2, 300);
+    rig.sim.run();
+
+    EXPECT_EQ(rig.released,
+              (std::vector<Tick>(2, 300 + us_to_ticks(2.0))));
+    EXPECT_EQ(rig.snet.episodes(ctx), 1u);
+}
+
+TEST(Snet, MemberArrivingJustAfterItsKillJoinsTheEpisode)
+{
+    // A cell whose barrier began before its kill tick arrives after
+    // it, onto its own death: that is an arrival, not a second one.
+    Rig rig;
+    auto ctx = rig.snet.create_context({0, 1, 2});
+    rig.arrive_at(ctx, 0, 100);
+    rig.kill_at(2, 200);
+    rig.arrive_at(ctx, 2, 250);
+    rig.arrive_at(ctx, 1, 300);
+    rig.sim.run();
+
+    EXPECT_EQ(rig.released,
+              (std::vector<Tick>(3, 300 + us_to_ticks(2.0))));
 }
 
 TEST(SnetDeath, DoubleArrivalPanics)

@@ -1,7 +1,8 @@
 /**
  * @file
  * T-net transport tests: the MLSim latency formula, per-pair FIFO
- * ordering (the property the GET-as-ack trick needs) and statistics.
+ * ordering (the property the GET-as-ack trick needs), statistics and
+ * fail-stop drops from the kill table.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "mlsim/params.hh"
+#include "net/kills.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
 
@@ -39,7 +41,8 @@ TEST(Tnet, LatencyFollowsTheModel)
     p.network_delay_time = 0.16;
     p.network_msg_time = 0.04;
     p.network_epilog_time = 0.0;
-    Tnet net(sim, Torus(4, 4), p);
+    KillTable kills(16);
+    Tnet net(sim, Torus(4, 4), p, kills);
 
     // distance(0, 1) = 1 hop; 100-byte wire message.
     Tick lat = net.latency(0, 1, 100);
@@ -50,13 +53,13 @@ TEST(Tnet, LatencyFollowsTheModel)
     EXPECT_EQ(lat4, us_to_ticks(0.16 + 0.16 * 4 + 0.04 * 100));
 }
 
-TEST(Tnet, DeliversToAttachedHandler)
+TEST(Tnet, DeliversToTheReceiver)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills);
     std::vector<Message> got;
-    for (CellId c = 0; c < 4; ++c)
-        net.attach(c, [&](Message m) { got.push_back(std::move(m)); });
+    net.set_receiver([&](Message m) { got.push_back(std::move(m)); });
 
     net.send(mk(0, 3, 64));
     sim.run();
@@ -71,11 +74,10 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
     // A big message injected first must not be overtaken by a small
     // one on the same pair — static routing passes messages in order.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
     std::vector<std::size_t> sizes;
-    for (CellId c = 0; c < 4; ++c)
-        net.attach(c,
-                   [&](Message m) { sizes.push_back(m.payload.size()); });
+    net.set_receiver([&](Message m) { sizes.push_back(m.payload.size()); });
 
     net.send(mk(0, 2, 100000)); // slow
     net.send(mk(0, 2, 4));      // would overtake with pure latency
@@ -88,10 +90,10 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
 TEST(Tnet, DifferentPairsMayOvertake)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
     std::vector<CellId> arrivals;
-    for (CellId c = 0; c < 4; ++c)
-        net.attach(c, [&, c](Message) { arrivals.push_back(c); });
+    net.set_receiver([&](Message m) { arrivals.push_back(m.dst); });
 
     net.send(mk(0, 2, 100000)); // slow, to cell 2
     net.send(mk(0, 1, 4));      // fast, to cell 1
@@ -104,9 +106,9 @@ TEST(Tnet, DifferentPairsMayOvertake)
 TEST(Tnet, StatsAccumulate)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 4), mlsim::Params::ap1000_plus());
-    for (CellId c = 0; c < 16; ++c)
-        net.attach(c, [](Message) {});
+    KillTable kills(16);
+    Tnet net(sim, Torus(4, 4), mlsim::Params::ap1000_plus(), kills);
+    net.set_receiver([](Message) {});
 
     net.send(mk(0, 1, 100));
     net.send(mk(0, 10, 200));
@@ -123,11 +125,37 @@ TEST(Tnet, StatsAccumulate)
 TEST(Tnet, SelfSendStillWorks)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus());
+    KillTable kills(4);
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills);
     bool got = false;
-    for (CellId c = 0; c < 4; ++c)
-        net.attach(c, [&](Message) { got = true; });
+    net.set_receiver([&](Message) { got = true; });
     net.send(mk(1, 1, 8));
     sim.run();
     EXPECT_TRUE(got);
+}
+
+TEST(Tnet, KilledCellNeitherSendsNorReceives)
+{
+    // From its kill tick on, a cell's traffic in either direction is
+    // discarded at injection; traffic before it flows.
+    sim::Simulator sim;
+    KillTable kills(4);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
+    int got = 0;
+    net.set_receiver([&](Message) { ++got; });
+    Tick at = us_to_ticks(100.0);
+    ASSERT_TRUE(kills.record(2, at));
+    EXPECT_FALSE(kills.record(2, at + 1)) << "the earliest kill wins";
+    net.send(mk(0, 2, 8)); // lands before the kill
+    sim.schedule(at, [&] {
+        net.send(mk(0, 2, 8)); // to the dead cell
+        net.send(mk(2, 1, 8)); // from it
+        net.send(mk(0, 1, 8)); // between live cells
+    });
+    sim.run();
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(net.stats().messages, 2u);
+    EXPECT_EQ(net.stats().deadCellDrops, 2u);
+    EXPECT_TRUE(kills.any_failed_by(at));
+    EXPECT_FALSE(kills.any_failed_by(at - 1));
 }

@@ -7,7 +7,8 @@
  * hang (a CTest TIMEOUT guards the whole binary). Killing a cell via
  * the fault plan must let the survivors reconfigure: barriers release
  * without the dead member and reductions run over the live group with
- * the degraded-result marker set.
+ * the degraded-result marker set. A kill issued at run time must stop
+ * the dead cell's traffic exactly like a planned one.
  */
 
 #include <gtest/gtest.h>
@@ -259,3 +260,78 @@ TEST(CellFailure, KillInsideScalarAllreduceNeverHangs)
         EXPECT_EQ(outcome[0], outcome[1]) << "kill at " << atUs << " us";
     }
 }
+
+namespace
+{
+
+/** What cell 0 received from the doomed sender, and the T-net's
+ *  message count. */
+struct KillOutcome
+{
+    std::uint32_t flag = 0;
+    std::uint64_t messages = 0;
+};
+
+/**
+ * Cell 1 queues 200 4 KB PUTs to cell 0 and dies at 1000 us, long
+ * before its MSC+ has sent them all. With @p runTime the kill is
+ * issued from a machine-timeline event at 500 us through
+ * Machine::kill_cell(); otherwise the fault plan lists it.
+ */
+KillOutcome
+kill_sender(bool reliable, bool runTime)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
+    cfg.reliableNet = reliable;
+    cfg.retry.watchdogUs = 1000.0;
+    if (!runTime)
+        cfg.faults.kills.push_back({1, 1000.0});
+    hw::Machine m(cfg);
+    if (runTime)
+        m.sim().schedule_for(-1, us_to_ticks(500.0), [&m] {
+            m.kill_cell(1, us_to_ticks(1000.0));
+        });
+
+    KillOutcome out;
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        Addr rf = ctx.alloc_flag();
+        Addr buf = ctx.alloc(4096);
+        if (ctx.id() == 1)
+            for (int i = 0; i < 200; ++i)
+                ctx.put(0, buf, buf, 4096, no_flag, rf);
+        if (ctx.id() == 0) {
+            ctx.compute_us(40000.0); // all 200 would have landed
+            out.flag = ctx.flag(rf);
+        }
+    });
+    EXPECT_FALSE(r.deadlock);
+    out.messages = m.tnet().stats().messages;
+    return out;
+}
+
+class RunTimeKill : public ::testing::TestWithParam<bool>
+{
+};
+
+} // namespace
+
+TEST_P(RunTimeKill, StopsTheCellsTrafficLikeAPlannedKill)
+{
+    // A kill issued during the run is as fail-stop as one the plan
+    // lists: the dead sender's queued PUTs stop at its kill tick, and
+    // under the reliable layer it stops acknowledging too.
+    bool reliable = GetParam();
+    KillOutcome planned = kill_sender(reliable, false);
+    KillOutcome runTime = kill_sender(reliable, true);
+    // Six PUTs land before the kill; the reliable layer adds their
+    // four acks.
+    EXPECT_EQ(planned.flag, 6u);
+    EXPECT_EQ(planned.messages, reliable ? 10u : 6u);
+    EXPECT_EQ(runTime.flag, planned.flag);
+    EXPECT_EQ(runTime.messages, planned.messages);
+}
+
+INSTANTIATE_TEST_SUITE_P(CellFailure, RunTimeKill, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &p) {
+                             return p.param ? "reliable" : "raw";
+                         });
