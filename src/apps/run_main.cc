@@ -237,7 +237,7 @@ main(int argc, char **argv)
     std::string profileJson;
     std::string flightDump;
     std::string postmortemOut;
-    std::vector<sim::FaultPlan::CellKill> kills;
+    std::vector<const char *> kills;
     obs::ObsOptions obsOpts;
 
     for (int i = 1; i < argc; ++i) {
@@ -255,14 +255,7 @@ main(int argc, char **argv)
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
             threads = std::atoi(a + 10);
         } else if (std::strncmp(a, "--kill=", 7) == 0) {
-            sim::FaultPlan::CellKill k{};
-            char *at = nullptr;
-            k.cell = static_cast<CellId>(
-                std::strtol(a + 7, &at, 10));
-            if (at == nullptr || *at != '@')
-                fatal("--kill wants CELL@US, got '%s'", a);
-            k.atUs = std::strtod(at + 1, nullptr);
-            kills.push_back(k);
+            kills.push_back(a + 7);
         } else if (std::strcmp(a, "--stats-text") == 0) {
             statsText = true;
         } else if (std::strcmp(a, "--profile") == 0) {
@@ -292,7 +285,9 @@ main(int argc, char **argv)
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(cells);
     cfg.memBytesPerCell = 1 << 20;
     cfg.faults = plan_by_name(faults, seed);
-    cfg.faults.kills = kills;
+    for (const char *k : kills)
+        cfg.faults.kills.push_back(
+            sim::FaultPlan::CellKill::parse(k, cells));
     cfg.reliableNet = reliable;
     cfg.threads = threads;
     // A kill parks peers in waits that can never complete; the

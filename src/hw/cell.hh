@@ -38,12 +38,13 @@ class Cell
      * @param id this cell's id
      * @param tnet the outgoing message link
      * @param pool payload buffer pool of this cell's kernel shard
-     * @param direct the raw T-net for devirtualized sends, or
-     *               nullptr when a reliable layer is stacked
+     * @param faults the machine's fault injector
+     * @param spans the machine's span layer
      */
     Cell(sim::Simulator &sim, const MachineConfig &cfg,
          const mlsim::Params &costs, CellId id, net::Link &tnet,
-         BufferPool &pool, net::Tnet *direct = nullptr);
+         BufferPool &pool, sim::FaultInjector &faults,
+         obs::SpanLayer &spans);
 
     Cell(const Cell &) = delete;
     Cell &operator=(const Cell &) = delete;

@@ -140,42 +140,28 @@ constexpr obs::StatField rnet_fields[] = {
 
 Machine::Machine(MachineConfig config)
     : cfg(config), costTable(mlsim::Params::ap1000_plus()),
-      killTable(cfg.cells), faultInj(cfg.faults),
+      killTable(cfg.cells), faultInj(cfg.faults, cfg.cells),
+      spanLayer(cfg.cells, obs::FlightRecorder::default_capacity),
       simulator(cfg.threads, cfg.cells, derive_lookahead(costTable)),
       tnetNet(simulator, net::Torus::squarest(cfg.cells), costTable,
-              killTable),
-      bnetNet(simulator, cfg.cells, costTable),
-      snetNet(simulator, cfg.cells, costTable, killTable),
+              killTable, faultInj, spanLayer),
+      bnetNet(simulator, cfg.cells, costTable, spanLayer),
+      snetNet(simulator, cfg.cells, costTable, killTable, spanLayer),
+      rnetNet(cfg.reliableNet
+                  ? std::make_unique<net::ReliableNet>(
+                        simulator, tnetNet, killTable, spanLayer)
+                  : nullptr),
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
       waitLogs(static_cast<std::size_t>(cfg.cells)),
       waitLocks(std::make_unique<std::mutex[]>(
-          static_cast<std::size_t>(cfg.cells))),
-      spanLayer(cfg.cells, obs::FlightRecorder::default_capacity)
+          static_cast<std::size_t>(cfg.cells)))
 {
     spanLayer.set_mode(cfg.spanMode);
-    // Wire fault injection only when the plan injects something: a
-    // machine built with the default (empty) plan runs the exact same
-    // code paths as before the fault layer existed.
-    if (cfg.faults.any()) {
-        tnetNet.set_fault_injector(&faultInj);
-        faultInj.set_cells(cfg.cells);
-        // Kernel jitter is keyed by the timeline that schedules.
-        if (cfg.faults.jitterMaxUs > 0.0)
-            simulator.set_delay_jitter([this](Tick) {
-                return faultInj.jitter(simulator.current_affinity());
-            });
-    }
-    if (cfg.reliableNet)
-        rnetNet = std::make_unique<net::ReliableNet>(
-            simulator, tnetNet, killTable, net::ReliableParams{});
-    // The span layer is wired unconditionally: the default flight
-    // mode is the always-on black box, and off-mode probes reduce to
-    // one branch inside record()/new_trace().
-    tnetNet.set_spans(&spanLayer);
-    bnetNet.set_spans(&spanLayer);
-    snetNet.set_spans(&spanLayer);
-    if (rnetNet)
-        rnetNet->set_spans(&spanLayer);
+    // Kernel jitter is keyed by the timeline that schedules.
+    if (cfg.faults.jitterMaxUs > 0.0)
+        simulator.set_delay_jitter([this](Tick) {
+            return faultInj.jitter(simulator.current_affinity());
+        });
 
     // The MSC+ injects into the reliable layer when it is on, the raw
     // T-net otherwise; arrivals on that link and on the B-net all
@@ -185,9 +171,6 @@ Machine::Machine(MachineConfig config)
                 : static_cast<net::Link &>(tnetNet);
     link.set_receiver([this](net::Message m) { deliver(std::move(m)); });
     bnetNet.set_receiver([this](net::Message m) { deliver(std::move(m)); });
-    // Sealed fast path: with no reliable layer the link IS the final
-    // T-net, so the MSC+ can bypass the Link vtable on every send.
-    net::Tnet *direct = rnetNet ? nullptr : &tnetNet;
     // One payload pool per kernel shard (the T-net keeps one send row
     // per shard too), shared by that shard's cells, so each is only
     // touched from its shard. squarest() numbers cells row-major, so
@@ -200,15 +183,9 @@ Machine::Machine(MachineConfig config)
     cells.reserve(static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i) {
         auto shard = static_cast<std::size_t>(simulator.shard_of(i));
-        cells.push_back(std::make_unique<Cell>(simulator, cfg, costTable,
-                                               i, link,
-                                               *payloadPools[shard],
-                                               direct));
-        Cell &c = *cells.back();
-        c.msc().set_spans(&spanLayer);
-        c.ring().set_spans(&spanLayer);
-        if (cfg.faults.any())
-            c.msc().set_fault_injector(&faultInj);
+        cells.push_back(std::make_unique<Cell>(
+            simulator, cfg, costTable, i, link, *payloadPools[shard],
+            faultInj, spanLayer));
     }
     for (const sim::FaultPlan::CellKill &k : cfg.faults.kills)
         kill_cell(k.cell, us_to_ticks(k.atUs));

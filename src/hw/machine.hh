@@ -238,8 +238,8 @@ class Machine
 
     // -- causal spans / flight recorder --------------------------------
 
-    /** The causal span layer, wired into every component at
-     *  construction (mode from MachineConfig::spanMode). */
+    /** The causal span layer every component records into (mode
+     *  from MachineConfig::spanMode). */
     obs::SpanLayer &spans() { return spanLayer; }
     const obs::SpanLayer &spans() const { return spanLayer; }
 
@@ -276,9 +276,11 @@ class Machine
     MachineConfig cfg;
     /** Declared before everything that charges it. */
     const mlsim::Params costTable;
-    /** Declared before the networks that read it. */
+    /** The machine services every component gets a reference to at
+     *  construction, so declared before all of them. */
     net::KillTable killTable;
     sim::FaultInjector faultInj;
+    obs::SpanLayer spanLayer;
     sim::Simulator simulator;
     net::Tnet tnetNet;
     net::Bnet bnetNet;
@@ -299,7 +301,6 @@ class Machine
     std::function<void(CellId)> killHook;
     obs::StatsRegistry statsReg;
     std::unique_ptr<obs::TimelineSampler> samplerPtr;
-    obs::SpanLayer spanLayer;
     /** Span-layer events the window hook added (parallel runs only),
      *  kept out of spans.* and reported under sim.window.spans.*. */
     struct

@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "hw/cell.hh"
 #include "hw/dma.hh"
-#include "net/tnet.hh"
 #include "obs/debug.hh"
 
 namespace ap::hw
@@ -14,9 +13,10 @@ namespace ap::hw
 
 Msc::Msc(sim::Simulator &sim, const MachineConfig &cfg,
          const mlsim::Params &costs, Cell &cell, net::Link &tnet,
-         BufferPool &pool, net::Tnet *direct)
+         BufferPool &pool, sim::FaultInjector &faults,
+         obs::SpanLayer &spans)
     : sim(sim), costs(costs), cell(cell), tnet(tnet), pool(pool),
-      direct(direct), userQ(cfg.queueCapacityWords),
+      faults(faults), spans(spans), userQ(cfg.queueCapacityWords),
       systemQ(cfg.queueCapacityWords),
       remoteQ(cfg.queueCapacityWords),
       getReplyQ(cfg.queueCapacityWords),
@@ -27,8 +27,7 @@ Msc::Msc(sim::Simulator &sim, const MachineConfig &cfg,
 bool
 Msc::injected_fault()
 {
-    bool hit = faults && faults->active() &&
-               faults->inject_page_fault(cell.id());
+    bool hit = faults.active() && faults.inject_page_fault(cell.id());
     if (hit) {
         note("fault", "injected_page_fault");
         AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
@@ -39,9 +38,9 @@ Msc::injected_fault()
 void
 Msc::note(const char *cat, const char *prefix, const char *suffix)
 {
-    if (spans && spans->full())
-        spans->instant(cell.id(), cat, std::string(prefix) + suffix,
-                       sim.now());
+    if (spans.full())
+        spans.instant(cell.id(), cat, std::string(prefix) + suffix,
+                      sim.now());
 }
 
 const char *
@@ -64,8 +63,7 @@ void
 Msc::enqueue(CommandQueue &q, Command cmd)
 {
     cmd.issuedAt = sim.now();
-    bool force = faults && faults->active() &&
-                 faults->force_overflow(cell.id());
+    bool force = faults.active() && faults.force_overflow(cell.id());
     if (force) {
         note("fault", "forced_spill");
         AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
@@ -106,9 +104,9 @@ Msc::issue_remote_load(CellId dst, Addr raddr, std::uint32_t size)
     cmd.remoteStride = net::StrideSpec::contiguous(size);
     cmd.token = nextLoadToken++;
     std::uint64_t token = cmd.token;
-    if (spans && (cmd.traceId = spans->new_trace(cell.id())))
-        spans->record(cell.id(), cmd.traceId, obs::SpanStage::issue,
-                      sim.now(), sim.now(), obs::SpanOp::remote_load);
+    cmd.traceId = spans.new_trace(cell.id());
+    spans.record(cell.id(), cmd.traceId, obs::SpanStage::issue,
+                 sim.now(), sim.now(), obs::SpanOp::remote_load);
     enqueue(remoteQ, std::move(cmd));
     return token;
 }
@@ -134,10 +132,9 @@ Msc::issue_remote_store(CellId dst, Addr raddr,
     cmd.dst = dst;
     cmd.raddr = raddr;
     cmd.inlineData = std::move(data);
-    if (spans && (cmd.traceId = spans->new_trace(cell.id())))
-        spans->record(cell.id(), cmd.traceId, obs::SpanStage::issue,
-                      sim.now(), sim.now(),
-                      obs::SpanOp::remote_store);
+    cmd.traceId = spans.new_trace(cell.id());
+    spans.record(cell.id(), cmd.traceId, obs::SpanStage::issue,
+                 sim.now(), sim.now(), obs::SpanOp::remote_store);
     enqueue(remoteQ, std::move(cmd));
 }
 
@@ -190,9 +187,8 @@ Msc::kick()
     Command cmd = q->pop();
     maybe_refill(*q);
     Tick popT = sim.now();
-    if (spans && cmd.traceId != 0)
-        spans->record(cell.id(), cmd.traceId, obs::SpanStage::queue,
-                      cmd.issuedAt, popT);
+    spans.record(cell.id(), cmd.traceId, obs::SpanStage::queue,
+                 cmd.issuedAt, popT);
     // One fused event covers the DMA setup plus the payload stream:
     // the byte count is known from the command's stride descriptor
     // before any data moves, so the gather itself can run at DMA
@@ -268,16 +264,6 @@ Msc::process(Command cmd, Tick start)
     finish_send(std::move(cmd), std::move(payload), start);
 }
 
-Tick
-Msc::send_msg(net::Message msg)
-{
-    // Sealed dispatch: with no reliable layer stacked the link IS
-    // the final Tnet, so skip the Link vtable.
-    if (direct)
-        return direct->send(std::move(msg));
-    return tnet.send(std::move(msg));
-}
-
 void
 Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
                  Tick start)
@@ -287,9 +273,8 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
     msg.dst = cmd.dst;
     msg.traceId = cmd.traceId;
     mscStats.payloadBytesSent += payload.size();
-    if (spans && cmd.traceId != 0)
-        spans->record(cell.id(), cmd.traceId,
-                      obs::SpanStage::dma_send, start, sim.now());
+    spans.record(cell.id(), cmd.traceId, obs::SpanStage::dma_send,
+                 start, sim.now());
 
     switch (cmd.kind) {
       case CommandKind::put:
@@ -350,7 +335,7 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
     AP_DPRINTF(MSC, "cell %d: sent %s to cell %d (%llu bytes)",
                cell.id(), to_string(cmd.kind), cmd.dst,
                static_cast<unsigned long long>(msg.payload.size()));
-    send_msg(std::move(msg));
+    tnet.send(std::move(msg));
 
     mscStats.cmdLatencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(
@@ -367,10 +352,8 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
                 us_to_ticks(costs.send_complete_flag_time),
                 [this, flag = cmd.sendFlag, tid = cmd.traceId,
                  fbegin = sim.now()]() {
-                    if (spans && tid != 0)
-                        spans->record(cell.id(), tid,
-                                      obs::SpanStage::flag, fbegin,
-                                      sim.now());
+                    spans.record(cell.id(), tid, obs::SpanStage::flag,
+                                 fbegin, sim.now());
                     cell.mc().increment_flag(flag);
                 });
         }
@@ -432,9 +415,8 @@ Msc::deliver(net::Message msg)
             static_cast<double>(msg.payload.size()));
     Tick finish = start + dma;
     recvBusyUntil = finish;
-    if (spans && msg.traceId != 0)
-        spans->record(cell.id(), msg.traceId,
-                      obs::SpanStage::dma_recv, sim.now(), finish);
+    spans.record(cell.id(), msg.traceId, obs::SpanStage::dma_recv,
+                 sim.now(), finish);
     AP_DPRINTF(DMA, "cell %d: recv DMA of %s from cell %d (%llu "
                "bytes)", cell.id(), net::to_string(msg.kind), msg.src,
                static_cast<unsigned long long>(msg.payload.size()));
@@ -477,10 +459,9 @@ Msc::receive_body(net::Message msg)
             }
             pool.release(std::move(msg.payload));
         }
-        if (spans && msg.traceId != 0 && msg.destFlag != no_flag)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
+        if (msg.destFlag != no_flag)
+            spans.record(cell.id(), msg.traceId, obs::SpanStage::flag,
+                         sim.now(), sim.now());
         cell.mc().increment_flag(msg.destFlag);
         break;
       }
@@ -521,11 +502,9 @@ Msc::receive_body(net::Message msg)
             ++mscStats.acksReceived;
             ackCond.notify_all();
         }
-        if (spans && msg.traceId != 0 &&
-            (msg.originFlag != no_flag || msg.isAckProbe))
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
+        if (msg.originFlag != no_flag || msg.isAckProbe)
+            spans.record(cell.id(), msg.traceId, obs::SpanStage::flag,
+                         sim.now(), sim.now());
         cell.mc().increment_flag(msg.originFlag);
         break;
       }
@@ -554,16 +533,14 @@ Msc::receive_body(net::Message msg)
         ack.traceId = msg.traceId;
         ack.src = cell.id();
         ack.dst = msg.src;
-        send_msg(std::move(ack));
+        tnet.send(std::move(ack));
         break;
       }
       case net::MsgKind::remote_store_ack:
         ++ackFlag;
         ++mscStats.acksReceived;
-        if (spans && msg.traceId != 0)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
+        spans.record(cell.id(), msg.traceId, obs::SpanStage::flag,
+                     sim.now(), sim.now());
         ackCond.notify_all();
         break;
       case net::MsgKind::remote_load: {
@@ -587,10 +564,8 @@ Msc::receive_body(net::Message msg)
       }
       case net::MsgKind::remote_load_reply:
         loadReplies[msg.token] = std::move(msg.payload);
-        if (spans && msg.traceId != 0)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
+        spans.record(cell.id(), msg.traceId, obs::SpanStage::flag,
+                     sim.now(), sim.now());
         loadCond.notify_all();
         break;
       case net::MsgKind::broadcast: {
@@ -609,10 +584,9 @@ Msc::receive_body(net::Message msg)
             return;
         }
         pool.release(std::move(msg.payload));
-        if (spans && msg.traceId != 0 && msg.destFlag != no_flag)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
+        if (msg.destFlag != no_flag)
+            spans.record(cell.id(), msg.traceId, obs::SpanStage::flag,
+                         sim.now(), sim.now());
         cell.mc().increment_flag(msg.destFlag);
         break;
       }

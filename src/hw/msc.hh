@@ -44,11 +44,6 @@
 #include "sim/fault.hh"
 #include "sim/process.hh"
 
-namespace ap::net
-{
-class Tnet;
-}
-
 namespace ap::hw
 {
 
@@ -90,13 +85,19 @@ class Msc
      * @param tnet the outgoing link (raw T-net or the reliable
      *             layer stacked on it)
      * @param pool payload buffer pool of this cell's kernel shard
-     * @param direct the raw T-net when @p tnet IS the raw T-net
-     *               (no reliable layer stacked), for devirtualized
-     *               sends; nullptr otherwise
+     * @param faults the machine's fault injector. Injected faults:
+     *               forced queue overflows (pushes take the DRAM
+     *               spill + refill path even with room in MSC+ RAM)
+     *               and page faults during transfer DMA (the
+     *               command-drop and message-flush reactions of
+     *               Section 4.1 fire without an actual unmapped page)
+     * @param spans the machine's span layer; fault and queue
+     *              annotations land on the owning cell's track
      */
     Msc(sim::Simulator &sim, const MachineConfig &cfg,
         const mlsim::Params &costs, Cell &cell, net::Link &tnet,
-        BufferPool &pool, net::Tnet *direct = nullptr);
+        BufferPool &pool, sim::FaultInjector &faults,
+        obs::SpanLayer &spans);
 
     // -- processor side ------------------------------------------------
 
@@ -174,19 +175,6 @@ class Msc
     const CommandQueue &get_reply_queue() const { return getReplyQ; }
     const CommandQueue &load_reply_queue() const { return loadReplyQ; }
 
-    /**
-     * Attach a fault injector (nullptr detaches). Injected faults:
-     * forced queue overflows (pushes take the DRAM spill + refill
-     * path even with room in MSC+ RAM) and page faults during
-     * transfer DMA (the command-drop and message-flush reactions of
-     * Section 4.1 fire without an actual unmapped page).
-     */
-    void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
-
-    /** Attach the machine's span layer (nullptr detaches). Fault
-     *  and queue annotations land on the owning cell's track. */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
-
   private:
     void kick();
     /** The send engine finished (or dropped) its command. */
@@ -208,9 +196,6 @@ class Msc
     void process(Command cmd, Tick start);
     void finish_send(Command cmd, std::vector<std::uint8_t> payload,
                      Tick start);
-    /** Inject @p msg, bypassing the Link vtable when the raw T-net
-     *  is wired directly (no reliable layer). */
-    Tick send_msg(net::Message msg);
     void receive_body(net::Message msg);
     void local_fault(Addr addr);
     void remote_fault(Addr addr);
@@ -220,8 +205,8 @@ class Msc
     Cell &cell;
     net::Link &tnet;
     BufferPool &pool;
-    /** The sealed fast path: non-null iff `tnet` is the raw T-net. */
-    net::Tnet *direct;
+    sim::FaultInjector &faults;
+    obs::SpanLayer &spans;
 
     CommandQueue userQ;
     CommandQueue systemQ;
@@ -244,8 +229,6 @@ class Msc
     sim::Condition loadCond;
 
     MscStats mscStats;
-    sim::FaultInjector *faults = nullptr;
-    obs::SpanLayer *spans = nullptr;
 };
 
 } // namespace ap::hw

@@ -10,8 +10,8 @@ namespace ap::hw
 {
 
 RingBuffer::RingBuffer(sim::Simulator &sim, CellId cell,
-                       std::size_t capacity_bytes)
-    : sim(sim), cell(cell), capacityBytes(capacity_bytes)
+                       obs::SpanLayer &spans, std::size_t capacity_bytes)
+    : sim(sim), cell(cell), spans(spans), capacityBytes(capacity_bytes)
 {
 }
 
@@ -23,8 +23,7 @@ RingBuffer::deposit(SendRecord rec)
         // operating system, which then allocates a new buffer."
         capacityBytes *= 2;
         ++rbStats.growInterrupts;
-        if (spans)
-            spans->instant(cell, "ring", "ring_grow", sim.now());
+        spans.instant(cell, "ring", "ring_grow", sim.now());
         AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
                    capacityBytes);
     }
@@ -33,10 +32,8 @@ RingBuffer::deposit(SendRecord rec)
                "%zu)", rec.src, rec.tag, rec.payload.size(),
                records.size() + 1);
     rec.depositedAt = sim.now();
-    if (spans && rec.traceId != 0)
-        spans->record(cell, rec.traceId,
-                      obs::SpanStage::ring_deposit, rec.depositedAt,
-                      rec.depositedAt);
+    spans.record(cell, rec.traceId, obs::SpanStage::ring_deposit,
+                 rec.depositedAt, rec.depositedAt);
     records.push_back(std::move(rec));
     ++rbStats.deposits;
     rbStats.maxDepth =
@@ -66,9 +63,8 @@ RingBuffer::take(std::size_t index)
                   static_cast<std::ptrdiff_t>(index));
     usedBytes -= r.payload.size();
     // The buffered wait: deposit to the matching RECEIVE/consume.
-    if (spans && r.traceId != 0)
-        spans->record(cell, r.traceId, obs::SpanStage::ring_receive,
-                      r.depositedAt, sim.now());
+    spans.record(cell, r.traceId, obs::SpanStage::ring_receive,
+                 r.depositedAt, sim.now());
     return r;
 }
 

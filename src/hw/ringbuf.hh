@@ -70,9 +70,10 @@ class RingBuffer
     /**
      * @param sim the simulator that timestamps deposits and matches
      * @param cell the owning cell (its span track)
+     * @param spans the machine's span layer
      * @param capacity_bytes initial payload capacity
      */
-    RingBuffer(sim::Simulator &sim, CellId cell,
+    RingBuffer(sim::Simulator &sim, CellId cell, obs::SpanLayer &spans,
                std::size_t capacity_bytes = 64 * 1024);
 
     /**
@@ -104,21 +105,18 @@ class RingBuffer
 
     const RingBufferStats &stats() const { return rbStats; }
 
-    /** Attach the machine's span layer (nullptr detaches). */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
-
   private:
     std::optional<std::size_t> find(CellId src, std::int32_t tag) const;
     SendRecord take(std::size_t index);
 
     sim::Simulator &sim;
     CellId cell;
+    obs::SpanLayer &spans;
     std::size_t capacityBytes;
     std::size_t usedBytes = 0;
     std::deque<SendRecord> records;
     sim::Condition arrival;
     RingBufferStats rbStats;
-    obs::SpanLayer *spans = nullptr;
 };
 
 } // namespace ap::hw

@@ -8,8 +8,9 @@
 namespace ap::net
 {
 
-Bnet::Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs)
-    : sim(sim), numCells(cells), costs(costs)
+Bnet::Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
+           obs::SpanLayer &spans)
+    : sim(sim), numCells(cells), costs(costs), spans(spans)
 {
 }
 
@@ -37,9 +38,7 @@ Bnet::arbitrate(Message msg, Tick issued)
     netStats.wireBytes += msg.wire_bytes();
     netStats.occupancyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(occupy)));
-    if (spans && msg.traceId != 0)
-        spans->record(-1, msg.traceId, obs::SpanStage::net, start,
-                      arrive);
+    spans.record(-1, msg.traceId, obs::SpanStage::net, start, arrive);
     AP_DPRINTF(BNet, "broadcast from cell %d (%llu wire bytes)",
                msg.src,
                static_cast<unsigned long long>(msg.wire_bytes()));

@@ -47,8 +47,11 @@ class Bnet
      * @param cells number of cells on the bus
      * @param costs the Figure 6 table (bnet_prolog_time,
      *              bnet_msg_time)
+     * @param spans the machine's span layer (bus occupancy is
+     *              recorded under the broadcast's trace id)
      */
-    Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs);
+    Bnet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
+         obs::SpanLayer &spans);
 
     /** Install the receiver of every cell's copy of a broadcast. */
     void set_receiver(Deliver d) { receiver = std::move(d); }
@@ -64,9 +67,6 @@ class Bnet
 
     const BnetStats &stats() const { return netStats; }
 
-    /** Attach the machine's span layer (nullptr detaches). */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
-
   private:
     /** The bus event: claim the bus, schedule the deliveries. */
     void arbitrate(Message msg, Tick issued);
@@ -74,11 +74,11 @@ class Bnet
     sim::Simulator &sim;
     int numCells;
     mlsim::Params costs;
+    obs::SpanLayer &spans;
     Deliver receiver;
     /** Bus free-at tick; machine timeline only. */
     Tick busyUntil = 0;
     BnetStats netStats;
-    obs::SpanLayer *spans = nullptr;
 };
 
 } // namespace ap::net

@@ -11,35 +11,11 @@ namespace ap::net
 {
 
 ReliableNet::ReliableNet(sim::Simulator &sim, Tnet &tnet,
-                         const KillTable &kills, ReliableParams params)
-    : sim(sim), tnet(tnet), kills(kills), prm(params),
-      cells(tnet.topology().size()),
-      cellStats(static_cast<std::size_t>(cells))
+                         const KillTable &kills, obs::SpanLayer &spans)
+    : sim(sim), tnet(tnet), kills(kills), spans(spans),
+      rows(static_cast<std::size_t>(tnet.topology().size()))
 {
     tnet.set_receiver([this](Message m) { on_deliver(std::move(m)); });
-}
-
-std::uint64_t
-ReliableNet::chan_key(CellId src, CellId dst) const
-{
-    return static_cast<std::uint64_t>(src) *
-               static_cast<std::uint64_t>(cells) +
-           static_cast<std::uint64_t>(dst);
-}
-
-ReliableNet::SendChannel &
-ReliableNet::send_channel(CellId src, CellId dst)
-{
-    SendChannel &ch = sendChans[chan_key(src, dst)];
-    if (ch.rtoUs == 0.0)
-        ch.rtoUs = prm.rtoUs;
-    return ch;
-}
-
-ReliableNet::RecvChannel &
-ReliableNet::recv_channel(CellId src, CellId dst)
-{
-    return recvChans[chan_key(src, dst)];
 }
 
 void
@@ -58,7 +34,6 @@ ReliableNet::stamp_ack(Message &msg)
 Tick
 ReliableNet::send(Message msg)
 {
-    std::lock_guard<std::recursive_mutex> lock(mu);
     CellId src = msg.src, dst = msg.dst;
     SendChannel &ch = send_channel(src, dst);
     if (is_dead(src) || is_dead(dst)) {
@@ -83,7 +58,7 @@ ReliableNet::send(Message msg)
                static_cast<unsigned long long>(msg.ackSeq));
 
     if (ch.window.size() <
-        static_cast<std::size_t>(prm.windowSize)) {
+        static_cast<std::size_t>(window_size)) {
         transmit(ch, src, dst, std::move(msg));
     } else {
         ++st.queuedFull;
@@ -126,14 +101,13 @@ ReliableNet::arm_timer(SendChannel &ch, CellId src, CellId dst,
 void
 ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
 {
-    std::lock_guard<std::recursive_mutex> lock(mu);
     SendChannel &ch = send_channel(src, dst);
     if (ch.timerSeq != expect)
         return; // stale timer (superseded or flushed)
     ch.timerArmed = false;
 
     if (ch.window.empty()) {
-        ch.rtoUs = prm.rtoUs;
+        ch.rtoUs = rto_us;
         return;
     }
     if (is_dead(src) || is_dead(dst)) {
@@ -151,12 +125,12 @@ ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
         return;
     }
 
-    if (ch.window.front().sends > prm.maxRetransmits) {
+    if (ch.window.front().sends > max_retransmits) {
         std::uint64_t lost = ch.window.size() + ch.backlog.size();
         stats_of(src).abortedMsgs += lost;
         warn("rnet: channel %d -> %d gave up after %d retransmits "
              "(%llu messages aborted)",
-             src, dst, prm.maxRetransmits,
+             src, dst, max_retransmits,
              static_cast<unsigned long long>(lost));
         ch.window.clear();
         ch.backlog.clear();
@@ -180,19 +154,17 @@ ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
         std::uint64_t tid = copy.traceId;
         Tick resent = sim.now();
         Tick arr = tnet.send(std::move(copy));
-        if (spans && tid != 0)
-            spans->record(dst, tid, obs::SpanStage::retransmit,
-                          resent, arr, obs::SpanOp::none,
-                          static_cast<std::uint32_t>(p.sends));
+        spans.record(dst, tid, obs::SpanStage::retransmit, resent, arr,
+                     obs::SpanOp::none,
+                     static_cast<std::uint32_t>(p.sends));
     }
-    ch.rtoUs = std::min(ch.rtoUs * 2.0, prm.rtoMaxUs);
+    ch.rtoUs = std::min(ch.rtoUs * 2.0, rto_max_us);
     arm_timer(ch, src, dst, ch.rtoUs);
 }
 
 void
 ReliableNet::on_deliver(Message msg)
 {
-    std::lock_guard<std::recursive_mutex> lock(mu);
     CellId src = msg.src, dst = msg.dst;
 
     if (msg.kind == MsgKind::rnet_ack) {
@@ -247,7 +219,7 @@ ReliableNet::on_deliver(Message msg)
         return;
     }
     // Ahead of sequence: buffer for reassembly (bounded).
-    if (rc.ooo.size() >= static_cast<std::size_t>(prm.oooCapacity)) {
+    if (rc.ooo.size() >= static_cast<std::size_t>(ooo_capacity)) {
         ++st.oooEvictions;
     } else {
         ++st.oooBuffered;
@@ -262,8 +234,8 @@ ReliableNet::process_ack(CellId me, CellId peer,
 {
     if (ackSeq == 0)
         return;
-    auto it = sendChans.find(chan_key(me, peer));
-    if (it == sendChans.end())
+    auto it = row(me).send.find(peer);
+    if (it == row(me).send.end())
         return;
     SendChannel &ch = it->second;
     bool progress = false;
@@ -276,11 +248,11 @@ ReliableNet::process_ack(CellId me, CellId peer,
     }
     if (!progress)
         return;
-    ch.rtoUs = prm.rtoUs;
+    ch.rtoUs = rto_us;
     // Promote parked sends into the freed window slots.
     while (!ch.backlog.empty() &&
            ch.window.size() <
-               static_cast<std::size_t>(prm.windowSize)) {
+               static_cast<std::size_t>(window_size)) {
         Message next = std::move(ch.backlog.front());
         ch.backlog.pop_front();
         stamp_ack(next);
@@ -295,9 +267,8 @@ ReliableNet::schedule_ack(CellId src, CellId dst)
     if (rc.ackPending)
         return;
     rc.ackPending = true;
-    sim.schedule(sim.now() + us_to_ticks(prm.ackDelayUs),
+    sim.schedule(sim.now() + us_to_ticks(ack_delay_us),
                  [this, src, dst]() {
-                     std::lock_guard<std::recursive_mutex> lock(mu);
                      RecvChannel &c = recv_channel(src, dst);
                      if (!c.ackPending)
                          return; // piggybacked meanwhile
@@ -325,23 +296,13 @@ ReliableNet::abort_channel(SendChannel &ch, CellId src)
 void
 ReliableNet::flush_cell(CellId dead)
 {
-    // Only the dead cell's own channels: its send channels and its
-    // receive channels. A live peer's channels belong to the peer's
-    // timeline, which drops them at its next timer or send.
-    std::lock_guard<std::recursive_mutex> lock(mu);
-    for (auto &[key, ch] : sendChans) {
-        if (static_cast<CellId>(key / static_cast<std::uint64_t>(
-                cells)) != dead)
-            continue;
+    // Only the dead cell's own row. A live peer's channels belong to
+    // the peer's timeline, which drops them at its next timer or send.
+    // An emptied window leaves any armed timer nothing to resend.
+    Row &r = row(dead);
+    for (auto &[dst, ch] : r.send)
         abort_channel(ch, dead);
-        ++ch.timerSeq; // invalidate any scheduled timer
-        ch.timerArmed = false;
-        ch.rtoUs = prm.rtoUs;
-    }
-    for (auto &[key, rc] : recvChans) {
-        if (static_cast<CellId>(key % static_cast<std::uint64_t>(
-                cells)) != dead)
-            continue;
+    for (auto &[src, rc] : r.recv) {
         rc.ooo.clear();
         rc.ackPending = false;
     }

@@ -14,7 +14,7 @@
  *    out-of-order arrivals, and releases messages to the MSC+ in
  *    sequence order only;
  *  - cumulative acks ride piggybacked on reverse-channel data or, if
- *    no reverse traffic shows up within ackDelayUs, on standalone
+ *    no reverse traffic shows up within ack_delay_us, on standalone
  *    RNET_ACK messages;
  *  - unacked messages sit in a sliding-window retransmit queue per
  *    channel; a go-back-N retransmit fires on an exponentially
@@ -23,6 +23,14 @@
  * Fail-stop cells are read from the machine's kill table: channels
  * touching a dead cell are flushed (their queued traffic is aborted)
  * so the event queue drains instead of retransmitting into the void.
+ *
+ * The protocol state is one row per cell, like the MSC+ it serves:
+ * the cell's send channels (keyed by destination), its receive
+ * channels (keyed by source) and its counters. Only the cell's own
+ * events touch its row — its sends, retransmit timers and incoming
+ * acks on the send side, deliveries to it and its delayed acks on
+ * the receive side — so cells on different kernel shards share no
+ * state and take no lock.
  *
  * The layer is toggleable (MachineConfig::reliableNet); when off the
  * MSC+ talks to the raw T-net and no message carries the envelope.
@@ -34,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -48,27 +55,6 @@
 
 namespace ap::net
 {
-
-/** Protocol knobs of the reliable layer. */
-struct ReliableParams
-{
-    /** Max unacked messages in flight per (src,dst) channel. */
-    int windowSize = 32;
-    /** Initial retransmit timeout, microseconds. Well above the
-     *  T-net round trip (tens of us) plus the delayed-ack window. */
-    double rtoUs = 400.0;
-    /** Exponential-backoff saturation for the RTO. */
-    double rtoMaxUs = 6400.0;
-    /** How long the receiver waits for piggyback traffic before
-     *  sending a standalone ack. */
-    double ackDelayUs = 20.0;
-    /** Out-of-order reassembly buffer capacity per channel; an
-     *  arrival past the cap is dropped (retransmission recovers). */
-    int oooCapacity = 64;
-    /** Give-up bound: after this many (re)transmissions of the
-     *  oldest unacked message the channel aborts its queue. */
-    int maxRetransmits = 20;
-};
 
 /** Per-cell counters of the reliable layer (cellN.rnet.*). */
 struct RnetStats
@@ -99,32 +85,47 @@ struct RnetStats
 class ReliableNet : public Link
 {
   public:
-    /** Install this layer as @p tnet 's receiver. @p kills is the
-     *  machine's kill table. */
+    /** Max unacked messages in flight per (src,dst) channel. */
+    static constexpr int window_size = 32;
+    /** Initial retransmit timeout, microseconds. Well above the
+     *  T-net round trip (tens of us) plus the delayed-ack window. */
+    static constexpr double rto_us = 400.0;
+    /** Exponential-backoff saturation for the RTO. */
+    static constexpr double rto_max_us = 6400.0;
+    /** How long the receiver waits for piggyback traffic before
+     *  sending a standalone ack. */
+    static constexpr double ack_delay_us = 20.0;
+    /** Out-of-order reassembly buffer capacity per channel; an
+     *  arrival past the cap is dropped (retransmission recovers). */
+    static constexpr int ooo_capacity = 64;
+    /** Give-up bound: after this many retransmissions of the oldest
+     *  unacked message the channel aborts its queue. */
+    static constexpr int max_retransmits = 20;
+
+    /**
+     * Install this layer as @p tnet 's receiver.
+     * @param kills the machine's kill table
+     * @param spans the machine's span layer: each go-back-N resend
+     *              records a retransmit child span under the
+     *              message's original trace id (aux = try count)
+     */
     ReliableNet(sim::Simulator &sim, Tnet &tnet, const KillTable &kills,
-                ReliableParams params);
+                obs::SpanLayer &spans);
 
     /** Stamp, sequence and transmit (or window-park) @p msg. */
     Tick send(Message msg) override;
 
-    /** Attach the machine's span layer (nullptr detaches). Each
-     *  go-back-N resend records a retransmit child span under the
-     *  message's original trace id (aux = try count). */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
-
-    /** Abort the queued traffic of a failed cell (its own channels;
-     *  live senders drop theirs to it at their next timer or send)
-     *  so retransmit timers stop and the event queue can drain.
-     *  Runs on the dead cell's timeline. */
+    /** Abort the queued traffic of a failed cell (its own row; live
+     *  senders drop their channels to it at their next timer or
+     *  send) so retransmit timers stop and the event queue can
+     *  drain. Runs on the dead cell's timeline. */
     void flush_cell(CellId dead);
 
     /** Stats of cell @p id (valid for the topology's cells). */
     const RnetStats &stats(CellId id) const
     {
-        return cellStats[static_cast<std::size_t>(id)];
+        return rows[static_cast<std::size_t>(id)].stats;
     }
-
-    const ReliableParams &params() const { return prm; }
 
   private:
     /** One in-flight (sent, unacked) message. */
@@ -142,7 +143,7 @@ class ReliableNet : public Link
         std::uint64_t nextSeq = 1;
         std::deque<Pending> window;  ///< sent, awaiting ack
         std::deque<Message> backlog; ///< parked behind the window
-        double rtoUs = 0.0;
+        double rtoUs = rto_us;
         bool timerArmed = false;
         /** Bumped to invalidate scheduled timer events (the event
          *  queue cannot cancel). */
@@ -157,13 +158,27 @@ class ReliableNet : public Link
         bool ackPending = false;
     };
 
-    std::uint64_t chan_key(CellId src, CellId dst) const;
-    SendChannel &send_channel(CellId src, CellId dst);
-    RecvChannel &recv_channel(CellId src, CellId dst);
-    RnetStats &stats_of(CellId id)
+    /** One cell's protocol state; only the cell's own events touch
+     *  it. */
+    struct Row
     {
-        return cellStats[static_cast<std::size_t>(id)];
+        std::unordered_map<CellId, SendChannel> send; ///< by dst
+        std::unordered_map<CellId, RecvChannel> recv; ///< by src
+        RnetStats stats;
+    };
+
+    Row &row(CellId id) { return rows[static_cast<std::size_t>(id)]; }
+    /** Channel src -> dst, held in the sender's row. */
+    SendChannel &send_channel(CellId src, CellId dst)
+    {
+        return row(src).send[dst];
     }
+    /** Channel src -> dst, held in the receiver's row. */
+    RecvChannel &recv_channel(CellId src, CellId dst)
+    {
+        return row(dst).recv[src];
+    }
+    RnetStats &stats_of(CellId id) { return row(id).stats; }
 
     bool is_dead(CellId id) const { return kills.failed_by(id, sim.now()); }
 
@@ -193,20 +208,8 @@ class ReliableNet : public Link
     sim::Simulator &sim;
     Tnet &tnet;
     const KillTable &kills;
-    ReliableParams prm;
-    /** Serializes the channel maps, which rehash on insert from
-     *  any shard. Each channel has one owner timeline: a (src, dst)
-     *  send channel is driven by src's events (send, retransmit
-     *  timers, ack processing), its receive channel by dst's
-     *  (delivery, delayed acks), so the protocol's decisions do not
-     *  depend on lock order. Recursive because the receiver may
-     *  re-enter send() (GET replies). */
-    std::recursive_mutex mu;
-    int cells = 0;
-    std::unordered_map<std::uint64_t, SendChannel> sendChans;
-    std::unordered_map<std::uint64_t, RecvChannel> recvChans;
-    std::vector<RnetStats> cellStats;
-    obs::SpanLayer *spans = nullptr;
+    obs::SpanLayer &spans;
+    std::vector<Row> rows; ///< one per cell, never resized
 };
 
 } // namespace ap::net

@@ -9,8 +9,8 @@ namespace ap::net
 {
 
 Snet::Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
-           const KillTable &kills)
-    : sim(sim), numCells(cells), costs(costs), kills(kills)
+           const KillTable &kills, obs::SpanLayer &spans)
+    : sim(sim), numCells(cells), costs(costs), kills(kills), spans(spans)
 {
 }
 
@@ -85,12 +85,9 @@ Snet::maybe_release(Context &ctx)
             return;
 
     Tick release = ctx.lastArrival + us_to_ticks(costs.barrier_time);
-    if (spans)
-        if (std::uint64_t tid =
-                spans->episode_trace(ctx.id, ctx.completed))
-            spans->record(-1, tid, obs::SpanStage::barrier,
-                          ctx.episodeBegin, release,
-                          obs::SpanOp::barrier);
+    spans.record(-1, spans.episode_trace(ctx.id, ctx.completed),
+                 obs::SpanStage::barrier, ctx.episodeBegin, release,
+                 obs::SpanOp::barrier);
     std::vector<Waiter> waiters;
     waiters.swap(ctx.waiters);
     ctx.completed++;

@@ -51,9 +51,12 @@ class Snet
      * @param costs the Figure 6 table; barrier_time is the
      *              combine-and-release latency after the last arrival
      * @param kills the machine's kill table
+     * @param spans the machine's span layer: each barrier episode
+     *              records one machine-wide span from the first
+     *              arrival to the release tick under its own trace id
      */
     Snet(sim::Simulator &sim, int cells, const mlsim::Params &costs,
-         const KillTable &kills);
+         const KillTable &kills, obs::SpanLayer &spans);
 
     /**
      * Create a barrier context over @p members (empty = all cells).
@@ -86,11 +89,6 @@ class Snet
      * at, and contexts blocked only on it release.
      */
     void fail_cell(CellId cell);
-
-    /** Attach the machine's span layer (nullptr detaches). Each
-     *  barrier episode records one machine-wide span from the first
-     *  arrival to the release tick under a fresh trace id. */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
     /** One member's pending release. */
@@ -125,6 +123,7 @@ class Snet
     int numCells;
     mlsim::Params costs;
     const KillTable &kills;
+    obs::SpanLayer &spans;
     /** Serializes create_context()/arrive()/fail_cell(): barrier
      *  contexts are shared by every member cell's shard and may be
      *  created mid-run. */
@@ -132,7 +131,6 @@ class Snet
     /** Deque, not vector: growth must not invalidate references a
      *  concurrent arrive() holds across maybe_release(). */
     std::deque<Context> contexts;
-    obs::SpanLayer *spans = nullptr;
 };
 
 } // namespace ap::net

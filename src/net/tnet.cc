@@ -10,9 +10,10 @@ namespace ap::net
 {
 
 Tnet::Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs,
-           const KillTable &kills)
-    : sim(sim), topo(topo), cost(costs), kills(kills),
-      rows(static_cast<std::size_t>(sim.shards()))
+           const KillTable &kills, sim::FaultInjector &faults,
+           obs::SpanLayer &spans)
+    : sim(sim), topo(topo), cost(costs), kills(kills), faults(faults),
+      spans(spans), rows(static_cast<std::size_t>(sim.shards()))
 {
 }
 
@@ -58,9 +59,9 @@ Tnet::schedule_delivery(Message msg, Tick arrive)
 void
 Tnet::note_fault(const char *what, MsgKind kind)
 {
-    if (spans && spans->full())
-        spans->instant(obs::machine_track, "fault",
-                       std::string(what) + to_string(kind), sim.now());
+    if (spans.full())
+        spans.instant(obs::machine_track, "fault",
+                      std::string(what) + to_string(kind), sim.now());
 }
 
 Tick
@@ -87,10 +88,10 @@ Tnet::send(Message msg)
     // Injected latency jitter is added before the FIFO clamp below,
     // so a jitter-only fault plan perturbs timing without ever
     // breaking in-order delivery.
-    bool inject_faults = faults && faults->active();
+    bool inject_faults = faults.active();
     sim::FaultInjector::SendFaults f;
     if (inject_faults) {
-        f = faults->on_send(msg.src);
+        f = faults.on_send(msg.src);
         arrive += f.jitter;
     }
 
@@ -124,35 +125,32 @@ Tnet::send(Message msg)
             // The wire was used (stats above) but nothing arrives.
             // aux=1 marks the flight as lost for the span layer.
             ++st.dropped;
-            if (spans && msg.traceId != 0)
-                spans->record(msg.dst, msg.traceId,
-                              obs::SpanStage::net, inject, arrive,
-                              obs::SpanOp::none, 1);
+            spans.record(msg.dst, msg.traceId, obs::SpanStage::net,
+                         inject, arrive, obs::SpanOp::none, 1);
             note_fault("drop:", msg.kind);
             AP_DPRINTF(Fault, "dropped %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             return arrive;
         }
         if (f.duplicate &&
-            faults->try_hold(msg.src, Hold::duplicate, inject, arrive)) {
+            faults.try_hold(msg.src, Hold::duplicate, inject, arrive)) {
             ++st.duplicated;
             note_fault("duplicate:", msg.kind);
             AP_DPRINTF(Fault, "duplicated %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             schedule_delivery(msg, arrive);
         }
-        Tick late = arrive + faults->reorder_delay();
+        Tick late = arrive + faults.reorder_delay();
         if (f.reorder &&
-            faults->try_hold(msg.src, Hold::reorder, inject, late)) {
+            faults.try_hold(msg.src, Hold::reorder, inject, late)) {
             // Held back past the FIFO clamp already recorded in
             // `last`: later same-pair traffic overtakes this message.
             ++st.reordered;
             note_fault("reorder:", msg.kind);
             AP_DPRINTF(Fault, "reordered %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
-            if (spans && msg.traceId != 0)
-                spans->record(msg.dst, msg.traceId,
-                              obs::SpanStage::net, inject, late);
+            spans.record(msg.dst, msg.traceId, obs::SpanStage::net,
+                         inject, late);
             schedule_delivery(std::move(msg), late);
             return arrive;
         }
@@ -168,9 +166,8 @@ Tnet::send(Message msg)
         }
     }
 
-    if (spans && msg.traceId != 0)
-        spans->record(msg.dst, msg.traceId, obs::SpanStage::net,
-                      inject, arrive);
+    spans.record(msg.dst, msg.traceId, obs::SpanStage::net, inject,
+                 arrive);
     schedule_delivery(std::move(msg), arrive);
     return arrive;
 }

@@ -63,10 +63,6 @@ struct TnetStats
 /**
  * The torus network. send() injects a message and hands it to the
  * receiver (Link::set_receiver()) at the arrival tick.
- *
- * Sealed (final) so the MSC+ fast path can devirtualize: when no
- * reliable layer is stacked, the MSC+ holds a Tnet* and send() calls
- * resolve directly instead of through the Link vtable.
  */
 class Tnet final : public Link
 {
@@ -79,9 +75,21 @@ class Tnet final : public Link
      *              flight
      * @param kills the machine's kill table: traffic to or from a
      *              fail-stop cell is discarded (deadCellDrops)
+     * @param faults the machine's fault injector. Injected faults:
+     *               drop (message vanishes in the network), duplicate
+     *               (delivered twice), reorder (held back without
+     *               advancing the FIFO clamp, so later same-pair
+     *               traffic overtakes it), corruption, and latency
+     *               jitter applied before the FIFO clamp
+     *               (timing-only, order-preserving), all decided by
+     *               the sender's count of sends
+     * @param spans the machine's span layer: flights are recorded
+     *              under their message's trace id, injected faults
+     *              annotated on the machine track
      */
     Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &costs,
-         const KillTable &kills);
+         const KillTable &kills, sim::FaultInjector &faults,
+         obs::SpanLayer &spans);
 
     /**
      * Inject @p msg now. @return the arrival tick at the destination.
@@ -98,20 +106,6 @@ class Tnet final : public Link
      *  shards at each fold_stats() (every window barrier). */
     const TnetStats &stats() const { return netStats; }
     void fold_stats();
-
-    /**
-     * Attach a fault injector (nullptr detaches). Injected faults:
-     * drop (message vanishes in the network), duplicate (delivered
-     * twice), reorder (held back without advancing the FIFO clamp, so
-     * later same-pair traffic overtakes it), and latency jitter
-     * applied before the FIFO clamp (timing-only, order-preserving),
-     * all decided by the sender's count of sends.
-     */
-    void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
-
-    /** Attach the machine's span layer (nullptr detaches). Injected
-     *  network faults are annotated on the machine track. */
-    void set_spans(obs::SpanLayer *s) { spans = s; }
 
   private:
     /** What one shard's senders write; only that shard touches it. */
@@ -132,10 +126,10 @@ class Tnet final : public Link
     Torus topo;
     mlsim::CostModel cost;
     const KillTable &kills;
-    sim::FaultInjector *faults = nullptr;
+    sim::FaultInjector &faults;
+    obs::SpanLayer &spans;
     std::vector<SendRow> rows; ///< one per kernel shard
     TnetStats netStats;
-    obs::SpanLayer *spans = nullptr;
 };
 
 } // namespace ap::net

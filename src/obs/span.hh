@@ -189,11 +189,13 @@ std::string span_chrome_json(const std::vector<SpanEvent> &events,
 
 /**
  * The machine-wide span recorder. Owned by hw::Machine; hardware
- * components hold a pointer and guard every probe with a null check
- * plus on(). A trace id is (minting cell, that cell's count), so it
- * is unique machine-wide, an event stream from any cell can be
- * grouped by operation, and a cell's ids do not depend on what cells
- * on other kernel shards did first.
+ * components get a reference at construction and call record() at
+ * every probe, which does nothing while off or for trace id 0 (only
+ * annotations that build a string check full() first). A trace id is
+ * (minting cell, that cell's count), so it is unique machine-wide, an
+ * event stream from any cell can be grouped by operation, and a
+ * cell's ids do not depend on what cells on other kernel shards did
+ * first.
  */
 class SpanLayer
 {

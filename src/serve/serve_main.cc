@@ -81,7 +81,7 @@ main(int argc, char **argv)
     double watchdogUs = 3000.0;
     serve::TrafficConfig traffic;
     serve::ServeConfig scfg;
-    std::vector<sim::FaultPlan::CellKill> kills;
+    std::vector<const char *> kills;
     obs::ObsOptions obsOpt;
 
     for (int i = 1; i < argc; ++i) {
@@ -109,11 +109,7 @@ main(int argc, char **argv)
                 fatal("unknown drill '%s' (only kill-cell)", a + 8);
             drill = true;
         } else if (std::strncmp(a, "--kill=", 7) == 0) {
-            int cell = 0;
-            double us = 0.0;
-            if (std::sscanf(a + 7, "%d@%lf", &cell, &us) != 2)
-                fatal("--kill wants CELL@US, got '%s'", a);
-            kills.push_back({cell, us});
+            kills.push_back(a + 7);
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
             threads = std::atoi(a + 10);
         } else if (std::strcmp(a, "--reliable") == 0) {
@@ -142,8 +138,9 @@ main(int argc, char **argv)
     // the job can be rescheduled, not hang the fleet.
     cfg.retry.watchdogUs = watchdogUs;
 
-    for (const auto &k : kills)
-        cfg.faults.kills.push_back(k);
+    for (const char *k : kills)
+        cfg.faults.kills.push_back(
+            sim::FaultPlan::CellKill::parse(k, cells));
     if (!obsOpt.traceOut.empty())
         cfg.spanMode = obs::SpanMode::full;
 

@@ -1,6 +1,7 @@
 #include "sim/fault.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "base/logging.hh"
@@ -32,6 +33,28 @@ FaultPlan::describe() const
     out += strprintf(" seed=%llu",
                      static_cast<unsigned long long>(seed));
     return out;
+}
+
+FaultPlan::CellKill
+FaultPlan::CellKill::parse(const char *spec, int cells)
+{
+    char *end = nullptr;
+    long cell = std::strtol(spec, &end, 10);
+    if (end == spec || *end != '@')
+        fatal("--kill=%s: want CELL@US", spec);
+    if (cell < 0 || cell >= cells)
+        fatal("--kill=%s: cell %ld is outside the machine's %d cells",
+              spec, cell, cells);
+    const char *us = end + 1;
+    double atUs = std::strtod(us, &end);
+    if (end == us || *end != '\0')
+        fatal("--kill=%s: want CELL@US", spec);
+    // Negated so that NaN fails too; the bound keeps us_to_ticks()
+    // inside the tick range.
+    if (!(atUs >= 0.0 && atUs < ticks_to_us(max_tick / 2)))
+        fatal("--kill=%s: US must be a finite, non-negative time in "
+              "microseconds", spec);
+    return {static_cast<CellId>(cell), atUs};
 }
 
 FaultPlan
@@ -145,8 +168,9 @@ mix(std::uint64_t z)
 
 } // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan)
-    : fp(std::move(plan)), armed(fp.any())
+FaultInjector::FaultInjector(FaultPlan plan, int cells)
+    : fp(std::move(plan)), armed(fp.any()),
+      rows(static_cast<std::size_t>(cells) + 1)
 {
 }
 
@@ -174,21 +198,14 @@ FaultInjector::roll(Point point, int cell, std::uint64_t n,
     return prob > 0 && draw(point, cell, n) < prob;
 }
 
-void
-FaultInjector::set_cells(int cells)
-{
-    if (rows.size() < static_cast<std::size_t>(cells) + 1)
-        rows.resize(static_cast<std::size_t>(cells) + 1);
-}
-
-FaultInjector::Row &
-FaultInjector::row(int cell)
+std::size_t
+FaultInjector::index(int cell) const
 {
     auto idx = static_cast<std::size_t>(cell < 0 ? 0 : cell + 1);
     if (idx >= rows.size())
         panic("fault injector sized for %zu cells, asked for cell %d",
               rows.size() - 1, cell);
-    return rows[idx];
+    return idx;
 }
 
 Tick
@@ -293,11 +310,7 @@ FaultInjector::try_hold(CellId src, HoldKind kind, Tick now,
 const FaultInjector::HoldStats &
 FaultInjector::hold_stats(CellId cell) const
 {
-    static const HoldStats empty{};
-    auto idx = static_cast<std::size_t>(cell) + 1;
-    if (cell < 0 || idx >= rows.size())
-        return empty;
-    return rows[idx].hold;
+    return rows[index(cell)].hold;
 }
 
 FaultStats

@@ -29,8 +29,9 @@
  * replays exactly.
  *
  * A default-constructed (zero) plan is inert by construction: every
- * decision point short-circuits before counting, so a machine with a
- * zero plan is byte-identical to one without the fault layer.
+ * decision point stops at FaultInjector::active() before counting, so
+ * a machine with a zero plan is byte-identical to one without the
+ * fault layer.
  */
 
 #ifndef AP_SIM_FAULT_HH
@@ -85,6 +86,12 @@ struct FaultPlan
     {
         CellId cell = 0;
         double atUs = 0.0;
+
+        /** Parse a command line's "CELL@US" (the value of --kill=)
+         *  for a machine of @p cells; fatal(), naming the argument,
+         *  unless CELL is a cell of it and US a time the model can
+         *  reach (finite, not negative), with nothing trailing. */
+        static CellKill parse(const char *spec, int cells);
     };
 
     /** Cells to kill during the run (fail-stop, no recovery). */
@@ -144,8 +151,9 @@ struct FaultStats
 
 /**
  * The decision engine behind a FaultPlan. One instance per Machine;
- * hardware models hold a pointer and consult it at their decision
- * points. A null pointer or an inactive injector means no faults.
+ * hardware models get a reference at construction and consult it at
+ * their decision points behind active(): an inactive injector (a zero
+ * plan) means no faults.
  *
  * Thread-safety: all state is per cell (per timeline for kernel
  * jitter), touched only by that cell's events, which the sharded
@@ -154,7 +162,9 @@ struct FaultStats
 class FaultInjector
 {
   public:
-    explicit FaultInjector(FaultPlan plan = FaultPlan{});
+    /** @param cells machine size: one row per cell plus one for
+     *  the machine timeline (stable addresses for the registry). */
+    FaultInjector(FaultPlan plan, int cells);
 
     const FaultPlan &plan() const { return fp; }
 
@@ -178,9 +188,6 @@ class FaultInjector
     /** Uniform [0, 1) draw of @p point for the @p n-th hardware event
      *  of timeline @p cell: a pure function of (seed, point, cell, n). */
     double draw(Point point, int cell, std::uint64_t n) const;
-
-    /** Size the per-cell rows (stable addresses for the registry). */
-    void set_cells(int cells);
 
     // -- decision points -----------------------------------------------
 
@@ -239,7 +246,7 @@ class FaultInjector
         std::uint64_t reorderEvictions = 0;
     };
 
-    /** Hold stats of sending cell @p cell (valid after set_cells()). */
+    /** Hold stats of sending cell @p cell. */
     const HoldStats &hold_stats(CellId cell) const;
 
     /** Every injected fault, summed over the cells. */
@@ -259,8 +266,9 @@ class FaultInjector
         std::vector<Tick> held;
     };
 
-    /** Row of timeline @p cell: 0 for negative ids, cell + 1. */
-    Row &row(int cell);
+    /** Row index of timeline @p cell: 0 for negative ids, cell + 1. */
+    std::size_t index(int cell) const;
+    Row &row(int cell) { return rows[index(cell)]; }
     std::uint64_t hash(Point point, int cell, std::uint64_t n) const;
     bool roll(Point point, int cell, std::uint64_t n, double prob) const;
     Tick jitter_draw(Point point, Row &r, int cell, std::uint64_t n);

@@ -12,6 +12,7 @@
 #include "mlsim/params.hh"
 #include "mlsim/replay.hh"
 #include "net/bnet.hh"
+#include "obs/span.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -32,7 +33,8 @@ small(int cells)
 TEST(BnetUnit, DeliversToAllButSource)
 {
     sim::Simulator sim;
-    net::Bnet bus(sim, 4, mlsim::Params::ap1000_plus());
+    obs::SpanLayer spans(4, 16);
+    net::Bnet bus(sim, 4, mlsim::Params::ap1000_plus(), spans);
     std::vector<int> hits(4, 0);
     bus.set_receiver([&](net::Message m) { ++hits[m.dst]; });
 
@@ -52,7 +54,8 @@ TEST(BnetUnit, BusSerializesBackToBackBroadcasts)
     mlsim::Params p = mlsim::Params::ap1000_plus();
     p.bnet_prolog_time = 1.0;
     p.bnet_msg_time = 0.02;
-    net::Bnet bus(sim, 2, p);
+    obs::SpanLayer spans(2, 16);
+    net::Bnet bus(sim, 2, p, spans);
     std::vector<Tick> arrivals;
     bus.set_receiver([&](net::Message m) {
         if (m.dst == 1)

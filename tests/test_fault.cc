@@ -6,13 +6,14 @@
  * decision depends only on its key, never on call order or on the
  * other mechanisms), the inertness guarantee of a
  * zero plan (machine-level: a default plan must not change a run at
- * all), and the Process::wait_until timeout primitive that the
- * runtime hardening is built on.
+ * all), the command-line kill parser, and the Process::wait_until
+ * timeout primitive that the runtime hardening is built on.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/ap1000p.hh"
@@ -43,8 +44,7 @@ TEST(FaultPlan, ZeroPlanIsInert)
     EXPECT_FALSE(zero.any());
     EXPECT_EQ(zero.describe(), "none");
 
-    FaultInjector inj(zero);
-    inj.set_cells(2);
+    FaultInjector inj(zero, 2);
     EXPECT_FALSE(inj.active());
     for (int i = 0; i < 100; ++i) {
         FaultInjector::SendFaults f = inj.on_send(1);
@@ -84,14 +84,30 @@ TEST(FaultPlan, PresetsEnableExactlyOneMechanism)
     EXPECT_GT(c.jitterMaxUs, 0.0);
 }
 
+TEST(CellKillDeathTest, ParseAcceptsOnlyACellAndAReachableTime)
+{
+    // The one parser behind ap_run's and ap_serve's --kill=CELL@US.
+    FaultPlan::CellKill k = FaultPlan::CellKill::parse("5@30.5", 16);
+    EXPECT_EQ(k.cell, 5);
+    EXPECT_EQ(k.atUs, 30.5);
+    // Each rejection exits 1 naming the argument; none aborts.
+    for (const char *bad : {"99@30", "16@30", "-1@30", "5@-10", "5@inf",
+                            "5@nan", "5@abc", "5@", "@30", "5@30x",
+                            "5x@30", "5@1e300"})
+        EXPECT_EXIT(FaultPlan::CellKill::parse(bad, 16),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: --kill=") + bad + ":")
+            << bad;
+}
+
 TEST(FaultInjector, DecisionDependsOnlyOnItsKey)
 {
     // A decision is a hash of (seed, point, cell, event count): the
     // same key gives the same draw in any injector, and different
     // keys give independent draws.
-    FaultInjector a(FaultPlan::chaos(99));
-    FaultInjector b(FaultPlan::chaos(99));
-    FaultInjector other(FaultPlan::chaos(100));
+    FaultInjector a(FaultPlan::chaos(99), 5);
+    FaultInjector b(FaultPlan::chaos(99), 5);
+    FaultInjector other(FaultPlan::chaos(100), 5);
     using P = FaultInjector::Point;
     int sameAcrossSeeds = 0;
     for (std::uint64_t n = 0; n < 200; ++n) {
@@ -115,13 +131,11 @@ TEST(FaultInjector, DecisionsIgnoreCallOrderAcrossCells)
     // before it: interleaving two cells' sends differently leaves
     // each cell's decision sequence unchanged.
     FaultPlan plan = FaultPlan::drops(42, 0.3);
-    FaultInjector alone(plan);
-    alone.set_cells(2);
+    FaultInjector alone(plan, 2);
     std::vector<bool> expect0 = drop_stream(alone, 0, 200);
     std::vector<bool> expect1 = drop_stream(alone, 1, 200);
 
-    FaultInjector mixed(plan);
-    mixed.set_cells(2);
+    FaultInjector mixed(plan, 2);
     std::vector<bool> got0, got1;
     // Cell 1 runs ahead in bursts of three, cell 0 one at a time.
     while (got0.size() < 200 || got1.size() < 200) {
@@ -140,14 +154,12 @@ TEST(FaultInjector, DecisionsIgnoreOtherMechanisms)
     // Enabling other mechanisms, and consulting them, leaves a
     // drop-only plan's drop pattern untouched: each decision point
     // hashes its own key, and each hardware event has its own count.
-    FaultInjector pure(FaultPlan::drops(42, 0.3));
-    pure.set_cells(1);
+    FaultInjector pure(FaultPlan::drops(42, 0.3), 1);
     std::vector<bool> expect = drop_stream(pure, 0, 200);
 
     FaultPlan busy = FaultPlan::chaos(42);
     busy.dropProb = 0.3;
-    FaultInjector mixed(busy);
-    mixed.set_cells(1);
+    FaultInjector mixed(busy, 1);
     std::vector<bool> got;
     for (int i = 0; i < 200; ++i) {
         mixed.force_overflow(0);
@@ -162,8 +174,7 @@ TEST(FaultInjector, DecisionsIgnoreOtherMechanisms)
 TEST(FaultInjector, JitterIsBounded)
 {
     FaultPlan p = FaultPlan::jitter(11, 20.0);
-    FaultInjector inj(p);
-    inj.set_cells(4);
+    FaultInjector inj(p, 4);
     Tick bound = us_to_ticks(p.jitterMaxUs);
     for (int i = 0; i < 1000; ++i) {
         EXPECT_LE(inj.jitter(i % 4), bound);

@@ -16,6 +16,7 @@
 #include "net/kills.hh"
 #include "net/reliable.hh"
 #include "net/tnet.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
@@ -52,19 +53,17 @@ struct Rig
     sim::Simulator sim;
     sim::FaultInjector inj;
     KillTable kills{4};
+    obs::SpanLayer spans{4, 16};
     Tnet tnet;
     ReliableNet rnet;
     std::vector<std::vector<std::uint32_t>> delivered;
 
-    explicit Rig(sim::FaultPlan plan = {},
-                 ReliableParams params = {})
-        : inj(plan),
-          tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills),
-          rnet(sim, tnet, kills, params), delivered(4)
+    explicit Rig(sim::FaultPlan plan = {})
+        : inj(plan, 4),
+          tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills,
+               inj, spans),
+          rnet(sim, tnet, kills, spans), delivered(4)
     {
-        inj.set_cells(4);
-        if (plan.any())
-            tnet.set_fault_injector(&inj);
         rnet.set_receiver([this](Message m) {
             delivered[static_cast<std::size_t>(m.dst)].push_back(
                 marker_of(m));
@@ -160,18 +159,20 @@ TEST(Reliable, CorruptedPayloadsAreRejectedAndRecovered)
 
 TEST(Reliable, WindowParksExcessSendsInBacklog)
 {
-    ReliableParams params;
-    params.windowSize = 2;
-    Rig r({}, params);
-    for (std::uint32_t i = 0; i < 12; ++i)
+    // A burst eight past the window: the window fills, the last
+    // eight park, and acks promote them in order.
+    constexpr std::uint32_t n = ReliableNet::window_size + 8;
+    Rig r;
+    for (std::uint32_t i = 0; i < n; ++i)
         r.rnet.send(mk(0, 1, i));
     r.sim.run();
 
-    ASSERT_EQ(r.delivered[1].size(), 12u);
-    for (std::uint32_t i = 0; i < 12; ++i)
+    ASSERT_EQ(r.delivered[1].size(), n);
+    for (std::uint32_t i = 0; i < n; ++i)
         EXPECT_EQ(r.delivered[1][i], i);
-    EXPECT_GT(r.rnet.stats(0).queuedFull, 0u);
-    EXPECT_LE(r.rnet.stats(0).windowHighWater, 2u);
+    EXPECT_EQ(r.rnet.stats(0).queuedFull, 8u);
+    EXPECT_EQ(r.rnet.stats(0).windowHighWater,
+              static_cast<std::uint64_t>(ReliableNet::window_size));
 }
 
 TEST(Reliable, OneWayTrafficAcksViaStandaloneMessages)
@@ -192,15 +193,19 @@ TEST(Reliable, ReverseTrafficPiggybacksAcks)
 {
     // Reverse data sent while a standalone ack is still pending must
     // carry the cumulative ack itself and cancel the standalone one.
-    ReliableParams params;
-    params.ackDelayUs = 500.0;
-    Rig r({}, params);
+    // The reverse burst leaves after the forward messages land,
+    // halfway through the delay of the standalone ack they armed.
+    Rig r;
     for (std::uint32_t i = 0; i < 6; ++i)
         r.rnet.send(mk(0, 1, i));
-    r.sim.schedule(us_to_ticks(100.0), [&r] {
-        for (std::uint32_t i = 0; i < 6; ++i)
-            r.rnet.send(mk(1, 0, 100 + i));
-    });
+    Message wire = mk(0, 1, 0);
+    wire.reliable = true;
+    Tick landed = r.tnet.latency(0, 1, wire.wire_bytes());
+    r.sim.schedule(landed + us_to_ticks(ReliableNet::ack_delay_us / 2),
+                   [&r] {
+                       for (std::uint32_t i = 0; i < 6; ++i)
+                           r.rnet.send(mk(1, 0, 100 + i));
+                   });
     r.sim.run();
 
     ASSERT_EQ(r.delivered[1].size(), 6u);
@@ -237,14 +242,14 @@ TEST(Reliable, GiveUpBoundAbortsUnreachableLivePeer)
     // Total blackout and no kill: retransmission must not run
     // forever — the per-message give-up bound abandons the channel
     // and lets the event queue drain.
-    ReliableParams params;
-    params.maxRetransmits = 3;
-    Rig r(sim::FaultPlan::drops(13, 1.0), params);
+    Rig r(sim::FaultPlan::drops(13, 1.0));
     r.rnet.send(mk(0, 1, 7));
     r.sim.run();
 
     EXPECT_TRUE(r.delivered[1].empty());
-    EXPECT_GT(r.rnet.stats(0).abortedMsgs, 0u);
+    EXPECT_EQ(r.rnet.stats(0).retransmits,
+              static_cast<std::uint64_t>(ReliableNet::max_retransmits));
+    EXPECT_EQ(r.rnet.stats(0).abortedMsgs, 1u);
 }
 
 TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
@@ -258,11 +263,11 @@ TEST(FaultHolding, HoldingBuffersAreBoundedAndCountEvictions)
     plan.maxHeldPerCell = 2;
 
     sim::Simulator sim;
-    sim::FaultInjector inj(plan);
-    inj.set_cells(4);
+    sim::FaultInjector inj(plan, 4);
     KillTable kills(4);
-    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
-    tnet.set_fault_injector(&inj);
+    obs::SpanLayer spans(4, 16);
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills, inj,
+              spans);
     int arrived = 0;
     tnet.set_receiver([&](Message) { ++arrived; });
 
@@ -303,11 +308,11 @@ TEST(FaultHolding, CapIsEnforcedPerSender)
     plan.maxHeldPerCell = 2;
 
     sim::Simulator sim;
-    sim::FaultInjector inj(plan);
-    inj.set_cells(4);
+    sim::FaultInjector inj(plan, 4);
     KillTable kills(4);
-    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
-    tnet.set_fault_injector(&inj);
+    obs::SpanLayer spans(4, 16);
+    Tnet tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills, inj,
+              spans);
     tnet.set_receiver([](Message) {});
     for (CellId src : {0, 2})
         for (int i = 0; i < 5; ++i) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/ringbuf.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
 #include "sim/process.hh"
 
@@ -43,7 +44,8 @@ receive(RingBuffer &rb, CellId src, std::int32_t tag, sim::Process &proc,
 TEST(RingBuffer, TryReceiveMatchesTagAndSource)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     rb.deposit(rec(1, 10, 4));
     rb.deposit(rec(2, 20, 4));
 
@@ -58,7 +60,8 @@ TEST(RingBuffer, TryReceiveMatchesTagAndSource)
 TEST(RingBuffer, WildcardsMatchAnything)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     rb.deposit(rec(5, 55, 8));
     SendRecord out;
     EXPECT_TRUE(rb.try_receive(any_source, any_tag, out));
@@ -69,7 +72,8 @@ TEST(RingBuffer, WildcardsMatchAnything)
 TEST(RingBuffer, FifoAmongMatchingRecords)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     rb.deposit(SendRecord{1, 7, {1}});
     rb.deposit(SendRecord{1, 7, {2}});
     SendRecord out;
@@ -82,7 +86,8 @@ TEST(RingBuffer, FifoAmongMatchingRecords)
 TEST(RingBuffer, BlockingReceiveWaitsForDeposit)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     Tick when = 0;
     sim::Process p(sim, "rx", [&](sim::Process &self) {
         SendRecord r = receive(rb, any_source, any_tag, self);
@@ -98,7 +103,8 @@ TEST(RingBuffer, BlockingReceiveWaitsForDeposit)
 TEST(RingBuffer, OverflowGrowsWithInterrupt)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0, 64);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans, 64);
     rb.deposit(rec(0, 1, 48));
     EXPECT_EQ(rb.stats().growInterrupts, 0u);
     rb.deposit(rec(0, 2, 48)); // 96 > 64: grow
@@ -110,7 +116,8 @@ TEST(RingBuffer, OverflowGrowsWithInterrupt)
 TEST(RingBuffer, InPlaceConsumptionCountsSeparately)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     rb.deposit(rec(0, 1, 8));
     rb.deposit(rec(0, 2, 8));
     sim::Process p(sim, "p", [&](sim::Process &self) {
@@ -127,7 +134,8 @@ TEST(RingBuffer, InPlaceConsumptionCountsSeparately)
 TEST(RingBuffer, BytesTrackUsage)
 {
     sim::Simulator sim;
-    RingBuffer rb(sim, 0);
+    obs::SpanLayer spans(1, 16);
+    RingBuffer rb(sim, 0, spans);
     rb.deposit(rec(0, 1, 100));
     EXPECT_EQ(rb.bytes(), 100u);
     SendRecord out;

@@ -25,6 +25,7 @@
 #include "mlsim/params.hh"
 #include "net/kills.hh"
 #include "net/snet.hh"
+#include "obs/span.hh"
 #include "phold_workload.hh"
 #include "sim/eventq.hh"
 
@@ -420,7 +421,8 @@ struct SnetRace
 {
     Simulator sim{2, 4, 500};
     net::KillTable kills{4};
-    net::Snet snet{sim, 4, mlsim::Params::ap1000_plus(), kills};
+    obs::SpanLayer spans{4, 16};
+    net::Snet snet{sim, 4, mlsim::Params::ap1000_plus(), kills, spans};
     net::Snet::ContextId ctx = snet.create_context({0, 3});
     /** Per cell, its release tick (0: none); each is written on its
      *  own cell's timeline. */

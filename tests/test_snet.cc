@@ -10,6 +10,7 @@
 #include "mlsim/params.hh"
 #include "net/kills.hh"
 #include "net/snet.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
 
 using namespace ap;
@@ -31,7 +32,8 @@ struct Rig
 {
     sim::Simulator sim;
     KillTable kills{8};
-    Snet snet{sim, 8, two_us_release(), kills};
+    obs::SpanLayer spans{8, 16};
+    Snet snet{sim, 8, two_us_release(), kills, spans};
     std::vector<Tick> released;
 
     /** Cell @p cell arrives at @p ctx at tick @p at. */

@@ -12,7 +12,9 @@
 #include "mlsim/params.hh"
 #include "net/kills.hh"
 #include "net/tnet.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
+#include "sim/fault.hh"
 
 using namespace ap;
 using namespace ap::net;
@@ -42,7 +44,9 @@ TEST(Tnet, LatencyFollowsTheModel)
     p.network_msg_time = 0.04;
     p.network_epilog_time = 0.0;
     KillTable kills(16);
-    Tnet net(sim, Torus(4, 4), p, kills);
+    sim::FaultInjector faults({}, 16);
+    obs::SpanLayer spans(16, 16);
+    Tnet net(sim, Torus(4, 4), p, kills, faults, spans);
 
     // distance(0, 1) = 1 hop; 100-byte wire message.
     Tick lat = net.latency(0, 1, 100);
@@ -57,7 +61,10 @@ TEST(Tnet, DeliversToTheReceiver)
 {
     sim::Simulator sim;
     KillTable kills(4);
-    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 4);
+    obs::SpanLayer spans(4, 16);
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     std::vector<Message> got;
     net.set_receiver([&](Message m) { got.push_back(std::move(m)); });
 
@@ -75,7 +82,10 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
     // one on the same pair — static routing passes messages in order.
     sim::Simulator sim;
     KillTable kills(4);
-    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 4);
+    obs::SpanLayer spans(4, 16);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     std::vector<std::size_t> sizes;
     net.set_receiver([&](Message m) { sizes.push_back(m.payload.size()); });
 
@@ -91,7 +101,10 @@ TEST(Tnet, DifferentPairsMayOvertake)
 {
     sim::Simulator sim;
     KillTable kills(4);
-    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 4);
+    obs::SpanLayer spans(4, 16);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     std::vector<CellId> arrivals;
     net.set_receiver([&](Message m) { arrivals.push_back(m.dst); });
 
@@ -107,7 +120,10 @@ TEST(Tnet, StatsAccumulate)
 {
     sim::Simulator sim;
     KillTable kills(16);
-    Tnet net(sim, Torus(4, 4), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 16);
+    obs::SpanLayer spans(16, 16);
+    Tnet net(sim, Torus(4, 4), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     net.set_receiver([](Message) {});
 
     net.send(mk(0, 1, 100));
@@ -126,7 +142,10 @@ TEST(Tnet, SelfSendStillWorks)
 {
     sim::Simulator sim;
     KillTable kills(4);
-    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 4);
+    obs::SpanLayer spans(4, 16);
+    Tnet net(sim, Torus(2, 2), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     bool got = false;
     net.set_receiver([&](Message) { got = true; });
     net.send(mk(1, 1, 8));
@@ -140,7 +159,10 @@ TEST(Tnet, KilledCellNeitherSendsNorReceives)
     // discarded at injection; traffic before it flows.
     sim::Simulator sim;
     KillTable kills(4);
-    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills);
+    sim::FaultInjector faults({}, 4);
+    obs::SpanLayer spans(4, 16);
+    Tnet net(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills,
+             faults, spans);
     int got = 0;
     net.set_receiver([&](Message) { ++got; });
     Tick at = us_to_ticks(100.0);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/program.hh"
@@ -276,13 +277,15 @@ struct KillOutcome
  * Cell 1 queues 200 4 KB PUTs to cell 0 and dies at 1000 us, long
  * before its MSC+ has sent them all. With @p runTime the kill is
  * issued from a machine-timeline event at 500 us through
- * Machine::kill_cell(); otherwise the fault plan lists it.
+ * Machine::kill_cell(); otherwise the fault plan lists it. The kernel
+ * runs on @p threads shards.
  */
 KillOutcome
-kill_sender(bool reliable, bool runTime)
+kill_sender(bool reliable, bool runTime, int threads)
 {
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
     cfg.reliableNet = reliable;
+    cfg.threads = threads;
     cfg.retry.watchdogUs = 1000.0;
     if (!runTime)
         cfg.faults.kills.push_back({1, 1000.0});
@@ -309,7 +312,9 @@ kill_sender(bool reliable, bool runTime)
     return out;
 }
 
-class RunTimeKill : public ::testing::TestWithParam<bool>
+/** (reliable layer on, kernel threads). */
+class RunTimeKill
+    : public ::testing::TestWithParam<std::tuple<bool, int>>
 {
 };
 
@@ -319,10 +324,12 @@ TEST_P(RunTimeKill, StopsTheCellsTrafficLikeAPlannedKill)
 {
     // A kill issued during the run is as fail-stop as one the plan
     // lists: the dead sender's queued PUTs stop at its kill tick, and
-    // under the reliable layer it stops acknowledging too.
-    bool reliable = GetParam();
-    KillOutcome planned = kill_sender(reliable, false);
-    KillOutcome runTime = kill_sender(reliable, true);
+    // under the reliable layer it stops acknowledging too. On four
+    // shards the dead cell's reliable-layer row is flushed on its own
+    // shard while the live cells run on theirs.
+    auto [reliable, threads] = GetParam();
+    KillOutcome planned = kill_sender(reliable, false, threads);
+    KillOutcome runTime = kill_sender(reliable, true, threads);
     // Six PUTs land before the kill; the reliable layer adds their
     // four acks.
     EXPECT_EQ(planned.flag, 6u);
@@ -331,7 +338,12 @@ TEST_P(RunTimeKill, StopsTheCellsTrafficLikeAPlannedKill)
     EXPECT_EQ(runTime.messages, planned.messages);
 }
 
-INSTANTIATE_TEST_SUITE_P(CellFailure, RunTimeKill, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &p) {
-                             return p.param ? "reliable" : "raw";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    CellFailure, RunTimeKill,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>> &p) {
+        std::string name = std::get<0>(p.param) ? "reliable" : "raw";
+        if (int threads = std::get<1>(p.param); threads > 1)
+            name += "_threads" + std::to_string(threads);
+        return name;
+    });
