@@ -290,9 +290,12 @@ main(int argc, char **argv)
             sim::FaultPlan::CellKill::parse(k, cells));
     cfg.reliableNet = reliable;
     cfg.threads = threads;
-    // A kill parks peers in waits that can never complete; the
-    // watchdog converts those into typed errors with a wait graph.
-    if (!kills.empty() && !cfg.retry.watchdog_enabled())
+    // A kill parks peers in waits that can never complete, and an
+    // injected fault can lose a PUT the reliable layer never saw (a
+    // page fault drops a command at gather or flushes a message at
+    // scatter). The watchdog converts those waits into typed errors
+    // with a wait graph.
+    if (cfg.faults.any() || !cfg.faults.kills.empty())
         cfg.retry.watchdogUs = 100000.0;
     if (profile || !obsOpts.traceOut.empty())
         cfg.spanMode = obs::SpanMode::full;

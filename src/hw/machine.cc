@@ -8,6 +8,7 @@
 #include "base/logging.hh"
 #include "mlsim/costmodel.hh"
 #include "obs/json.hh"
+#include "sim/fiber.hh"
 
 namespace ap::hw
 {
@@ -459,7 +460,7 @@ Machine::register_stats()
         statsReg.set_row(commreg, i, &c.mc().regs().stats());
         statsReg.set_row(mmu, i, &c.mc().mmu().stats());
         statsReg.set_row(ring, i, &c.ring().stats());
-        if (cfg.faults.any())
+        if (faultInj.active())
             statsReg.set_row(fault, i, &faultInj.hold_stats(i));
         if (rnetNet)
             statsReg.set_row(rnet, i, &rnetNet->stats(i));
@@ -515,13 +516,19 @@ Machine::register_kernel_stats()
             v += p->stats().discards;
         return v;
     });
-    // DRAM image recycler traffic. Process-wide rather than
-    // per-machine (the cache outlives machines by design), so these
-    // are cumulative across every machine this process built.
+    // DRAM image and fiber stack recycler traffic. Process-wide
+    // rather than per-machine (the caches outlive machines by
+    // design), so these are cumulative across every machine this
+    // process built.
     statsReg.add_gauge("sim.alloc.image_hits",
                        []() { return CellMemory::image_cache_hits(); });
     statsReg.add_gauge("sim.alloc.image_miss", []() {
         return CellMemory::image_cache_misses();
+    });
+    statsReg.add_gauge("sim.alloc.stack_hits",
+                       []() { return sim::Fiber::stack_cache_hits(); });
+    statsReg.add_gauge("sim.alloc.stack_miss", []() {
+        return sim::Fiber::stack_cache_misses();
     });
 
     statsReg.add_gauge("sim.kernel.shards", [this]() {
@@ -713,7 +720,7 @@ Machine::report() const
                      "t = %.1f us ===\n",
                      cfg.cells, tnetNet.topology().width(),
                      tnetNet.topology().height(),
-                     ticks_to_us(simulator.now()));
+                     ticks_to_us(simulator.last_active()));
     out += strprintf("T-net: %llu messages, %llu payload bytes, "
                      "mean size %.1f B, mean distance %.2f hops\n",
                      llu(r.value("tnet.messages")),

@@ -1,15 +1,10 @@
 #include "hw/memory.hh"
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define AP_HW_MEMORY_HAVE_MMAP 1
-#endif
-
-#include <atomic>
-#include <mutex>
-#include <vector>
+#include <algorithm>
+#include <bit>
 
 #include "base/logging.hh"
+#include "base/mapcache.hh"
 
 namespace ap::hw
 {
@@ -17,122 +12,15 @@ namespace ap::hw
 namespace
 {
 
-// Images at or above this size come straight from mmap. malloc's own
-// mmap threshold is dynamic (glibc raises it after large frees), so a
-// program that builds machines repeatedly would silently fall back to
-// heap memory where calloc must memset the whole image. Going to the
-// kernel directly keeps the first construction O(1): anonymous pages
-// are zero-filled lazily on first touch.
-constexpr std::size_t mmap_threshold = 256 * 1024;
-
-struct FreeImage
+/** Retired images, all-zero. The bounds hold the biggest churn
+ *  patterns (a few small machines rebuilt in a loop) without pinning
+ *  one large run's worth of cells forever. */
+MappingCache &
+image_cache()
 {
-    std::uint8_t *ptr;
-    std::size_t bytes;
-    std::size_t mapBytes;
-};
-
-/**
- * Process-wide cache of retired DRAM images, already zeroed by the
- * donating CellMemory destructor. Recycling keeps the pages resident
- * across machine rebuilds: a stress loop that constructs thousands of
- * short-lived machines neither memsets full-capacity images nor
- * re-faults fresh anonymous mappings every iteration — it pays only
- * for the span each cell actually dirtied. Exact-size matching keeps
- * the logic trivial; mixed-size workloads just miss and map fresh.
- *
- * The mutex is uncontended in practice (machines are built and torn
- * down from one thread); it only guards against concurrent machine
- * construction in multi-machine tests.
- *
- * Leaky singleton: never destroyed, so the parked images stay
- * reachable for LeakSanitizer's exit-time scan, and a CellMemory
- * outliving static destruction still finds the cache.
- */
-class ImageCache
-{
-  public:
-    static ImageCache &
-    instance()
-    {
-        static auto *cache = new ImageCache;
-        return *cache;
-    }
-
-    bool
-    pop(std::size_t bytes, FreeImage &out)
-    {
-        std::lock_guard lock(mu);
-        for (std::size_t i = images.size(); i-- > 0;) {
-            if (images[i].bytes != bytes)
-                continue;
-            out = images[i];
-            images.erase(images.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            totalBytes -= bytes;
-            return true;
-        }
-        return false;
-    }
-
-    /** @return false when full; the caller frees the image. */
-    bool
-    push(FreeImage img)
-    {
-        std::lock_guard lock(mu);
-        if (images.size() >= max_images ||
-            totalBytes + img.bytes > max_total_bytes)
-            return false;
-        images.push_back(img);
-        totalBytes += img.bytes;
-        return true;
-    }
-
-  private:
-    /** Retention caps: enough for the biggest churn patterns (a few
-     *  small machines rebuilt in a loop) without pinning the RSS of
-     *  one large run's worth of cells forever. */
-    static constexpr std::size_t max_images = 64;
-    static constexpr std::size_t max_total_bytes =
-        512ull * 1024 * 1024;
-
-    std::mutex mu;
-    std::vector<FreeImage> images;
-    std::size_t totalBytes = 0;
-};
-
-std::atomic<std::uint64_t> cacheHits{0};
-std::atomic<std::uint64_t> cacheMisses{0};
-
-std::uint8_t *
-alloc_image(std::size_t bytes, std::size_t &mapBytes)
-{
-    mapBytes = 0;
-#ifdef AP_HW_MEMORY_HAVE_MMAP
-    if (bytes >= mmap_threshold) {
-        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (p != MAP_FAILED) {
-            mapBytes = bytes;
-            return static_cast<std::uint8_t *>(p);
-        }
-        // Fall through to calloc on mmap failure.
-    }
-#endif
-    return static_cast<std::uint8_t *>(
-        std::calloc(bytes ? bytes : 1, 1));
-}
-
-void
-free_image(std::uint8_t *ptr, std::size_t mapBytes)
-{
-#ifdef AP_HW_MEMORY_HAVE_MMAP
-    if (mapBytes) {
-        ::munmap(ptr, mapBytes);
-        return;
-    }
-#endif
-    std::free(ptr);
+    static auto *cache = new MappingCache(
+        {.mappings = 64, .bytes = std::size_t{512} << 20}, 0);
+    return *cache;
 }
 
 } // namespace
@@ -140,38 +28,38 @@ free_image(std::uint8_t *ptr, std::size_t mapBytes)
 std::uint64_t
 CellMemory::image_cache_hits()
 {
-    return cacheHits.load(std::memory_order_relaxed);
+    return image_cache().hits();
 }
 
 std::uint64_t
 CellMemory::image_cache_misses()
 {
-    return cacheMisses.load(std::memory_order_relaxed);
+    return image_cache().misses();
 }
 
-CellMemory::CellMemory(std::size_t bytes) : numBytes(bytes)
+CellMemory::CellMemory(std::size_t bytes)
+    : numBytes(bytes),
+      data(static_cast<std::uint8_t *>(image_cache().acquire(bytes))),
+      written((bytes >> page_shift) / 64 + 1)
 {
-    FreeImage img;
-    if (ImageCache::instance().pop(bytes, img)) {
-        cacheHits.fetch_add(1, std::memory_order_relaxed);
-        data = img.ptr;
-        mapBytes = img.mapBytes;
-        return;
-    }
-    cacheMisses.fetch_add(1, std::memory_order_relaxed);
-    data = alloc_image(bytes, mapBytes);
-    if (!data)
-        panic("cannot allocate %zu-byte DRAM image", bytes);
 }
 
 CellMemory::~CellMemory()
 {
-    // Zero exactly the dirty span so the cached image is
-    // indistinguishable from a fresh zero-filled mapping.
-    if (dirtyHi > dirtyLo)
-        std::memset(data + dirtyLo, 0, dirtyHi - dirtyLo);
-    if (!ImageCache::instance().push({data, numBytes, mapBytes}))
-        free_image(data, mapBytes);
+    image_cache().release(data, numBytes, [this] { zero_written(); });
+}
+
+void
+CellMemory::zero_written()
+{
+    constexpr std::size_t page = std::size_t{1} << page_shift;
+    for (std::size_t w = 0; w < written.size(); ++w) {
+        for (std::uint64_t bits = written[w]; bits; bits &= bits - 1) {
+            std::size_t at = (w * 64 + std::countr_zero(bits)) * page;
+            std::memset(data + at, 0, std::min(page, numBytes - at));
+        }
+        written[w] = 0;
+    }
 }
 
 void
@@ -259,11 +147,8 @@ CellMemory::fetch_increment_u32(Addr addr)
 void
 CellMemory::clear()
 {
-    std::memset(data, 0, numBytes);
-    // The image is all-zero again: the dirty span collapses, so a
-    // subsequent destructor does no redundant work.
-    dirtyLo = static_cast<std::size_t>(-1);
-    dirtyHi = 0;
+    // Unwritten pages already read zero.
+    zero_written();
 }
 
 } // namespace ap::hw

@@ -12,9 +12,9 @@
 #define AP_HW_MEMORY_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "base/types.hh"
 
@@ -24,15 +24,16 @@ namespace ap::hw
 /**
  * Flat byte-addressable physical memory of one cell.
  *
- * Images are recycled through a process-wide cache: the destructor
- * zeroes only the span the cell actually dirtied (tracked by the
- * bounds-checked write accessors) and parks the image for the next
- * same-size CellMemory instead of returning it to the OS. Drivers
- * that build thousands of short-lived machines (stress harnesses,
- * micro-benchmarks) therefore pay for the bytes they touch, not for
- * the full DRAM capacity: no 4 MB memset per cell at construction
- * and no page-fault storm re-faulting a fresh mapping every
- * iteration.
+ * The image is an anonymous mapping from a process-wide
+ * MappingCache. The write accessors mark every 4 KB page they touch
+ * in a bitmap, so each unmarked page still reads zero. The destructor
+ * zeroes only the marked pages, and only when the cache parks the
+ * image for the next same-size CellMemory; an image the cache has no
+ * room for is unmapped as it is. Drivers that build thousands of
+ * short-lived machines (stress harnesses, micro-benchmarks) therefore
+ * pay for the pages a run wrote, not for the DRAM capacity: no memset
+ * at construction, none of unwritten pages at teardown, and no
+ * page-fault storm re-faulting a fresh mapping every iteration.
  */
 class CellMemory
 {
@@ -84,31 +85,31 @@ class CellMemory
     void clear();
 
   private:
+    /** Granule of the written-page bitmap: the host page. */
+    static constexpr unsigned page_shift = 12;
+
     void check(Addr addr, std::size_t len) const;
 
-    /** Grow the dirty span to cover [addr, addr+len). Called by
-     *  every mutating accessor; the destructor zeroes exactly this
-     *  span before recycling the image. */
+    /** Mark the pages [addr, addr+len) overlaps as written. Called
+     *  by every mutating accessor after check(). */
     void
     touch(Addr addr, std::size_t len)
     {
-        if (addr < dirtyLo)
-            dirtyLo = addr;
-        if (addr + len > dirtyHi)
-            dirtyHi = addr + len;
+        if (len == 0)
+            return;
+        std::size_t last = (addr + len - 1) >> page_shift;
+        for (std::size_t p = addr >> page_shift; p <= last; ++p)
+            written[p / 64] |= std::uint64_t{1} << (p % 64);
     }
 
+    /** Zero the written pages and unmark them: the image reads
+     *  all-zero again. */
+    void zero_written();
+
     std::size_t numBytes;
-    /** Bytes to munmap when the image leaves the cache for good;
-     *  0 when calloc-backed. */
-    std::size_t mapBytes = 0;
-    /** Dirty span [dirtyLo, dirtyHi); empty when lo > hi. */
-    std::size_t dirtyLo = static_cast<std::size_t>(-1);
-    std::size_t dirtyHi = 0;
-    /** Large images are anonymous mmap regions so the kernel
-     *  zero-fills them lazily page by page on first touch; small
-     *  ones fall back to calloc. */
-    std::uint8_t *data = nullptr;
+    std::uint8_t *data;
+    /** One bit per page, set once an accessor writes into it. */
+    std::vector<std::uint64_t> written;
 };
 
 } // namespace ap::hw

@@ -183,6 +183,9 @@ Simulator::drain(Shard &sh, Frame &f, Tick end)
             ~Recycle() { q.release(n); }
         } recycle{sh.queue, n};
         n->fn();
+        if (!f.idle)
+            sh.lastActive = n->when;
+        f.idle = false;
     }
 }
 
@@ -196,6 +199,21 @@ Simulator::drain_on_thread(int s, Tick end)
     tls.windowEnd = end;
     drain(shardsVec[static_cast<std::size_t>(s)], tls, end);
     tls = saved;
+}
+
+void
+Simulator::mark_idle()
+{
+    (numShards == 1 || tls.owner != this ? main : tls).idle = true;
+}
+
+Tick
+Simulator::last_active() const
+{
+    Tick t = 0;
+    for (const Shard &s : shardsVec)
+        t = std::max(t, s.lastActive);
+    return t;
 }
 
 std::size_t

@@ -303,6 +303,17 @@ class Simulator
     Tick now() const { return frame().now; }
 
     /**
+     * Declare the executing event a no-op, such as a watchdog timer
+     * whose wait already ended. It still counts as executed, but
+     * last_active() stays at the tick of the event before it.
+     */
+    void mark_idle();
+
+    /** @return the tick of the last executed event not marked idle:
+     *  when the model last did anything. */
+    Tick last_active() const;
+
+    /**
      * Schedule @p fn to run at absolute time @p when, inheriting the
      * affinity of the event currently executing (machine components
      * scheduling follow-ups for their own cell need no annotation).
@@ -484,6 +495,7 @@ class Simulator
          *  during a round, drained at the barrier. */
         std::vector<std::vector<Handoff>> outbox;
         Tick lastExecuted = 0;
+        Tick lastActive = 0; ///< last_active() of this shard
         ShardStats stats;
     };
 
@@ -496,6 +508,7 @@ class Simulator
         std::uint64_t source = outside_source;
         int shard = 0;
         Tick windowEnd = max_tick; ///< exclusive end of the window
+        bool idle = false;         ///< the executing event's mark_idle()
     };
 
     /** The calling thread's frame during a parallel window, `main`

@@ -12,7 +12,7 @@ namespace ap::sim
 std::string
 FaultPlan::describe() const
 {
-    if (!any())
+    if (!any() && kills.empty())
         return "none";
     std::string out;
     auto add = [&](const char *name, double v) {

@@ -28,10 +28,10 @@
  * identical run at any kernel thread count — a failing stress seed
  * replays exactly.
  *
- * A default-constructed (zero) plan is inert by construction: every
- * decision point stops at FaultInjector::active() before counting, so
- * a machine with a zero plan is byte-identical to one without the
- * fault layer.
+ * A plan without a probabilistic mechanism (the zero plan, or one
+ * that only kills cells) is inert by construction: every decision
+ * point stops at FaultInjector::active() before counting, so such a
+ * machine is byte-identical to one without the fault layer.
  */
 
 #ifndef AP_SIM_FAULT_HH
@@ -94,16 +94,19 @@ struct FaultPlan
         static CellKill parse(const char *spec, int cells);
     };
 
-    /** Cells to kill during the run (fail-stop, no recovery). */
+    /** Cells to kill during the run (fail-stop, no recovery). The
+     *  machine records them in its net::KillTable; the injector
+     *  never sees them. */
     std::vector<CellKill> kills;
 
-    /** @return true when any fault mechanism is enabled. */
+    /** @return true when any mechanism the injector decides is
+     *  enabled; kills are not among them. */
     bool
     any() const
     {
         return dropProb > 0 || dupProb > 0 || reorderProb > 0 ||
                overflowProb > 0 || pageFaultProb > 0 ||
-               jitterMaxUs > 0 || corruptProb > 0 || !kills.empty();
+               jitterMaxUs > 0 || corruptProb > 0;
     }
 
     /** Diagnostic one-liner ("drop=0.02 seed=7"). */
@@ -168,7 +171,8 @@ class FaultInjector
 
     const FaultPlan &plan() const { return fp; }
 
-    /** @return true when any fault mechanism is enabled. */
+    /** @return true when the plan enables any mechanism the injector
+     *  decides (FaultPlan::any()). */
     bool active() const { return armed; }
 
     /** Every decision point; each has its own hash stream. */

@@ -1,8 +1,7 @@
 #include "sim/fiber.hh"
 
-#include <cstdint>
-
 #include "base/logging.hh"
+#include "base/mapcache.hh"
 
 #if !defined(__x86_64__) || !defined(__ELF__)
 #error "ap_sim_fiber_switch in sim/fiber.cc must be ported to this target"
@@ -126,6 +125,9 @@ void __sanitizer_start_switch_fiber(void **fake_stack_save,
 void __sanitizer_finish_switch_fiber(void *fake_stack_save,
                                      const void **bottom_old,
                                      std::size_t *size_old);
+void __asan_unpoison_memory_region(const volatile void *addr,
+                                   std::size_t size);
+void __lsan_register_root_region(const void *p, std::size_t size);
 }
 #endif
 
@@ -151,46 +153,62 @@ struct InitialFrame
 };
 static_assert(sizeof(InitialFrame) == 72);
 
-#ifdef AP_ASAN_FIBERS
-/**
- * Stacks of abandoned (unfinished) fibers, kept alive forever in
- * ASan builds. A parked fiber's frames never run their destructors,
- * so objects referenced only from such a stack would be reported as
- * leaks once the stack buffer is freed — but they are abandoned by
- * design (deadlock tests park fibers on purpose). Keeping the bytes
- * reachable lets the leak scanner follow the references instead of
- * flagging them. Leaky singleton: LSan runs at exit, so this must
- * never be destroyed.
- */
-std::vector<std::unique_ptr<unsigned char[]>> &
-abandoned_stacks()
+/** Retired stacks, each above a PROT_NONE guard page. The bounds
+ *  hold every stack of a 1024-cell machine twice over, so building
+ *  machines in a loop maps no stack after the first. */
+MappingCache &
+stack_cache()
 {
-    static auto *stacks =
-        new std::vector<std::unique_ptr<unsigned char[]>>;
-    return *stacks;
+    static auto *cache = new MappingCache(
+        {.mappings = 2048, .bytes = 2048 * Fiber::stack_bytes}, 4096);
+    return *cache;
 }
-#endif
 
 } // namespace
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_size)
-    : body(std::move(body)), stackBytes(stack_size),
-      stack(new unsigned char[stack_size])
+Fiber::Fiber(std::function<void()> body)
+    : body(std::move(body)),
+      stack(static_cast<unsigned char *>(
+          stack_cache().acquire(stack_bytes)))
 {
 }
 
 Fiber::~Fiber()
 {
-    if (started && !done) {
+    bool abandoned = started && !done;
+    if (abandoned)
         warn("destroying unfinished fiber; its stack is abandoned");
-#ifdef AP_ASAN_FIBERS
-        abandoned_stacks().push_back(std::move(stack));
-#endif
-    }
 #ifdef AP_TSAN_FIBERS
     if (tsanFiber)
         __tsan_destroy_fiber(tsanFiber);
 #endif
+#ifdef AP_ASAN_FIBERS
+    if (abandoned) {
+        // Its frames never ran their destructors: their redzones
+        // would trip the stack's next user, and objects only they
+        // point to are abandoned by design (deadlock tests park
+        // fibers on purpose). Keep the stack mapped and out of the
+        // cache, and let the leak scanner follow its references.
+        __lsan_register_root_region(stack, stack_bytes);
+        return;
+    }
+    // The trampoline's frame never returns; clear its poison for the
+    // stack's next user.
+    __asan_unpoison_memory_region(stack, stack_bytes);
+#endif
+    stack_cache().release(stack, stack_bytes, [] {});
+}
+
+std::uint64_t
+Fiber::stack_cache_hits()
+{
+    return stack_cache().hits();
+}
+
+std::uint64_t
+Fiber::stack_cache_misses()
+{
+    return stack_cache().misses();
 }
 
 Fiber *
@@ -243,9 +261,7 @@ Fiber::resume()
         // as a call would leave it: rsp + 8 16-byte aligned, the
         // default MXCSR and x87 control word, and a null return
         // address above, where unwinders stop.
-        auto top = reinterpret_cast<std::uintptr_t>(stack.get()) +
-                   stackBytes;
-        top &= ~std::uintptr_t{15};
+        auto top = reinterpret_cast<std::uintptr_t>(stack) + stack_bytes;
         auto *frame =
             reinterpret_cast<InitialFrame *>(top - sizeof(InitialFrame));
         *frame = InitialFrame{.entry = &trampoline};
@@ -260,7 +276,7 @@ Fiber::resume()
 #endif
 #ifdef AP_ASAN_FIBERS
     void *fake = nullptr;
-    __sanitizer_start_switch_fiber(&fake, stack.get(), stackBytes);
+    __sanitizer_start_switch_fiber(&fake, stack, stack_bytes);
 #endif
     ap_sim_fiber_switch(&callerSp, fiberSp);
 #ifdef AP_ASAN_FIBERS

@@ -13,15 +13,20 @@
  * the callee-saved registers, MXCSR and the x87 control word on the
  * old stack and swaps stack pointers, with no syscall. Exceptions
  * work inside a fiber body but must not escape it.
+ *
+ * Stacks are fixed-size anonymous mappings with a PROT_NONE guard
+ * page below, so a body that overflows its stack faults instead of
+ * overwriting other memory. A destroyed fiber's stack is parked in a
+ * process-wide MappingCache, and the next fiber, of this machine or
+ * the next one, takes it back without a syscall or a page fault.
  */
 
 #ifndef AP_SIM_FIBER_HH
 #define AP_SIM_FIBER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 namespace ap::sim
 {
@@ -36,18 +41,20 @@ namespace ap::sim
 class Fiber
 {
   public:
-    /** Default stack size; generous because app kernels recurse. */
-    static constexpr std::size_t default_stack_size = 256 * 1024;
+    /** Stack size of every fiber; generous because app kernels
+     *  recurse. */
+    static constexpr std::size_t stack_bytes = 256 * 1024;
 
-    /**
-     * Create a fiber that will run @p body on first resume.
-     * @param body the coroutine body
-     * @param stack_size private stack size in bytes
-     */
-    explicit Fiber(std::function<void()> body,
-                   std::size_t stack_size = default_stack_size);
+    /** Create a fiber that will run @p body on first resume. */
+    explicit Fiber(std::function<void()> body);
 
     ~Fiber();
+
+    /** Process-wide stack-cache hits (recycled stacks). */
+    static std::uint64_t stack_cache_hits();
+
+    /** Process-wide stack-cache misses (freshly mapped stacks). */
+    static std::uint64_t stack_cache_misses();
 
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;
@@ -68,11 +75,9 @@ class Fiber
     [[noreturn]] static void trampoline();
 
     std::function<void()> body;
-    /** Default-initialized (never memset): only the initial switch
-     *  frame at its top is written, and value-initializing 256 KB per
-     *  fiber used to dominate short SPMD runs. */
-    std::size_t stackBytes;
-    std::unique_ptr<unsigned char[]> stack;
+    /** Lowest byte of the stack, never zeroed: only the initial
+     *  switch frame at its top is written. */
+    unsigned char *stack;
     /** Saved stack pointers: the fiber's while it is parked, the
      *  resumer's while the fiber runs. */
     void *fiberSp = nullptr;

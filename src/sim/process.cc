@@ -72,17 +72,19 @@ Process::wait_until(Condition &cond, Tick deadline)
     // The watchdog resumes us at the deadline unless a notification
     // already did (detected via the wait sequence number). The event
     // can outlive the process itself (gangs are reaped mid-run once
-    // finished): the weak liveness token makes it a no-op then.
-    sim.schedule_for(aff, deadline, [this, &cond, seq,
+    // finished): the weak liveness token makes it a no-op then. A
+    // timer that finds its wait over marks itself idle, so it does
+    // not extend the simulator's last_active().
+    sim.schedule_for(aff, deadline, [this, &cond, seq, &s = sim,
                                      w = std::weak_ptr<char>(live)]() {
         if (w.expired())
-            return; // process already destroyed
+            return s.mark_idle(); // process already destroyed
         if (parkedOn != &cond || waitSeq != seq)
-            return; // already woken (possibly parked elsewhere)
+            return s.mark_idle(); // already woken (maybe parked again)
         auto it = std::find(cond.parked.begin(), cond.parked.end(),
                             this);
         if (it == cond.parked.end())
-            return; // notification at this tick beat the watchdog
+            return s.mark_idle(); // a notification this tick won
         cond.parked.erase(it);
         parkedOn = nullptr;
         blockedTicks += sim.now() - parkStart;

@@ -128,6 +128,21 @@ TEST_P(EventKernel, ExecutedCounterCounts)
     EXPECT_EQ(sim.executed(), 7u);
 }
 
+TEST_P(EventKernel, IdleEventsCountButDoNotExtendLastActive)
+{
+    // Timelines on different shards at four shards: the latest real
+    // event on one, an idle one later on another.
+    sim.schedule_for(1, 100, []() {});
+    sim.schedule_for(kTimelines - 1, 200, []() {});
+    sim.schedule_for(2, 300 + kLookahead, [this]() { sim.mark_idle(); });
+    sim.schedule_for(kTimelines - 2, 400 + kLookahead,
+                     [this]() { sim.mark_idle(); });
+    sim.run();
+    EXPECT_EQ(sim.executed(), 4u);
+    EXPECT_EQ(sim.now(), 400 + kLookahead);
+    EXPECT_EQ(sim.last_active(), 200u);
+}
+
 TEST_P(EventKernel, JitterHookStretchesRelativeDelaysOnly)
 {
     sim.set_delay_jitter([](Tick) { return Tick{7}; });

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
 #include <xmmintrin.h>
 
 #include <atomic>
 #include <cfenv>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -112,7 +116,70 @@ throw_at_depth(int depth)
     throw_at_depth(depth - 1);
 }
 
+/** A depth recurse() never reaches, read at run time so the compiler
+ *  keeps every frame. */
+volatile int never = -1;
+
+[[gnu::noinline]] int
+recurse(int depth)
+{
+    volatile char pad[512];
+    pad[0] = static_cast<char>(depth);
+    if (depth == never)
+        return 0;
+    return recurse(depth + 1) + pad[0];
+}
+
+/** The guard page's address range, as the overflowing fiber sees it
+ *  from its first frame. */
+std::uintptr_t guardLo = 0, guardHi = 0;
+
+void
+report_overflow(int, siginfo_t *info, void *)
+{
+    auto at = reinterpret_cast<std::uintptr_t>(info->si_addr);
+    bool guard = info->si_code == SEGV_ACCERR && at >= guardLo &&
+                 at < guardHi;
+    const char *msg = guard ? "fault on the guard page\n"
+                            : "fault outside the guard page\n";
+    ssize_t ignored = write(2, msg, std::strlen(msg));
+    (void)ignored;
+    _exit(1);
+}
+
+/** Recurse on a fiber until its stack overflows; the SIGSEGV handler,
+ *  on its own stack, names where the fault hit. */
+void
+overflow_a_fiber()
+{
+    static char altStack[64 * 1024];
+    stack_t ss{};
+    ss.ss_sp = altStack;
+    ss.ss_size = sizeof altStack;
+    sigaltstack(&ss, nullptr);
+    struct sigaction sa{};
+    sa.sa_sigaction = report_overflow;
+    sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    sigaction(SIGSEGV, &sa, nullptr);
+
+    Fiber f([]() {
+        // The stack top is within a page above this frame, and the
+        // guard page is the page below the stack.
+        char here = 0;
+        auto top = reinterpret_cast<std::uintptr_t>(&here);
+        guardLo = top - Fiber::stack_bytes - 4096;
+        guardHi = top - Fiber::stack_bytes + 4096;
+        recurse(here);
+    });
+    f.resume();
+}
+
 } // namespace
+
+TEST(FiberDeathTest, OverflowFaultsOnTheGuardPage)
+{
+    EXPECT_DEATH(overflow_a_fiber(), "fault on the guard page");
+}
 
 TEST(Fiber, RunsBodyOnResume)
 {
@@ -204,12 +271,10 @@ TEST(Fiber, ManyFibersKeepRegisterLocals)
     std::vector<std::uint64_t> got(fibers, 0);
     std::vector<std::unique_ptr<Fiber>> fs;
     for (int i = 0; i < fibers; ++i)
-        fs.push_back(std::make_unique<Fiber>(
-            [&got, i]() {
-                got[static_cast<std::size_t>(i)] = accumulate(
-                    static_cast<std::uint64_t>(i) + 1, rounds, yield);
-            },
-            16 * 1024));
+        fs.push_back(std::make_unique<Fiber>([&got, i]() {
+            got[static_cast<std::size_t>(i)] = accumulate(
+                static_cast<std::uint64_t>(i) + 1, rounds, yield);
+        }));
     // Round-robin: every fiber is parked while all the others run.
     for (int r = 0; r <= rounds; ++r)
         for (auto &f : fs)
@@ -292,6 +357,59 @@ TEST(Fiber, ExceptionCaughtInsideBodyAfterYields)
     EXPECT_EQ(kept, accumulate(7, 4, no_yield));
 }
 
+TEST(Fiber, RecycledStacksMapNothing)
+{
+    constexpr int n = 64;
+    auto run_batch = []() {
+        std::vector<std::unique_ptr<Fiber>> fs;
+        for (int i = 0; i < n; ++i)
+            fs.push_back(std::make_unique<Fiber>([]() {
+                Fiber::yield();
+            }));
+        for (auto &f : fs)
+            while (!f->finished())
+                f->resume();
+    };
+    run_batch();
+    std::uint64_t hits = Fiber::stack_cache_hits();
+    std::uint64_t misses = Fiber::stack_cache_misses();
+    // The first batch's stacks are parked; the second takes them
+    // all back.
+    run_batch();
+    EXPECT_EQ(Fiber::stack_cache_misses(), misses);
+    EXPECT_EQ(Fiber::stack_cache_hits(), hits + n);
+}
+
+TEST(Fiber, CreatedAndDestroyedOnTwoThreadsAtOnce)
+{
+    // Each thread takes stacks from and parks them in the one
+    // process-wide cache while the other does the same.
+    constexpr int rounds = 100;
+    constexpr int batch = 8;
+    auto worker = [](std::uint64_t seed, int &good) {
+        for (int r = 0; r < rounds; ++r) {
+            std::uint64_t got[batch] = {};
+            std::vector<std::unique_ptr<Fiber>> fs;
+            for (std::uint64_t i = 0; i < batch; ++i)
+                fs.push_back(std::make_unique<Fiber>([&got, i, seed]() {
+                    got[i] = accumulate(seed + i, 4, yield);
+                }));
+            for (auto &f : fs)
+                while (!f->finished())
+                    f->resume();
+            for (std::uint64_t i = 0; i < batch; ++i)
+                good += got[i] == accumulate(seed + i, 4, no_yield);
+        }
+    };
+    int good[2] = {0, 0};
+    std::thread t0(worker, 1, std::ref(good[0]));
+    std::thread t1(worker, 1000, std::ref(good[1]));
+    t0.join();
+    t1.join();
+    EXPECT_EQ(good[0], rounds * batch);
+    EXPECT_EQ(good[1], rounds * batch);
+}
+
 TEST(Process, DelayAdvancesSimulatedTime)
 {
     Simulator sim;
@@ -328,6 +446,29 @@ TEST(Process, WaitBlocksUntilNotify)
     EXPECT_TRUE(woke);
     EXPECT_EQ(sim.now(), 500u);
     EXPECT_EQ(waiter.blocked_ticks(), 500u);
+}
+
+TEST(Process, StaleTimeoutIsIdle)
+{
+    // A wait that a notification ends leaves its timeout event
+    // behind. It still runs at the deadline, but the model was idle
+    // since the notification.
+    Simulator sim;
+    Condition cond;
+    bool notified = false;
+    Process waiter(sim, "waiter", [&](Process &self) {
+        notified = self.wait_until(cond, 10000);
+    });
+    Process notifier(sim, "notifier", [&](Process &self) {
+        self.delay(500);
+        cond.notify_all();
+    });
+    waiter.start(0);
+    notifier.start(0);
+    sim.run();
+    EXPECT_TRUE(notified);
+    EXPECT_EQ(sim.now(), 10000u);
+    EXPECT_EQ(sim.last_active(), 500u);
 }
 
 TEST(Process, NotifyWakesAllWaitersInOrder)

@@ -347,3 +347,29 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_threads" + std::to_string(threads);
         return name;
     });
+
+TEST(CellFailure, KillOnlyPlanLeavesTheInjectorOff)
+{
+    // Kills live in the machine's kill table. A plan with nothing
+    // else arms no injector, so no T-net send consults it and no
+    // always-zero cellN.fault rows are bound; one probabilistic
+    // mechanism binds them for every cell.
+    auto fault_paths = [](const hw::Machine &m) {
+        std::size_t n = 0;
+        for (const std::string &p : m.stats_registry().paths())
+            n += p.find(".fault.") != std::string::npos;
+        return n;
+    };
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(16);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.faults.kills.push_back({5, 30.0});
+    {
+        hw::Machine m(cfg);
+        EXPECT_FALSE(m.faults().active());
+        EXPECT_EQ(fault_paths(m), 0u);
+    }
+    cfg.faults.dropProb = 0.01;
+    hw::Machine m(cfg);
+    EXPECT_TRUE(m.faults().active());
+    EXPECT_EQ(fault_paths(m), 16u * 3);
+}
