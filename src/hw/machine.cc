@@ -720,7 +720,7 @@ Machine::report() const
                      "t = %.1f us ===\n",
                      cfg.cells, tnetNet.topology().width(),
                      tnetNet.topology().height(),
-                     ticks_to_us(simulator.last_active()));
+                     ticks_to_us(simulator.now()));
     out += strprintf("T-net: %llu messages, %llu payload bytes, "
                      "mean size %.1f B, mean distance %.2f hops\n",
                      llu(r.value("tnet.messages")),

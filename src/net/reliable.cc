@@ -91,19 +91,14 @@ ReliableNet::arm_timer(SendChannel &ch, CellId src, CellId dst,
     if (ch.timerArmed)
         return;
     ch.timerArmed = true;
-    std::uint64_t expect = ++ch.timerSeq;
     sim.schedule(sim.now() + us_to_ticks(delayUs),
-                 [this, src, dst, expect]() {
-                     on_timer(src, dst, expect);
-                 });
+                 [this, src, dst]() { on_timer(src, dst); });
 }
 
 void
-ReliableNet::on_timer(CellId src, CellId dst, std::uint64_t expect)
+ReliableNet::on_timer(CellId src, CellId dst)
 {
     SendChannel &ch = send_channel(src, dst);
-    if (ch.timerSeq != expect)
-        return; // stale timer (superseded or flushed)
     ch.timerArmed = false;
 
     if (ch.window.empty()) {

@@ -144,10 +144,7 @@ class ReliableNet : public Link
         std::deque<Pending> window;  ///< sent, awaiting ack
         std::deque<Message> backlog; ///< parked behind the window
         double rtoUs = rto_us;
-        bool timerArmed = false;
-        /** Bumped to invalidate scheduled timer events (the event
-         *  queue cannot cancel). */
-        std::uint64_t timerSeq = 0;
+        bool timerArmed = false; ///< a (lazy, uncancelled) timer queued
     };
 
     /** Receiver state of one directed (src,dst) channel. */
@@ -194,7 +191,7 @@ class ReliableNet : public Link
                    double delayUs);
     /** Drop @p ch 's window and backlog, counted against @p src. */
     void abort_channel(SendChannel &ch, CellId src);
-    void on_timer(CellId src, CellId dst, std::uint64_t expect);
+    void on_timer(CellId src, CellId dst);
 
     /** T-net delivery tap: runs the full receiver protocol. */
     void on_deliver(Message msg);

@@ -525,8 +525,9 @@ GangScheduler::finalize()
             parts.dead_cells());
         tot.starved++;
         // Deliberately not folded into lastFinishTick: a starved job
-        // did no work, and the drain point is dominated by idle
-        // deadline timers — it would only distort the makespan.
+        // did no work, and the drain point (the machine's last event)
+        // says nothing about the fleet's work — it would only
+        // distort the makespan.
     }
     queue.clear();
     for (auto &[gen, ap] : liveAttempts) {

@@ -191,6 +191,7 @@ struct EventNode
     Tick when = 0;
     std::uint64_t seq = 0;
     int affinity = 0;
+    bool live = false; ///< queued: not yet popped or cancelled
     EventNode *next = nullptr;
     EventFn fn;
 };
@@ -240,6 +241,7 @@ class EventPool
         n->when = when;
         n->seq = seq;
         n->affinity = affinity;
+        n->live = true;
         n->next = nullptr;
         n->fn = std::move(fn);
         return n;

@@ -183,9 +183,6 @@ Simulator::drain(Shard &sh, Frame &f, Tick end)
             ~Recycle() { q.release(n); }
         } recycle{sh.queue, n};
         n->fn();
-        if (!f.idle)
-            sh.lastActive = n->when;
-        f.idle = false;
     }
 }
 
@@ -201,19 +198,27 @@ Simulator::drain_on_thread(int s, Tick end)
     tls = saved;
 }
 
-void
-Simulator::mark_idle()
+Timer
+Simulator::arm(Tick when, EventFn fn)
 {
-    (numShards == 1 || tls.owner != this ? main : tls).idle = true;
+    const Frame &f = frame();
+    if (when < f.now)
+        scheduled_in_past(when, f.now);
+    Timer t;
+    t.key = key_of(f);
+    t.node = push(shardsVec[static_cast<std::size_t>(f.shard)],
+                  f.affinity, when, t.key, std::move(fn));
+    return t;
 }
 
-Tick
-Simulator::last_active() const
+void
+Simulator::cancel(Timer &t)
 {
-    Tick t = 0;
-    for (const Shard &s : shardsVec)
-        t = std::max(t, s.lastActive);
-    return t;
+    // A node that ran may hold another event now: the keys differ.
+    EventNode *n = std::exchange(t.node, nullptr);
+    if (n && n->live && n->seq == t.key)
+        shardsVec[static_cast<std::size_t>(shard_of(n->affinity))]
+            .queue.cancel(n);
 }
 
 std::size_t

@@ -211,6 +211,14 @@ class TickHistory
     std::vector<std::pair<Tick, int>> logBuf;
 };
 
+/** An event armed by Simulator::arm(); none when default-built. */
+class Timer
+{
+    friend class Simulator;
+    EventNode *node = nullptr;
+    std::uint64_t key = 0; ///< the node's seq while this timer is queued
+};
+
 /** Per-shard execution statistics. */
 struct ShardStats
 {
@@ -303,17 +311,6 @@ class Simulator
     Tick now() const { return frame().now; }
 
     /**
-     * Declare the executing event a no-op, such as a watchdog timer
-     * whose wait already ended. It still counts as executed, but
-     * last_active() stays at the tick of the event before it.
-     */
-    void mark_idle();
-
-    /** @return the tick of the last executed event not marked idle:
-     *  when the model last did anything. */
-    Tick last_active() const;
-
-    /**
      * Schedule @p fn to run at absolute time @p when, inheriting the
      * affinity of the event currently executing (machine components
      * scheduling follow-ups for their own cell need no annotation).
@@ -355,6 +352,15 @@ class Simulator
     /** Take the executing timeline's next ordering key (the outside
      *  source's outside any event), for a later schedule_keyed(). */
     std::uint64_t next_key() { return key_of(frame()); }
+
+    /** schedule() @p fn at @p when, cancellably (a wait's deadline).
+     *  Call it on the executing timeline or at rest. */
+    Timer arm(Tick when, EventFn fn);
+
+    /** Drop @p t unrun: never executed or recorded, it moves neither
+     *  now() nor pending(). A no-op once it ran (inside its handler
+     *  too). Call it on the timeline that armed it, or at rest. */
+    void cancel(Timer &t);
 
     /**
      * Schedule @p fn to run @p delta ticks from now. Relative delays
@@ -495,7 +501,6 @@ class Simulator
          *  during a round, drained at the barrier. */
         std::vector<std::vector<Handoff>> outbox;
         Tick lastExecuted = 0;
-        Tick lastActive = 0; ///< last_active() of this shard
         ShardStats stats;
     };
 
@@ -508,7 +513,6 @@ class Simulator
         std::uint64_t source = outside_source;
         int shard = 0;
         Tick windowEnd = max_tick; ///< exclusive end of the window
-        bool idle = false;         ///< the executing event's mark_idle()
     };
 
     /** The calling thread's frame during a parallel window, `main`
@@ -547,13 +551,13 @@ class Simulator
         push(shardsVec.front(), affinity, when, key, std::move(fn));
     }
 
-    void
+    EventNode *
     push(Shard &dst, int affinity, Tick when, std::uint64_t key,
          EventFn &&fn)
     {
-        dst.queue.push(when, key, affinity, std::move(fn));
         dst.stats.maxPending = std::max<std::uint64_t>(
-            dst.stats.maxPending, dst.queue.size());
+            dst.stats.maxPending, dst.queue.size() + 1);
+        return dst.queue.push(when, key, affinity, std::move(fn));
     }
 
     /** schedule_keyed() on more than one shard. */

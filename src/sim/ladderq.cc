@@ -66,7 +66,7 @@ LadderQueue::heap_pop(std::vector<EventNode *> &heap)
     return n;
 }
 
-void
+EventNode *
 LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
                   EventFn &&fn)
 {
@@ -78,20 +78,20 @@ LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
     EventNode *n = pool.acquire(when, seq, affinity, std::move(fn));
     ++numEvents;
 
-    if (numEvents == 1) {
-        // Empty queue: re-anchor the whole geometry at this event so
-        // a long-idle queue never funnels a new burst through stale
-        // bucket bounds. All buckets are empty here by invariant.
+    if (front.empty() && ringCount == 0 && overflow.empty()) {
+        // Empty queue, tombstones gone too: re-anchor the whole
+        // geometry at this event so a long-idle queue never funnels a
+        // new burst through stale bucket bounds.
         front.push_back(n);
         frontEnd = sat_add(when, 1);
         bucketBase = frontEnd;
         nextBucket = 0;
-        return;
+        return n;
     }
 
     if (when < frontEnd) {
         heap_push(front, n);
-        return;
+        return n;
     }
 
     if (nextBucket < num_buckets) {
@@ -102,16 +102,21 @@ LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
             n->next = head;
             head = n;
             ++ringCount;
-            return;
+            return n;
         }
     }
     heap_push(overflow, n);
+    return n;
 }
 
 EventNode *
 LadderQueue::materialize()
 {
-    while (front.empty()) {
+    while (front.empty() || !front.front()->live) {
+        if (!front.empty()) {
+            pool.release(heap_pop(front)); // a tombstone: drop it unseen
+            continue;
+        }
         if (ringCount > 0) {
             while (buckets[static_cast<std::size_t>(nextBucket)] ==
                    nullptr)
@@ -190,6 +195,7 @@ LadderQueue::pop(Tick end)
     if (!top || top->when >= end)
         return nullptr;
     EventNode *n = heap_pop(front);
+    n->live = false;
     --numEvents;
     ++drainedSinceRebase;
     return n;

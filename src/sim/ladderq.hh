@@ -31,6 +31,10 @@
  * decides same-tick order. tests/test_ladderq.cc cross-checks random
  * schedules against a reference heap.
  *
+ * A cancelled node stays queued as a tombstone until it reaches the
+ * front heap's top, where materialize() drops it: it is never popped
+ * and counts in neither size() nor min_when().
+ *
  * Not thread-safe; see event.hh for the ownership rules.
  */
 
@@ -61,9 +65,12 @@ class LadderQueue
     LadderQueue &operator=(const LadderQueue &) = delete;
 
     /** Schedule. @p seq must be unique among the pending nodes of
-     *  one tick; it breaks ties between them. */
-    void push(Tick when, std::uint64_t seq, int affinity,
-              EventFn &&fn);
+     *  one tick; it breaks ties between them. @return the node. */
+    EventNode *push(Tick when, std::uint64_t seq, int affinity,
+                    EventFn &&fn);
+
+    /** Make live node @p n a tombstone: it never pops. */
+    void cancel(EventNode *n) { n->live = false; --numEvents; }
 
     /**
      * Earliest pending node, or nullptr when empty. Logically const:
@@ -104,8 +111,8 @@ class LadderQueue
     const EventPoolStats &pool_stats() const { return pool.stats(); }
 
   private:
-    /** Ensure the front heap holds the earliest pending node (or
-     *  the queue is empty). @return the heap top or nullptr. */
+    /** Ensure the front heap's top is the earliest live node,
+     *  dropping tombstones on the way. @return it, or nullptr. */
     EventNode *materialize();
     /** Re-anchor the ring at the overflow's near edge. */
     void rebase();
@@ -128,7 +135,7 @@ class LadderQueue
 
     std::vector<EventNode *> overflow; ///< min-heap by (when, seq)
 
-    std::size_t numEvents = 0;
+    std::size_t numEvents = 0; ///< live nodes: tombstones not counted
 
     /** Density bookkeeping for adaptive bucket width at rebase. */
     std::uint64_t drainedSinceRebase = 0;

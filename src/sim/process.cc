@@ -15,16 +15,15 @@ Process::Process(Simulator &sim, std::string name,
 {
 }
 
-void
-Process::start(Tick at)
+Process::~Process()
 {
-    sim.schedule_for(aff, at, [this]() { resume_from_event(); });
+    sim.cancel(waitTimer);
 }
 
 void
-Process::resume_from_event()
+Process::start(Tick at)
 {
-    fiber.resume();
+    sim.schedule_for(aff, at, [this]() { fiber.resume(); });
 }
 
 void
@@ -37,7 +36,7 @@ Process::delay(Tick dt)
         return;
     Tick wake = sim.now() + dt;
     delayedTicks += dt;
-    sim.schedule_for(aff, wake, [this]() { resume_from_event(); });
+    sim.schedule_for(aff, wake, [this]() { fiber.resume(); });
     Fiber::yield();
 }
 
@@ -49,7 +48,6 @@ Process::wait(Condition &cond)
               label.c_str());
     parkedOn = &cond;
     parkStart = sim.now();
-    ++waitSeq;
     cond.parked.push_back(this);
     Fiber::yield();
 }
@@ -66,33 +64,25 @@ Process::wait_until(Condition &cond, Tick deadline)
     parkedOn = &cond;
     parkStart = sim.now();
     timedOut = false;
-    std::uint64_t seq = ++waitSeq;
     cond.parked.push_back(this);
 
-    // The watchdog resumes us at the deadline unless a notification
-    // already did (detected via the wait sequence number). The event
-    // can outlive the process itself (gangs are reaped mid-run once
-    // finished): the weak liveness token makes it a no-op then. A
-    // timer that finds its wait over marks itself idle, so it does
-    // not extend the simulator's last_active().
-    sim.schedule_for(aff, deadline, [this, &cond, seq, &s = sim,
-                                     w = std::weak_ptr<char>(live)]() {
-        if (w.expired())
-            return s.mark_idle(); // process already destroyed
-        if (parkedOn != &cond || waitSeq != seq)
-            return s.mark_idle(); // already woken (maybe parked again)
-        auto it = std::find(cond.parked.begin(), cond.parked.end(),
-                            this);
-        if (it == cond.parked.end())
-            return s.mark_idle(); // a notification this tick won
-        cond.parked.erase(it);
+    // The timer resumes us at the deadline unless a notification
+    // does first: a woken wait cancels it. Only a notification at
+    // the deadline's own tick can still let it run, ahead of the
+    // resume that notification queued.
+    waitTimer = sim.arm(deadline, [this, &cond]() {
+        if (parkedOn != &cond)
+            return; // notified this tick; that resume is queued
+        cond.parked.erase(std::find(cond.parked.begin(),
+                                    cond.parked.end(), this));
         parkedOn = nullptr;
         blockedTicks += sim.now() - parkStart;
         timedOut = true;
-        resume_from_event();
+        fiber.resume();
     });
 
     Fiber::yield();
+    sim.cancel(waitTimer);
     return !timedOut;
 }
 
@@ -109,7 +99,7 @@ Condition::notify_all()
         // Resume on the parked process's own shard: the notifier may
         // be an event of a different cell (e.g. a barrier release).
         p->sim.schedule_for(p->aff, p->sim.now(),
-                            [p]() { p->resume_from_event(); });
+                            [p]() { p->fiber.resume(); });
     }
 }
 

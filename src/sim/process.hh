@@ -13,7 +13,6 @@
 #define AP_SIM_PROCESS_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,6 +63,8 @@ class Process
 
     Process(const Process &) = delete;
     Process &operator=(const Process &) = delete;
+
+    ~Process(); ///< cancels a wait_until() deadline still armed
 
     /** Schedule the first resume at absolute time @p at. */
     void start(Tick at = 0);
@@ -123,8 +124,6 @@ class Process
   private:
     friend class Condition;
 
-    void resume_from_event();
-
     Simulator &sim;
     std::string label;
     int aff = 0;
@@ -133,17 +132,10 @@ class Process
     Tick parkStart = 0;
     Tick blockedTicks = 0;
     Tick delayedTicks = 0;
-    /** Incremented per park; lets a timeout event detect staleness. */
-    std::uint64_t waitSeq = 0;
+    /** The armed wait_until() deadline; cancelled once woken. */
+    Timer waitTimer;
     /** Set by the timeout path for wait_until()'s return value. */
     bool timedOut = false;
-    /**
-     * Liveness token for events that capture this process. A
-     * wait_until() timeout event can outlive its process (the serve
-     * layer reaps finished gangs mid-run); the event holds a weak_ptr
-     * and becomes a no-op once the process is destroyed.
-     */
-    std::shared_ptr<char> live = std::make_shared<char>(0);
 };
 
 } // namespace ap::sim

@@ -128,19 +128,153 @@ TEST_P(EventKernel, ExecutedCounterCounts)
     EXPECT_EQ(sim.executed(), 7u);
 }
 
-TEST_P(EventKernel, IdleEventsCountButDoNotExtendLastActive)
+// -- cancellable timers -------------------------------------------------
+
+namespace
 {
-    // Timelines on different shards at four shards: the latest real
-    // event on one, an idle one later on another.
-    sim.schedule_for(1, 100, []() {});
-    sim.schedule_for(kTimelines - 1, 200, []() {});
-    sim.schedule_for(2, 300 + kLookahead, [this]() { sim.mark_idle(); });
-    sim.schedule_for(kTimelines - 2, 400 + kLookahead,
-                     [this]() { sim.mark_idle(); });
+
+/** One timeline per shard at four shards. */
+constexpr int kTimerLines[] = {1, 6, 10, 15};
+
+/** What a timer run leaves behind. */
+struct TimerRun
+{
+    std::uint64_t executed = 0;
+    std::uint64_t digest = 0;
+    Tick end = 0;
+    int fired = 0;
+};
+
+/**
+ * Each of kTimerLines arms a timer at 500 that runs and one at 1000
+ * that an event of its own timeline cancels at 20; one more is armed
+ * at rest and cancelled there. Without @p armDoomed the doomed
+ * timers are never armed at all.
+ */
+TimerRun
+run_timers(int shards, bool armDoomed)
+{
+    Simulator k(shards, kTimelines, kLookahead);
+    TickHistory hist;
+    k.set_history(&hist);
+    std::atomic<int> fired{0};
+    std::vector<Timer> doomed(kTimelines);
+    auto fire = [&fired] { ++fired; };
+    for (int t : kTimerLines) {
+        k.schedule_for(t, 10, [&, t] {
+            k.arm(500, fire);
+            if (armDoomed)
+                doomed[static_cast<std::size_t>(t)] = k.arm(1000, fire);
+        });
+        k.schedule_for(t, 20, [&, t] {
+            k.cancel(doomed[static_cast<std::size_t>(t)]);
+        });
+    }
+    if (armDoomed) {
+        Timer atRest = k.arm(2000, fire);
+        k.cancel(atRest);
+    }
+    TimerRun r;
+    r.end = k.run();
+    r.executed = k.executed();
+    r.digest = hist.hash();
+    r.fired = fired;
+    return r;
+}
+
+} // namespace
+
+TEST_P(EventKernel, CancelledTimerNeverRunsNorCounts)
+{
+    TimerRun armed = run_timers(GetParam(), true);
+    TimerRun plain = run_timers(GetParam(), false);
+    EXPECT_EQ(armed.fired, 4);
+    EXPECT_EQ(armed.executed, 12u);
+    EXPECT_EQ(armed.end, 500u);
+    EXPECT_EQ(armed.executed, plain.executed);
+    EXPECT_EQ(armed.digest, plain.digest);
+    EXPECT_EQ(armed.end, plain.end);
+}
+
+TEST_P(EventKernel, RunStopsAtTheLastLiveEvent)
+{
+    // A far timer on shard 0 cancelled at rest, one on the last
+    // shard cancelled by its own timeline: neither may stretch the
+    // clock or the parallel kernel's windows past tick 300.
+    Tick lastWindow = 0;
+    sim.set_window_hook([&](const WindowRecord &rec) {
+        lastWindow = std::max(lastWindow, rec.start);
+    });
+    Timer far = sim.arm(1000000, [] { ADD_FAILURE(); });
+    Timer late;
+    sim.schedule_for(kTimelines - 1, 200, [&] {
+        late = sim.arm(500000, [] { ADD_FAILURE(); });
+    });
+    sim.schedule_for(kTimelines - 1, 300, [&] { sim.cancel(late); });
+    EXPECT_EQ(sim.pending(), 3u);
+    sim.cancel(far);
+    EXPECT_EQ(sim.pending(), 2u);
+    EXPECT_EQ(sim.run(), 300u);
+    EXPECT_EQ(sim.now(), 300u);
+    EXPECT_TRUE(sim.empty());
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.executed(), 2u);
+    EXPECT_LE(lastWindow, 300u);
+}
+
+TEST_P(EventKernel, CancellingATimerThatRanIsANoOp)
+{
+    // From inside its own handler, and afterwards through a copy of
+    // the handle: by then the timer's node is recycled, and the
+    // event now in it must still run.
+    int fired = 0;
+    Timer t, stale;
+    sim.schedule_for(3, 10, [&] {
+        t = sim.arm(50, [&] {
+            ++fired;
+            sim.cancel(t);
+            ++fired;
+        });
+        stale = t;
+    });
     sim.run();
-    EXPECT_EQ(sim.executed(), 4u);
-    EXPECT_EQ(sim.now(), 400 + kLookahead);
-    EXPECT_EQ(sim.last_active(), 200u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.executed(), 2u);
+
+    int later = 0;
+    for (int i = 0; i < 8; ++i)
+        sim.schedule_for(3, 100, [&] { ++later; });
+    sim.cancel(stale);
+    EXPECT_EQ(sim.pending(), 8u);
+    sim.run();
+    EXPECT_EQ(later, 8);
+    EXPECT_EQ(sim.now(), 100u);
+}
+
+TEST_P(EventKernel, EventsThatSurviveCancelsKeepTheirSameTickOrder)
+{
+    // Twelve events at one tick, odd ones timers: 3 and 7 cancelled
+    // ahead of the tick, 9 by event 0 at that tick.
+    std::vector<int> order; // timeline 5 only: one shard
+    std::vector<Timer> timers(12);
+    sim.schedule_for(5, 1, [&] {
+        for (int i = 0; i < 12; ++i) {
+            auto note = [&order, &timers, this, i] {
+                order.push_back(i);
+                if (i == 0)
+                    sim.cancel(timers[9]);
+            };
+            if (i % 2)
+                timers[static_cast<std::size_t>(i)] = sim.arm(40, note);
+            else
+                sim.schedule(40, note);
+        }
+        sim.cancel(timers[3]);
+        sim.cancel(timers[7]);
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 5, 6, 8, 10, 11}));
+    EXPECT_EQ(sim.executed(), 10u);
 }
 
 TEST_P(EventKernel, JitterHookStretchesRelativeDelaysOnly)

@@ -448,11 +448,10 @@ TEST(Process, WaitBlocksUntilNotify)
     EXPECT_EQ(waiter.blocked_ticks(), 500u);
 }
 
-TEST(Process, StaleTimeoutIsIdle)
+TEST(Process, NotifiedWaitCancelsItsTimeout)
 {
-    // A wait that a notification ends leaves its timeout event
-    // behind. It still runs at the deadline, but the model was idle
-    // since the notification.
+    // A wait that a notification ends cancels its deadline: the run
+    // ends at the notification, and the timeout never executes.
     Simulator sim;
     Condition cond;
     bool notified = false;
@@ -467,8 +466,26 @@ TEST(Process, StaleTimeoutIsIdle)
     notifier.start(0);
     sim.run();
     EXPECT_TRUE(notified);
-    EXPECT_EQ(sim.now(), 10000u);
-    EXPECT_EQ(sim.last_active(), 500u);
+    EXPECT_EQ(sim.now(), 500u);
+    // Two starts, the notifier's delay, the waiter's resume.
+    EXPECT_EQ(sim.executed(), 4u);
+}
+
+TEST(Process, DestroyedWhileParkedCancelsItsTimeout)
+{
+    Simulator sim;
+    Condition cond;
+    auto waiter = std::make_unique<Process>(
+        sim, "waiter",
+        [&](Process &self) { self.wait_until(cond, 10000); });
+    waiter->start(0);
+    sim.run_until(100);
+    EXPECT_TRUE(waiter->blocked());
+    EXPECT_EQ(sim.pending(), 1u);
+    waiter.reset();
+    EXPECT_TRUE(sim.empty());
+    EXPECT_EQ(sim.run(), 0u);
+    EXPECT_EQ(sim.executed(), 1u);
 }
 
 TEST(Process, NotifyWakesAllWaitersInOrder)

@@ -156,6 +156,75 @@ TEST(LadderQueue, PeekMatchesNextPopAndMinWhen)
     EXPECT_EQ(q.peek(), nullptr);
 }
 
+TEST(LadderQueue, CancelledNodesNeverPopOrShowInMinWhen)
+{
+    // Cancel a random third of a mixed-distance schedule, spread over
+    // the front heap, the ring and the overflow: every pop, size()
+    // and min_when() must read as if those nodes were never pushed.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Random rng(seed);
+        LadderQueue q;
+        std::vector<std::pair<Tick, std::uint64_t>> ref;
+        std::vector<EventNode *> nodes;
+        for (std::uint64_t seq = 0; seq < 3000; ++seq) {
+            Tick when = rng.below(100) < 80 ? rng.below(1 << 12)
+                                            : rng.below(1 << 30);
+            nodes.push_back(q.push(when, seq, 0, []() {}));
+            ref.emplace_back(when, seq);
+        }
+        q.release(q.pop()); // the front heap is now materialized
+        std::sort(ref.begin(), ref.end());
+        ref.erase(ref.begin());
+        std::vector<std::pair<Tick, std::uint64_t>> live;
+        for (const auto &[when, seq] : ref) {
+            if (rng.below(3) == 0)
+                q.cancel(nodes[seq]);
+            else
+                live.emplace_back(when, seq);
+        }
+        ASSERT_EQ(q.size(), live.size());
+        for (const auto &[when, seq] : live) {
+            ASSERT_EQ(q.min_when(), when) << "seed " << seed;
+            EventNode *n = q.pop();
+            ASSERT_EQ(n->seq, seq) << "seed " << seed;
+            q.release(n);
+        }
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.min_when(), max_tick);
+        EXPECT_EQ(q.pop(), nullptr);
+    }
+}
+
+TEST(LadderQueue, PushesAfterEverythingIsCancelledStillOrder)
+{
+    // A queue whose nodes are all tombstones is empty but not bare:
+    // new pushes, a same-tick burst ahead of the tombstones first,
+    // must order among those still in the front heap, the ring and
+    // the overflow.
+    Random rng(7);
+    LadderQueue q;
+    std::uint64_t seq = 0;
+    std::vector<EventNode *> doomed;
+    for (int i = 0; i < 2000; ++i)
+        doomed.push_back(
+            q.push(1000 + rng.below(1 << 14), seq++, 0, []() {}));
+    q.min_when(); // materialize a front heap
+    for (EventNode *n : doomed)
+        q.cancel(n);
+    ASSERT_TRUE(q.empty());
+    std::vector<std::pair<Tick, std::uint64_t>> ref;
+    auto push = [&](Tick when) {
+        ref.emplace_back(when, seq);
+        q.push(when, seq++, 0, []() {});
+    };
+    for (int i = 0; i < 8; ++i)
+        push(500);
+    for (int i = 0; i < 500; ++i)
+        push(rng.below(1 << 15));
+    std::sort(ref.begin(), ref.end());
+    EXPECT_EQ(drain(q), ref);
+}
+
 TEST(LadderQueue, PoolGrowsOnceThenRecyclesForever)
 {
     LadderQueue q;

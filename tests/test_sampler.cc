@@ -6,7 +6,8 @@
  * queue in period slices, JSON schema, the CSV export round-trip,
  * the registry's skip-prefix dump, and the observer guarantee —
  * sampling must not perturb the byte-identity between one kernel
- * thread and several.
+ * thread and several — and a run whose waits arm watchdog deadlines
+ * ends its timeline with the program, inside the sample ring.
  */
 
 #include <gtest/gtest.h>
@@ -421,5 +422,31 @@ TEST(Sampler, ObserverDoesNotPerturbShardedByteIdentity)
         EXPECT_EQ(plain, par)
             << "sampled parallel run at " << threads
             << " threads diverged from one thread";
+    }
+}
+
+TEST(Sampler, WaitDeadlinesLeaveNoIdleTail)
+{
+    // Every flag wait arms a 100 ms watchdog deadline and cancels it
+    // once the wait ends, so the run, and the timeline with it, stops
+    // at the program's last event rather than at the last deadline.
+    for (int threads : {1, 4}) {
+        hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
+        cfg.memBytesPerCell = 1 << 20;
+        cfg.threads = threads;
+        cfg.retry.watchdogUs = 100000;
+        hw::Machine m(cfg);
+        const double periodUs = 2.0;
+        m.enable_timeline(periodUs);
+        core::SpmdResult r = core::run_spmd(m, ring_body);
+        EXPECT_TRUE(r.errors.empty());
+        const TimelineSampler &tl = *m.timeline();
+        EXPECT_EQ(tl.dropped(), 0u) << threads << " threads";
+        ASSERT_GT(tl.size(), 0u);
+        Tick last = tl.samples().back().tick;
+        Tick now = m.sim().now();
+        EXPECT_GE(last, now);
+        EXPECT_LT(last - now, us_to_ticks(periodUs))
+            << threads << " threads";
     }
 }

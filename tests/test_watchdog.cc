@@ -105,6 +105,69 @@ TEST(Watchdog, CommRegisterLoadIsGuarded)
     }
 }
 
+namespace
+{
+
+/** What a run leaves for the count rule below. */
+struct ArmedRun
+{
+    std::uint64_t executed = 0;
+    Tick end = 0;
+    std::string stats; ///< the registry outside "sim."
+};
+
+/** A completing 16-cell program (ring PUTs with flag waits, GETs,
+ *  barriers, reductions) under the lossy plan and the reliable
+ *  layer, with the watchdog at @p watchdogUs (0: off). */
+ArmedRun
+lossy_reliable_run(double watchdogUs, int threads)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(16);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.faults = sim::FaultPlan::lossy(1);
+    cfg.reliableNet = true;
+    cfg.retry.watchdogUs = watchdogUs;
+    cfg.threads = threads;
+    hw::Machine m(cfg);
+    core::SpmdResult r = core::run_spmd(m, [](core::Context &ctx) {
+        int p = ctx.nprocs();
+        CellId right = (ctx.id() + 1) % p;
+        Addr buf = ctx.alloc(256);
+        Addr flag = ctx.alloc_flag();
+        Addr got = ctx.alloc_flag();
+        for (int round = 0; round < 6; ++round) {
+            ctx.poke_u32(buf, static_cast<std::uint32_t>(round));
+            ctx.put(right, buf + 128, buf, 64, no_flag, flag);
+            ctx.wait_flag(flag, static_cast<std::uint64_t>(round) + 1);
+            ctx.get(right, buf, buf + 192, 32, no_flag, got);
+            ctx.wait_flag(got, static_cast<std::uint64_t>(round) + 1);
+            ctx.allreduce(1.0, core::ReduceOp::sum);
+            ctx.barrier();
+        }
+    });
+    EXPECT_FALSE(r.deadlock);
+    EXPECT_TRUE(r.errors.empty());
+    return {m.sim().executed(), m.sim().now(),
+            m.stats_registry().dump_json(false, "sim.")};
+}
+
+} // namespace
+
+TEST(Watchdog, ArmedDeadlinesThatDoNotExpireCostNoEvents)
+{
+    // Every wait of this run ends before its 100 ms deadline, and a
+    // wait that ends cancels its deadline: the armed run executes
+    // exactly the unarmed run's events and ends at the same tick.
+    for (int threads : {1, 4}) {
+        ArmedRun armed = lossy_reliable_run(100000.0, threads);
+        ArmedRun unarmed = lossy_reliable_run(0.0, threads);
+        EXPECT_EQ(armed.executed, unarmed.executed)
+            << threads << " threads";
+        EXPECT_EQ(armed.end, unarmed.end) << threads << " threads";
+        EXPECT_EQ(armed.stats, unarmed.stats) << threads << " threads";
+    }
+}
+
 TEST(CellFailure, SurvivorsFinishBarrierAndReductionsDegraded)
 {
     // Kill cell 3 at t=100us while everyone computes. The survivors
