@@ -45,11 +45,10 @@ struct RetryPolicy
     double timeoutUs = 0.0;
     /** Reissue attempts after the first try. */
     int maxRetries = 8;
-    /** Per-attempt timeout multiplier (exponential backoff);
-     *  values <= 1 mean a flat timeout on every attempt. */
-    double backoffFactor = 2.0;
-    /** Backoff saturation cap in microseconds; 0 = 8x timeoutUs. */
-    double timeoutCapUs = 0.0;
+    /** Per-attempt timeout multiplier (exponential backoff). */
+    static constexpr double backoff_factor = 2.0;
+    /** Backoff saturation cap, as a multiple of timeoutUs. */
+    static constexpr double timeout_cap_factor = 8.0;
     /**
      * Flag-wait watchdog deadline in microseconds; 0 disables. A
      * blocked flag/ack wait past this deadline raises a typed
@@ -67,12 +66,10 @@ struct RetryPolicy
     double
     attempt_timeout_us(int attempt) const
     {
-        double cap = timeoutCapUs > 0.0 ? timeoutCapUs
-                                        : timeoutUs * 8.0;
+        double cap = timeoutUs * timeout_cap_factor;
         double t = timeoutUs;
-        double factor = backoffFactor > 1.0 ? backoffFactor : 1.0;
         for (int i = 0; i < attempt && t < cap; ++i)
-            t *= factor;
+            t *= backoff_factor;
         return std::min(t, cap);
     }
 };

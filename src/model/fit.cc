@@ -29,10 +29,8 @@ scale_floor(const std::vector<Point> &pts)
 
 /** Relative residual weight of one observation. */
 double
-weight(double y, bool relative, double yFloor)
+weight(double y, double yFloor)
 {
-    if (!relative)
-        return 1.0;
     double m = std::max(std::abs(y), yFloor);
     return 1.0 / (m * m);
 }
@@ -46,15 +44,14 @@ struct TermSolve
 };
 
 TermSolve
-solve(const std::vector<Point> &pts, const Term &t, bool relative,
-      double yFloor)
+solve(const std::vector<Point> &pts, const Term &t, double yFloor)
 {
     double sw = 0, swg = 0, swgg = 0, swy = 0, swgy = 0;
     for (const Point &p : pts) {
         double g = t.eval(p.x);
         if (!std::isfinite(g))
             return {};
-        double w = weight(p.y, relative, yFloor);
+        double w = weight(p.y, yFloor);
         sw += w;
         swg += w * g;
         swgg += w * g * g;
@@ -75,12 +72,11 @@ solve(const std::vector<Point> &pts, const Term &t, bool relative,
 
 /** Weighted mean (the constant-model fit). */
 double
-weighted_mean(const std::vector<Point> &pts, bool relative,
-              double yFloor)
+weighted_mean(const std::vector<Point> &pts, double yFloor)
 {
     double sw = 0, swy = 0;
     for (const Point &p : pts) {
-        double w = weight(p.y, relative, yFloor);
+        double w = weight(p.y, yFloor);
         sw += w;
         swy += w * p.y;
     }
@@ -110,7 +106,7 @@ rel_rmse(const std::vector<Point> &pts, Pred pred, double yFloor)
  */
 double
 cv_rmse_term(const std::vector<Point> &pts, const Term &t,
-             bool relative, double yFloor)
+             double yFloor)
 {
     double s = 0;
     for (std::size_t k = 0; k < pts.size(); ++k) {
@@ -119,7 +115,7 @@ cv_rmse_term(const std::vector<Point> &pts, const Term &t,
         for (std::size_t i = 0; i < pts.size(); ++i)
             if (i != k)
                 rest.push_back(pts[i]);
-        TermSolve f = solve(rest, t, relative, yFloor);
+        TermSolve f = solve(rest, t, yFloor);
         if (!f.ok)
             return std::numeric_limits<double>::infinity();
         double m = std::max(std::abs(pts[k].y), yFloor);
@@ -130,8 +126,7 @@ cv_rmse_term(const std::vector<Point> &pts, const Term &t,
 }
 
 double
-cv_rmse_const(const std::vector<Point> &pts, bool relative,
-              double yFloor)
+cv_rmse_const(const std::vector<Point> &pts, double yFloor)
 {
     double s = 0;
     for (std::size_t k = 0; k < pts.size(); ++k) {
@@ -140,7 +135,7 @@ cv_rmse_const(const std::vector<Point> &pts, bool relative,
         for (std::size_t i = 0; i < pts.size(); ++i)
             if (i != k)
                 rest.push_back(pts[i]);
-        double c = weighted_mean(rest, relative, yFloor);
+        double c = weighted_mean(rest, yFloor);
         double m = std::max(std::abs(pts[k].y), yFloor);
         double r = (c - pts[k].y) / m;
         s += r * r;
@@ -151,13 +146,12 @@ cv_rmse_const(const std::vector<Point> &pts, bool relative,
 /** Weighted R^2 of a predictor against the weighted mean. */
 template <typename Pred>
 double
-r_squared(const std::vector<Point> &pts, Pred pred, bool relative,
-          double yFloor)
+r_squared(const std::vector<Point> &pts, Pred pred, double yFloor)
 {
-    double mean = weighted_mean(pts, relative, yFloor);
+    double mean = weighted_mean(pts, yFloor);
     double ssRes = 0, ssTot = 0;
     for (const Point &p : pts) {
-        double w = weight(p.y, relative, yFloor);
+        double w = weight(p.y, yFloor);
         double r = p.y - pred(p.x);
         double d = p.y - mean;
         ssRes += w * r * r;
@@ -196,24 +190,6 @@ Term::text(const std::string &var) const
     return s;
 }
 
-const std::vector<double> &
-FitOptions::default_exponents()
-{
-    static const std::vector<double> e = {
-        -2.0, -1.5, -1.0, -0.75, -0.5, -0.25,
-        0.25, 0.5,  0.75, 1.0,   1.25, 1.5,
-        2.0,  2.5,  3.0,
-    };
-    return e;
-}
-
-const std::vector<int> &
-FitOptions::default_log_powers()
-{
-    static const std::vector<int> l = {0, 1, 2};
-    return l;
-}
-
 double
 Fit::eval(double x) const
 {
@@ -243,7 +219,7 @@ Fit::text(const std::string &metric, const std::string &var) const
 }
 
 Fit
-fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
+fit_scaling(const std::vector<Point> &pts)
 {
     Fit out;
     out.points = pts.size();
@@ -264,30 +240,21 @@ fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
     std::sort(xs.begin(), xs.end());
     xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
 
-    const bool rel = opt.relative;
     const double yFloor = scale_floor(pts);
-    out.c = weighted_mean(pts, rel, yFloor);
+    out.c = weighted_mean(pts, yFloor);
     out.constant = true;
     auto constPred = [&](double) { return out.c; };
     out.rmseRel = rel_rmse(pts, constPred, yFloor);
-    out.r2 = r_squared(pts, constPred, rel, yFloor);
+    out.r2 = r_squared(pts, constPred, yFloor);
     out.adjR2 = out.r2;
-    out.cvRmseRel = pts.size() >= 3
-                        ? cv_rmse_const(pts, rel, yFloor)
-                        : out.rmseRel;
+    out.cvRmseRel =
+        pts.size() >= 3 ? cv_rmse_const(pts, yFloor) : out.rmseRel;
 
     // With fewer than 3 distinct x every candidate term interpolates
     // the sample exactly — the scaling class is unidentifiable, so
     // the constant stands.
     if (xs.size() < 3)
         return out;
-
-    const std::vector<double> &exps =
-        opt.exponents.empty() ? FitOptions::default_exponents()
-                              : opt.exponents;
-    const std::vector<int> &logs =
-        opt.logPowers.empty() ? FitOptions::default_log_powers()
-                              : opt.logPowers;
 
     // Cross-validation only separates hypotheses with enough points;
     // with 2 distinct x a term fit is exact and CV degenerates, so
@@ -303,8 +270,8 @@ fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
     double bestScore = std::numeric_limits<double>::infinity();
     TermSolve bestSolve;
     Term bestTerm;
-    for (double e : exps) {
-        for (int l : logs) {
+    for (double e : term_exponents) {
+        for (int l : term_log_powers) {
             if (e == 0.0 && l == 0)
                 continue; // that is the constant hypothesis
             Term t{e, l};
@@ -312,11 +279,11 @@ fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
             // x<1 at odd powers; the lattice still applies, eval()
             // handles it, but a term that is not finite on the
             // sample is skipped inside solve().
-            TermSolve s = solve(pts, t, rel, yFloor);
+            TermSolve s = solve(pts, t, yFloor);
             if (!s.ok)
                 continue;
             double score =
-                canCv ? cv_rmse_term(pts, t, rel, yFloor)
+                canCv ? cv_rmse_term(pts, t, yFloor)
                       : rel_rmse(
                             pts,
                             [&](double x) {
@@ -339,7 +306,7 @@ fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
         return out;
     // The term must *cross-validate* better than the constant by the
     // advantage factor, or the constant stands (overfit rejection).
-    if (constScore <= bestScore * opt.termAdvantage)
+    if (constScore <= bestScore * term_advantage)
         return out;
 
     out.constant = false;
@@ -349,7 +316,7 @@ fit_scaling(const std::vector<Point> &pts, const FitOptions &opt)
     auto pred = [&](double x) { return out.eval(x); };
     out.rmseRel = rel_rmse(pts, pred, yFloor);
     out.cvRmseRel = canCv ? bestScore : out.rmseRel;
-    out.r2 = r_squared(pts, pred, rel, yFloor);
+    out.r2 = r_squared(pts, pred, yFloor);
     double n = static_cast<double>(pts.size());
     out.adjR2 = n > 3.0
                     ? 1.0 - (1.0 - out.r2) * (n - 1.0) / (n - 3.0)

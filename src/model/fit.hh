@@ -18,12 +18,12 @@
  * a term must predict held-out points better than the constant model
  * to be chosen at all — noise does not grow exponents.
  *
- * Weighted (relative) least squares is the default: sweep metrics
- * span decades (a 64 B PUT and a 1 MB PUT differ by ~1000x in
- * latency), and unweighted residuals would fit only the largest
- * points. Weights 1/y^2 make every point count by its relative error,
- * which is also the quantity the divergence gate (tools/
- * model_check.py) thresholds.
+ * The fit is weighted (relative) least squares: sweep metrics span
+ * decades (a 64 B PUT and a 1 MB PUT differ by ~1000x in latency),
+ * and unweighted residuals would fit only the largest points.
+ * Weights 1/y^2 make every point count by its relative error, which
+ * is also the quantity the divergence gate (tools/model_check.py)
+ * thresholds.
  *
  * tests/test_model.cc pins the selection behavior on synthetic data
  * (constant, linear, n log n, noisy quadratic, inverse square root,
@@ -60,31 +60,20 @@ struct Term
     std::string text(const std::string &var = "n") const;
 };
 
-/** Fitting knobs; the defaults are the committed-model settings. */
-struct FitOptions
-{
-    /**
-     * Relative (1/y^2-weighted) least squares. Off means plain
-     * unweighted residuals — useful when y legitimately crosses zero.
-     */
-    bool relative = true;
+/**
+ * How much better (in cross-validated RMSE) a term model must be than
+ * the constant hypothesis to displace it. 1.05 = 5% better; guards
+ * against noise-grown exponents on flat data.
+ */
+inline constexpr double term_advantage = 1.05;
 
-    /**
-     * How much better (in cross-validated RMSE) a term model must be
-     * than the constant hypothesis to displace it. 1.05 = 5% better;
-     * guards against noise-grown exponents on flat data.
-     */
-    double termAdvantage = 1.05;
-
-    /** Candidate exponents; empty selects the stock lattice. */
-    std::vector<double> exponents;
-    /** Candidate log2 powers; empty selects {0, 1, 2}. */
-    std::vector<int> logPowers;
-
-    /** The stock exponent lattice (quarter/half steps in [-2, 3]). */
-    static const std::vector<double> &default_exponents();
-    static const std::vector<int> &default_log_powers();
+/** The candidate exponent lattice (quarter/half steps in [-2, 3]). */
+inline constexpr double term_exponents[] = {
+    -2.0, -1.5, -1.0, -0.75, -0.5, -0.25, 0.25, 0.5,
+    0.75, 1.0,  1.25, 1.5,   2.0,  2.5,   3.0,
 };
+/** The candidate log2 powers. */
+inline constexpr int term_log_powers[] = {0, 1, 2};
 
 /** A fitted scaling model y(x) = c + a * g(x). */
 struct Fit
@@ -124,8 +113,7 @@ struct Fit
  * interpolates two points exactly whatever its exponent, so the
  * scaling class would be unidentifiable).
  */
-Fit fit_scaling(const std::vector<Point> &pts,
-                const FitOptions &opt = {});
+Fit fit_scaling(const std::vector<Point> &pts);
 
 /** Simple unweighted line y = intercept + slope * x (for parameter
  *  derivation, where the exponent is known to be 1). */

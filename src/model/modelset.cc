@@ -188,8 +188,7 @@ SweepModel::write(const std::string &path) const
 }
 
 SweepModel
-fit_sweep(const SweepData &data, const FitOptions &fopt,
-          const EnvelopeOptions &eopt)
+fit_sweep(const SweepData &data)
 {
     SweepModel out;
     out.sweep = data.sweep;
@@ -205,7 +204,7 @@ fit_sweep(const SweepData &data, const FitOptions &fopt,
         auto ov = data.classes.find(name);
         m.cls = ov != data.classes.end() ? ov->second
                                          : classify_metric(name);
-        m.fit = fit_scaling(pts, fopt);
+        m.fit = fit_scaling(pts);
         m.xmin = pts.front().x;
         m.xmax = pts.back().x;
         // The gate must accept a fresh re-measurement of any
@@ -222,12 +221,12 @@ fit_sweep(const SweepData &data, const FitOptions &fopt,
             worst = std::max(worst,
                              std::abs(p.y - m.fit.eval(p.x)) / denom);
         }
-        double floor = eopt.simFloor;
+        double floor = sim_envelope_floor;
         if (m.cls == MetricClass::host)
-            floor = eopt.hostFloor;
+            floor = host_envelope_floor;
         else if (m.cls == MetricClass::count)
-            floor = eopt.countFloor;
-        m.envelope = std::max(floor, eopt.residualFactor * worst);
+            floor = count_envelope_floor;
+        m.envelope = std::max(floor, envelope_residual_factor * worst);
         out.metrics.push_back(std::move(m));
     }
     return out;

@@ -123,18 +123,14 @@ struct SweepModel
     bool write(const std::string &path) const;
 };
 
-/** Envelope knobs for fit_sweep(). */
-struct EnvelopeOptions
-{
-    /** Envelope floor by class (fraction). */
-    double simFloor = 0.10;
-    double hostFloor = 0.35;
-    double countFloor = 0.10;
-    /** Envelope = max(floor, residualFactor * max training
-     *  relative residual): a fresh re-measurement of a training
-     *  point must always sit inside. */
-    double residualFactor = 3.0;
-};
+/** fit_sweep()'s envelope floor by metric class (fraction). */
+inline constexpr double sim_envelope_floor = 0.10;
+inline constexpr double host_envelope_floor = 0.35;
+inline constexpr double count_envelope_floor = 0.10;
+/** Envelope = max(floor, envelope_residual_factor * max training
+ *  relative residual): a fresh re-measurement of a training point
+ *  must always sit inside. */
+inline constexpr double envelope_residual_factor = 3.0;
 
 /**
  * Fit every metric of @p data and derive per-metric envelopes.
@@ -142,8 +138,7 @@ struct EnvelopeOptions
  * shape normalization happens in the gate, which divides both model
  * and measurement by their smallest-x value.
  */
-SweepModel fit_sweep(const SweepData &data, const FitOptions &fopt = {},
-                     const EnvelopeOptions &eopt = {});
+SweepModel fit_sweep(const SweepData &data);
 
 } // namespace ap::model
 

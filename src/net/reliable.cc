@@ -25,8 +25,8 @@ ReliableNet::stamp_ack(Message &msg)
     // received in order on the reverse channel dst->src.
     RecvChannel &rc = recv_channel(msg.dst, msg.src);
     msg.ackSeq = rc.expected - 1;
-    if (rc.ackPending) {
-        rc.ackPending = false;
+    if (sim.armed(rc.ackTimer)) {
+        sim.cancel(rc.ackTimer);
         ++stats_of(msg.src).acksPiggybacked;
     }
 }
@@ -74,37 +74,30 @@ ReliableNet::transmit(SendChannel &ch, CellId src, CellId dst,
     Pending p;
     p.msg = msg;
     p.firstSent = sim.now();
-    p.lastSent = sim.now();
     ch.window.push_back(std::move(p));
     RnetStats &st = stats_of(src);
     st.windowHighWater =
         std::max(st.windowHighWater,
                  static_cast<std::uint64_t>(ch.window.size()));
     tnet.send(std::move(msg));
-    arm_timer(ch, src, dst, ch.rtoUs);
+    arm_timer(ch, src, dst);
 }
 
 void
-ReliableNet::arm_timer(SendChannel &ch, CellId src, CellId dst,
-                       double delayUs)
+ReliableNet::arm_timer(SendChannel &ch, CellId src, CellId dst)
 {
-    if (ch.timerArmed)
+    if (sim.armed(ch.rtoTimer))
         return;
-    ch.timerArmed = true;
-    sim.schedule(sim.now() + us_to_ticks(delayUs),
-                 [this, src, dst]() { on_timer(src, dst); });
+    ch.rtoTimer = sim.arm(sim.now() + us_to_ticks(ch.rtoUs),
+                          [this, src, dst]() { on_timer(src, dst); });
 }
 
 void
 ReliableNet::on_timer(CellId src, CellId dst)
 {
+    // Every path that empties the window cancels the timer, so a
+    // timer that runs has data to resend.
     SendChannel &ch = send_channel(src, dst);
-    ch.timerArmed = false;
-
-    if (ch.window.empty()) {
-        ch.rtoUs = rto_us;
-        return;
-    }
     if (is_dead(src) || is_dead(dst)) {
         // A live sender's channel to a dead peer ends here (or at
         // its next send).
@@ -112,23 +105,13 @@ ReliableNet::on_timer(CellId src, CellId dst)
         return;
     }
 
-    Tick due = ch.window.front().lastSent + us_to_ticks(ch.rtoUs);
-    if (sim.now() < due) {
-        // An ack advanced the window since this timer was armed;
-        // re-arm relative to the oldest unacked transmission.
-        arm_timer(ch, src, dst, ticks_to_us(due - sim.now()));
-        return;
-    }
-
     if (ch.window.front().sends > max_retransmits) {
-        std::uint64_t lost = ch.window.size() + ch.backlog.size();
-        stats_of(src).abortedMsgs += lost;
         warn("rnet: channel %d -> %d gave up after %d retransmits "
              "(%llu messages aborted)",
              src, dst, max_retransmits,
-             static_cast<unsigned long long>(lost));
-        ch.window.clear();
-        ch.backlog.clear();
+             static_cast<unsigned long long>(ch.window.size() +
+                                             ch.backlog.size()));
+        abort_channel(ch, src);
         return;
     }
 
@@ -139,7 +122,6 @@ ReliableNet::on_timer(CellId src, CellId dst)
     for (Pending &p : ch.window) {
         ++st.retransmits;
         ++p.sends;
-        p.lastSent = sim.now();
         Message copy = p.msg;
         stamp_ack(copy);
         AP_DPRINTF(RNet, "retransmit %s %d -> %d seq=%llu (try %d)",
@@ -154,7 +136,7 @@ ReliableNet::on_timer(CellId src, CellId dst)
                      static_cast<std::uint32_t>(p.sends));
     }
     ch.rtoUs = std::min(ch.rtoUs * 2.0, rto_max_us);
-    arm_timer(ch, src, dst, ch.rtoUs);
+    arm_timer(ch, src, dst);
 }
 
 void
@@ -243,7 +225,10 @@ ReliableNet::process_ack(CellId me, CellId peer,
     }
     if (!progress)
         return;
+    // An ack of new data stops the timer and resets the backoff; it
+    // restarts at now + rto_us while data is outstanding.
     ch.rtoUs = rto_us;
+    sim.cancel(ch.rtoTimer);
     // Promote parked sends into the freed window slots.
     while (!ch.backlog.empty() &&
            ch.window.size() <
@@ -253,31 +238,28 @@ ReliableNet::process_ack(CellId me, CellId peer,
         stamp_ack(next);
         transmit(ch, me, peer, std::move(next));
     }
+    if (!ch.window.empty())
+        arm_timer(ch, me, peer);
 }
 
 void
 ReliableNet::schedule_ack(CellId src, CellId dst)
 {
     RecvChannel &rc = recv_channel(src, dst);
-    if (rc.ackPending)
+    if (sim.armed(rc.ackTimer))
         return;
-    rc.ackPending = true;
-    sim.schedule(sim.now() + us_to_ticks(ack_delay_us),
-                 [this, src, dst]() {
-                     RecvChannel &c = recv_channel(src, dst);
-                     if (!c.ackPending)
-                         return; // piggybacked meanwhile
-                     c.ackPending = false;
-                     if (is_dead(src) || is_dead(dst))
-                         return;
-                     Message ack;
-                     ack.kind = MsgKind::rnet_ack;
-                     ack.src = dst;
-                     ack.dst = src;
-                     ack.ackSeq = c.expected - 1;
-                     ++stats_of(dst).acksSent;
-                     tnet.send(std::move(ack));
-                 });
+    rc.ackTimer = sim.arm(
+        sim.now() + us_to_ticks(ack_delay_us), [this, src, dst]() {
+            if (is_dead(src) || is_dead(dst))
+                return;
+            Message ack;
+            ack.kind = MsgKind::rnet_ack;
+            ack.src = dst;
+            ack.dst = src;
+            ack.ackSeq = recv_channel(src, dst).expected - 1;
+            ++stats_of(dst).acksSent;
+            tnet.send(std::move(ack));
+        });
 }
 
 void
@@ -286,6 +268,7 @@ ReliableNet::abort_channel(SendChannel &ch, CellId src)
     stats_of(src).abortedMsgs += ch.window.size() + ch.backlog.size();
     ch.window.clear();
     ch.backlog.clear();
+    sim.cancel(ch.rtoTimer);
 }
 
 void
@@ -293,13 +276,12 @@ ReliableNet::flush_cell(CellId dead)
 {
     // Only the dead cell's own row. A live peer's channels belong to
     // the peer's timeline, which drops them at its next timer or send.
-    // An emptied window leaves any armed timer nothing to resend.
     Row &r = row(dead);
     for (auto &[dst, ch] : r.send)
         abort_channel(ch, dead);
     for (auto &[src, rc] : r.recv) {
         rc.ooo.clear();
-        rc.ackPending = false;
+        sim.cancel(rc.ackTimer);
     }
 }
 

@@ -20,6 +20,16 @@
  *    channel; a go-back-N retransmit fires on an exponentially
  *    backed-off timer driven by the simulator's event queue.
  *
+ * Both timers are kernel Timers (Simulator::arm), cancelled the moment
+ * they have nothing left to do, so no event runs only to find itself
+ * stale. The retransmit timer follows RFC 6298 §5.1–5.3: data sent
+ * with no timer running starts it, an ack that advances the window
+ * restarts it at now + rto_us, and it stops when the window empties,
+ * the channel aborts or the cell is flushed. The delayed ack is armed
+ * by the first arrival not yet acked and cancelled by a piggyback, so
+ * a standalone ack leaves exactly ack_delay_us after the first
+ * arrival it covers.
+ *
  * Fail-stop cells are read from the machine's kill table: channels
  * touching a dead cell are flushed (their queued traffic is aborted)
  * so the event queue drains instead of retransmitting into the void.
@@ -30,7 +40,8 @@
  * events touch its row — its sends, retransmit timers and incoming
  * acks on the send side, deliveries to it and its delayed acks on
  * the receive side — so cells on different kernel shards share no
- * state and take no lock.
+ * state and take no lock, and every timer in a row is armed and
+ * cancelled on its cell's own timeline.
  *
  * The layer is toggleable (MachineConfig::reliableNet); when off the
  * MSC+ talks to the raw T-net and no message carries the envelope.
@@ -115,10 +126,10 @@ class ReliableNet : public Link
     /** Stamp, sequence and transmit (or window-park) @p msg. */
     Tick send(Message msg) override;
 
-    /** Abort the queued traffic of a failed cell (its own row; live
-     *  senders drop their channels to it at their next timer or
-     *  send) so retransmit timers stop and the event queue can
-     *  drain. Runs on the dead cell's timeline. */
+    /** Abort the queued traffic of a failed cell and cancel its
+     *  timers (its own row; live senders drop their channels to it
+     *  at their next timer or send) so the event queue can drain.
+     *  Runs on the dead cell's timeline. */
     void flush_cell(CellId dead);
 
     /** Stats of cell @p id (valid for the topology's cells). */
@@ -133,7 +144,6 @@ class ReliableNet : public Link
     {
         Message msg;
         Tick firstSent = 0;
-        Tick lastSent = 0;
         int sends = 1;
     };
 
@@ -144,7 +154,7 @@ class ReliableNet : public Link
         std::deque<Pending> window;  ///< sent, awaiting ack
         std::deque<Message> backlog; ///< parked behind the window
         double rtoUs = rto_us;
-        bool timerArmed = false; ///< a (lazy, uncancelled) timer queued
+        sim::Timer rtoTimer; ///< queued while the window holds data
     };
 
     /** Receiver state of one directed (src,dst) channel. */
@@ -152,7 +162,7 @@ class ReliableNet : public Link
     {
         std::uint64_t expected = 1; ///< next in-order seq
         std::map<std::uint64_t, Message> ooo;
-        bool ackPending = false;
+        sim::Timer ackTimer; ///< queued while a standalone ack is owed
     };
 
     /** One cell's protocol state; only the cell's own events touch
@@ -180,16 +190,19 @@ class ReliableNet : public Link
     bool is_dead(CellId id) const { return kills.failed_by(id, sim.now()); }
 
     /** Refresh the piggybacked cumulative ack on an outgoing data
-     *  message (reverse channel dst->src). */
+     *  message (reverse channel dst->src); it replaces the standalone
+     *  ack owed on that channel. */
     void stamp_ack(Message &msg);
 
     /** Push @p msg into the in-flight window and onto the wire. */
     void transmit(SendChannel &ch, CellId src, CellId dst,
                   Message msg);
 
-    void arm_timer(SendChannel &ch, CellId src, CellId dst,
-                   double delayUs);
-    /** Drop @p ch 's window and backlog, counted against @p src. */
+    /** Start @p ch 's retransmit timer at now + its RTO, unless it
+     *  is running. */
+    void arm_timer(SendChannel &ch, CellId src, CellId dst);
+    /** Drop @p ch 's window and backlog, counted against @p src,
+     *  and stop its timer. */
     void abort_channel(SendChannel &ch, CellId src);
     void on_timer(CellId src, CellId dst);
 
@@ -199,7 +212,8 @@ class ReliableNet : public Link
     /** Apply cumulative ack @p ackSeq to the channel me -> peer. */
     void process_ack(CellId me, CellId peer, std::uint64_t ackSeq);
 
-    /** Schedule a delayed standalone ack on channel src -> dst. */
+    /** Arm the delayed standalone ack on channel src -> dst, unless
+     *  one is owed already. */
     void schedule_ack(CellId src, CellId dst);
 
     sim::Simulator &sim;

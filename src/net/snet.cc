@@ -22,13 +22,17 @@ Snet::create_context(std::vector<CellId> members)
         for (int i = 0; i < numCells; ++i)
             members[static_cast<std::size_t>(i)] = i;
     }
-    for (CellId c : members)
+    Context ctx;
+    ctx.member.assign(static_cast<std::size_t>(numCells), false);
+    for (CellId c : members) {
         if (c < 0 || c >= numCells)
             fatal("barrier member %d outside machine of %d cells", c,
                   numCells);
-
-    Context ctx;
-    ctx.members = std::move(members);
+        if (!ctx.member[static_cast<std::size_t>(c)]) {
+            ctx.member[static_cast<std::size_t>(c)] = true;
+            ctx.members.push_back(c);
+        }
+    }
     ctx.arrived.assign(static_cast<std::size_t>(numCells), true);
     // No other timeline reaches a context created inside an event
     // before a lookahead has passed.
@@ -47,18 +51,17 @@ Snet::arrive(ContextId id, CellId cell, std::function<void()> on_release)
     if (id < 0 || static_cast<std::size_t>(id) >= contexts.size())
         panic("unknown barrier context %d", id);
     Context &ctx = contexts[static_cast<std::size_t>(id)];
-
-    bool member = std::find(ctx.members.begin(), ctx.members.end(),
-                            cell) != ctx.members.end();
-    if (!member)
+    auto idx = static_cast<std::size_t>(cell);
+    if (cell < 0 || cell >= numCells || !ctx.member[idx])
         panic("cell %d is not a member of barrier context %d", cell,
               id);
     Tick now = sim.now();
-    if (ctx.arrived[static_cast<std::size_t>(cell)] &&
-        !kills.failed_by(cell, now))
+    if (ctx.arrived[idx] && !kills.failed_by(cell, now))
         panic("cell %d arrived twice at barrier context %d", cell, id);
 
-    ctx.arrived[static_cast<std::size_t>(cell)] = true;
+    // A cell arriving onto its own death was counted at it.
+    ctx.pending -= !ctx.arrived[idx];
+    ctx.arrived[idx] = true;
     ctx.waiters.push_back({cell, sim.next_key(), std::move(on_release)});
     ctx.episodeBegin = std::min(ctx.episodeBegin, now);
     ctx.lastArrival = std::max(ctx.lastArrival, now);
@@ -71,33 +74,33 @@ Snet::begin_episode(Context &ctx, Tick t) const
 {
     ctx.episodeBegin = max_tick;
     ctx.lastArrival = 0;
-    for (CellId m : ctx.members)
-        ctx.arrived[static_cast<std::size_t>(m)] = kills.failed_by(m, t);
+    ctx.pending = 0;
+    for (CellId m : ctx.members) {
+        bool dead = kills.failed_by(m, t);
+        ctx.arrived[static_cast<std::size_t>(m)] = dead;
+        ctx.pending += !dead;
+    }
 }
 
 void
 Snet::maybe_release(Context &ctx)
 {
-    if (ctx.waiters.empty())
+    if (ctx.waiters.empty() || ctx.pending > 0)
         return;
-    for (CellId m : ctx.members)
-        if (!ctx.arrived[static_cast<std::size_t>(m)])
-            return;
 
     Tick release = ctx.lastArrival + us_to_ticks(costs.barrier_time);
     spans.record(-1, spans.episode_trace(ctx.id, ctx.completed),
                  obs::SpanStage::barrier, ctx.episodeBegin, release,
                  obs::SpanOp::barrier);
-    std::vector<Waiter> waiters;
-    waiters.swap(ctx.waiters);
     ctx.completed++;
     // Every arrival at the next episode comes after this release.
     begin_episode(ctx, release);
     // Each release callback resumes its own cell: route it to that
     // cell's shard, not the shard of whichever arrival released us.
-    for (Waiter &w : waiters)
+    for (Waiter &w : ctx.waiters)
         sim.schedule_keyed(w.cell, release, w.key,
                            std::move(w.onRelease));
+    ctx.waiters.clear();
 }
 
 void
@@ -112,6 +115,7 @@ Snet::fail_cell(CellId cell)
         if (ctx.arrived[idx])
             continue;
         ctx.arrived[idx] = true;
+        --ctx.pending;
         ctx.lastArrival = std::max(ctx.lastArrival, sim.now());
         maybe_release(ctx);
     }

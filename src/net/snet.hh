@@ -102,10 +102,14 @@ class Snet
     struct Context
     {
         std::uint32_t id = 0;
-        std::vector<CellId> members;
+        std::vector<CellId> members; ///< distinct
+        /** Per cell: whether it is a member. */
+        std::vector<bool> member;
         /** Per cell: arrived or dead this episode (non-members are
          *  always set). */
         std::vector<bool> arrived;
+        /** Members neither arrived nor dead this episode. */
+        std::size_t pending = 0;
         std::vector<Waiter> waiters;
         std::uint64_t completed = 0;
         Tick episodeBegin = max_tick; ///< earliest arrival
@@ -116,7 +120,8 @@ class Snet
      *  any arrival can reach it, enter it as arrived. */
     void begin_episode(Context &ctx, Tick t) const;
 
-    /** Release @p ctx when every member has arrived or died. */
+    /** Release @p ctx when every member has arrived or died: O(1)
+     *  until the release, which visits each member once. */
     void maybe_release(Context &ctx);
 
     sim::Simulator &sim;

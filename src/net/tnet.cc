@@ -140,7 +140,8 @@ Tnet::send(Message msg)
                        to_string(msg.kind), msg.src, msg.dst);
             schedule_delivery(msg, arrive);
         }
-        Tick late = arrive + faults.reorder_delay();
+        Tick late =
+            arrive + us_to_ticks(sim::FaultPlan::reorder_delay_us);
         if (f.reorder &&
             faults.try_hold(msg.src, Hold::reorder, inject, late)) {
             // Held back past the FIFO clamp already recorded in

@@ -35,10 +35,10 @@ GangScheduler::GangScheduler(hw::Machine &machine, ServeConfig cfg)
     : machine(machine), cfg(cfg),
       parts(machine.topology().width(), machine.topology().height())
 {
-    if (dispatch_ticks() < 2 * machine.lookahead())
-        fatal("serve dispatchUs %.3f is below twice the machine "
+    if (dispatch_ticks < 2 * machine.lookahead())
+        fatal("serve dispatch_us %.3f is below twice the machine "
               "lookahead (%.3f us)",
-              cfg.dispatchUs, ticks_to_us(2 * machine.lookahead()));
+              dispatch_us, ticks_to_us(2 * machine.lookahead()));
     machine.set_kill_hook([this](CellId c) { on_kill(c); });
     register_stats();
 }
@@ -47,13 +47,6 @@ GangScheduler::~GangScheduler()
 {
     machine.set_kill_hook(nullptr);
     machine.stats_registry().remove_prefix("serve.");
-}
-
-Tick
-GangScheduler::dispatch_ticks() const
-{
-    Tick t = us_to_ticks(cfg.dispatchUs);
-    return t > 0 ? t : 1;
 }
 
 double
@@ -185,9 +178,8 @@ GangScheduler::shed_locked(JobRecord &r, const char *why,
 void
 GangScheduler::schedule_stream(const std::vector<JobSpec> &stream)
 {
-    Tick disp = dispatch_ticks();
     for (const JobSpec &spec : stream) {
-        Tick at = std::max(us_to_ticks(spec.arrivalUs), disp);
+        Tick at = std::max(us_to_ticks(spec.arrivalUs), dispatch_ticks);
         machine.sim().schedule_for(-1, at,
                                    [this, spec] { submit(spec); });
     }
@@ -235,7 +227,7 @@ GangScheduler::launch_locked(JobRecord &r, Placement place, Tick now)
 
     double dl = deadline_us(r.spec.deadline);
     a.deadlineTick =
-        dl > 0.0 ? now + dispatch_ticks() + us_to_ticks(dl) : 0;
+        dl > 0.0 ? now + dispatch_ticks + us_to_ticks(dl) : 0;
 
     a.run.spec = &r.spec;
     a.run.group = a.group.get();
@@ -278,7 +270,7 @@ GangScheduler::launch_locked(JobRecord &r, Placement place, Tick now)
         a.procs[idx]->set_affinity(c);
         // The first resume crosses shards: stay clear of the
         // conservative lookahead window.
-        a.procs[idx]->start(now + dispatch_ticks());
+        a.procs[idx]->start(now + dispatch_ticks);
     }
     runningCount++;
 }
@@ -370,13 +362,13 @@ GangScheduler::finish_attempt(std::uint64_t gen, Tick now)
             tot.retried++;
             r.state = JobState::queued;
             r.stateNum = static_cast<std::uint64_t>(r.state);
-            double backoffUs = cfg.retryBaseUs;
+            double backoffUs = retry_base_us;
             for (std::uint64_t i = 1;
-                 i < r.retries && backoffUs < cfg.retryCapUs; ++i)
-                backoffUs *= cfg.retryFactor;
-            backoffUs = std::min(backoffUs, cfg.retryCapUs);
+                 i < r.retries && backoffUs < retry_cap_us; ++i)
+                backoffUs *= retry_factor;
+            backoffUs = std::min(backoffUs, retry_cap_us);
             Tick delay =
-                std::max(us_to_ticks(backoffUs), dispatch_ticks());
+                std::max(us_to_ticks(backoffUs), dispatch_ticks);
             // jobRecs is a deque (stable addresses, no contiguous
             // arithmetic): recover the index by scan.
             std::size_t jobIdx = 0;

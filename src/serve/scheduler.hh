@@ -76,18 +76,6 @@ struct ServeConfig
     int queueDepth = 64;
     /** Concurrent running attempts (partition backpressure). */
     int maxInflight = 8;
-    /**
-     * Delay between a scheduling decision and the gang's first
-     * resume. Must be at least twice the machine's lookahead (about
-     * 0.3 us with default network timings): a finish is decided one
-     * lookahead after the gang ends, and its launches start across
-     * shards.
-     */
-    double dispatchUs = 5.0;
-    /** Exponential retry backoff: base, factor, saturation cap. */
-    double retryBaseUs = 200.0;
-    double retryFactor = 2.0;
-    double retryCapUs = 5000.0;
     /** Per-attempt service deadlines by class (0 = none). */
     double urgentDeadlineUs = 8000.0;
     double normalDeadlineUs = 40000.0;
@@ -159,6 +147,19 @@ struct JobRecord
 class GangScheduler
 {
   public:
+    /**
+     * Delay between a scheduling decision and the gang's first
+     * resume. Must be at least twice the machine's lookahead (about
+     * 0.3 us with the Figure 6 table): a finish is decided one
+     * lookahead after the gang ends, and its launches start across
+     * shards.
+     */
+    static constexpr double dispatch_us = 5.0;
+    /** Exponential retry backoff: base, factor, saturation cap. */
+    static constexpr double retry_base_us = 200.0;
+    static constexpr double retry_factor = 2.0;
+    static constexpr double retry_cap_us = 5000.0;
+
     GangScheduler(hw::Machine &machine, ServeConfig cfg);
     ~GangScheduler();
 
@@ -256,7 +257,8 @@ class GangScheduler
     void sync_dead_locked();
     void reap_locked();
     double deadline_us(DeadlineClass c) const;
-    Tick dispatch_ticks() const;
+
+    static constexpr Tick dispatch_ticks = us_to_ticks(dispatch_us);
 
     hw::Machine &machine;
     ServeConfig cfg;

@@ -214,11 +214,10 @@ Simulator::arm(Tick when, EventFn fn)
 void
 Simulator::cancel(Timer &t)
 {
-    // A node that ran may hold another event now: the keys differ.
-    EventNode *n = std::exchange(t.node, nullptr);
-    if (n && n->live && n->seq == t.key)
-        shardsVec[static_cast<std::size_t>(shard_of(n->affinity))]
-            .queue.cancel(n);
+    if (armed(t))
+        shardsVec[static_cast<std::size_t>(shard_of(t.node->affinity))]
+            .queue.cancel(t.node);
+    t.node = nullptr;
 }
 
 std::size_t

@@ -353,14 +353,24 @@ class Simulator
      *  source's outside any event), for a later schedule_keyed(). */
     std::uint64_t next_key() { return key_of(frame()); }
 
-    /** schedule() @p fn at @p when, cancellably (a wait's deadline).
-     *  Call it on the executing timeline or at rest. */
+    /** schedule() @p fn at @p when, cancellably (a wait's deadline,
+     *  a reliable-layer timer). Call it on the executing timeline or
+     *  at rest. */
     Timer arm(Tick when, EventFn fn);
 
     /** Drop @p t unrun: never executed or recorded, it moves neither
      *  now() nor pending(). A no-op once it ran (inside its handler
      *  too). Call it on the timeline that armed it, or at rest. */
     void cancel(Timer &t);
+
+    /** True while @p t is queued: neither run (false inside its
+     *  handler) nor cancelled. Same caller rule as cancel(). */
+    bool
+    armed(const Timer &t) const
+    {
+        // A node that ran may hold another event now: the keys differ.
+        return t.node && t.node->live && t.node->seq == t.key;
+    }
 
     /**
      * Schedule @p fn to run @p delta ticks from now. Relative delays

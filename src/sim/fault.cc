@@ -245,12 +245,6 @@ FaultInjector::on_send(CellId src)
     return f;
 }
 
-Tick
-FaultInjector::reorder_delay() const
-{
-    return us_to_ticks(fp.reorderDelayUs);
-}
-
 bool
 FaultInjector::force_overflow(CellId cell)
 {

@@ -61,7 +61,7 @@ struct FaultPlan
      *  (breaks the per-pair FIFO guarantee for that message). */
     double reorderProb = 0.0;
     /** How long a reordered message is held back. */
-    double reorderDelayUs = 50.0;
+    static constexpr double reorder_delay_us = 50.0;
 
     /** Probability an MSC+ queue push is forced to spill to DRAM. */
     double overflowProb = 0.0;
@@ -209,9 +209,6 @@ class FaultInjector
 
     /** T-net: decide the faults of cell @p src's next send. */
     SendFaults on_send(CellId src);
-
-    /** Extra hold-back for a reordered message. */
-    Tick reorder_delay() const;
 
     /** MSC+: should cell @p cell's next queue push spill to DRAM? */
     bool force_overflow(CellId cell);

@@ -3,15 +3,18 @@
  * Reliable-delivery layer tests: sequencing, cumulative acks,
  * go-back-N retransmission, duplicate suppression, out-of-order
  * reassembly, checksum rejection, window/backlog discipline,
- * standalone acks, dead-cell channel flush, and the bounded holding
- * buffers of the fault injector feeding it.
+ * standalone acks, dead-cell channel flush, the retransmit and
+ * delayed-ack timer rules, and the bounded holding buffers of the
+ * fault injector feeding it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "mlsim/costmodel.hh"
 #include "mlsim/params.hh"
 #include "net/kills.hh"
 #include "net/reliable.hh"
@@ -47,29 +50,86 @@ marker_of(const Message &m)
     return v;
 }
 
-/** A 4-cell line with an optional fault plan under the rnet. */
+/** Wire size of a standalone ack. */
+std::uint64_t
+ack_wire_bytes()
+{
+    Message ack;
+    ack.kind = MsgKind::rnet_ack;
+    return ack.wire_bytes();
+}
+
+/** Wire size of mk()'s message under the reliable envelope. */
+std::uint64_t
+data_wire_bytes()
+{
+    Message m = mk(0, 1, 0);
+    m.reliable = true;
+    return m.wire_bytes();
+}
+
+/** A line of @p cells cells with an optional fault plan under the
+ *  rnet, on up to @p threads kernel shards (one-hop lookahead). */
 struct Rig
 {
     sim::Simulator sim;
     sim::FaultInjector inj;
-    KillTable kills{4};
-    obs::SpanLayer spans{4, 16};
+    KillTable kills;
+    obs::SpanLayer spans;
     Tnet tnet;
     ReliableNet rnet;
     std::vector<std::vector<std::uint32_t>> delivered;
+    std::vector<std::vector<Tick>> deliveredAt;
 
-    explicit Rig(sim::FaultPlan plan = {})
-        : inj(plan, 4),
-          tnet(sim, Torus(4, 1), mlsim::Params::ap1000_plus(), kills,
+    explicit Rig(sim::FaultPlan plan = {}, int threads = 1,
+                 int cells = 4)
+        : sim(threads, cells,
+              us_to_ticks(mlsim::CostModel(mlsim::Params::ap1000_plus())
+                              .network(1, 0))),
+          inj(plan, cells), kills(cells), spans(cells, 16),
+          tnet(sim, Torus(cells, 1), mlsim::Params::ap1000_plus(), kills,
                inj, spans),
-          rnet(sim, tnet, kills, spans), delivered(4)
+          rnet(sim, tnet, kills, spans),
+          delivered(static_cast<std::size_t>(cells)),
+          deliveredAt(static_cast<std::size_t>(cells))
     {
         rnet.set_receiver([this](Message m) {
-            delivered[static_cast<std::size_t>(m.dst)].push_back(
-                marker_of(m));
+            auto dst = static_cast<std::size_t>(m.dst);
+            delivered[dst].push_back(marker_of(m));
+            deliveredAt[dst].push_back(sim.now());
         });
     }
+
+    /** Send @p m at @p at from its source cell's own timeline. */
+    void
+    send_at(Tick at, Message m)
+    {
+        sim.schedule_for(m.src, at,
+                         [this, m]() mutable { rnet.send(std::move(m)); });
+    }
 };
+
+/**
+ * The first plan seed whose drop draws at probability 1/2 follow
+ * @p drops: drops[c][n] says whether cell c's n-th T-net send drops
+ * (the draws are a pure function of seed, cell and n).
+ */
+std::uint64_t
+seed_dropping(const std::vector<std::vector<bool>> &drops)
+{
+    for (std::uint64_t seed = 1;; ++seed) {
+        sim::FaultInjector inj(sim::FaultPlan::drops(seed, 0.5),
+                               static_cast<int>(drops.size()));
+        bool match = true;
+        for (std::size_t c = 0; c < drops.size(); ++c)
+            for (std::size_t n = 0; n < drops[c].size(); ++n)
+                match &= (inj.draw(sim::FaultInjector::Point::drop,
+                                   static_cast<int>(c), n) < 0.5) ==
+                         drops[c][n];
+        if (match)
+            return seed;
+    }
+}
 
 } // namespace
 
@@ -198,9 +258,7 @@ TEST(Reliable, ReverseTrafficPiggybacksAcks)
     Rig r;
     for (std::uint32_t i = 0; i < 6; ++i)
         r.rnet.send(mk(0, 1, i));
-    Message wire = mk(0, 1, 0);
-    wire.reliable = true;
-    Tick landed = r.tnet.latency(0, 1, wire.wire_bytes());
+    Tick landed = r.tnet.latency(0, 1, data_wire_bytes());
     r.sim.schedule(landed + us_to_ticks(ReliableNet::ack_delay_us / 2),
                    [&r] {
                        for (std::uint32_t i = 0; i < 6; ++i)
@@ -213,6 +271,100 @@ TEST(Reliable, ReverseTrafficPiggybacksAcks)
     EXPECT_GT(r.rnet.stats(1).acksPiggybacked, 0u);
     EXPECT_EQ(r.rnet.stats(1).acksSent, 0u)
         << "piggyback should have preempted the standalone ack";
+}
+
+TEST(Reliable, LosslessRunEndsAtItsLastAck)
+{
+    // One PUT on a clean wire: the standalone ack's arrival empties
+    // the window, which stops the retransmit timer, so nothing runs
+    // after it. A timer left queued would end the run at rto_us.
+    for (int threads : {1, 4}) {
+        Rig r({}, threads, 2);
+        r.send_at(0, mk(0, 1, 1));
+        r.sim.run();
+
+        ASSERT_EQ(r.deliveredAt[1].size(), 1u);
+        EXPECT_EQ(r.rnet.stats(1).acksSent, 1u);
+        EXPECT_EQ(r.sim.now(),
+                  r.deliveredAt[1][0] +
+                      us_to_ticks(ReliableNet::ack_delay_us) +
+                      r.tnet.latency(1, 0, ack_wire_bytes()))
+            << threads << " threads";
+    }
+}
+
+TEST(Reliable, AckThatAdvancesTheWindowRestartsTheRto)
+{
+    // Both first transmissions drop, so the timer resends the window
+    // at rto_us and backs off to twice that. The resent first message
+    // lands (the second drops again) and its ack advances the window
+    // with the second still outstanding: the timer restarts rto_us
+    // after that ack instead of waiting out the backed-off deadline.
+    std::uint64_t seed =
+        seed_dropping({{true, true, false, true}, {false}});
+    for (int threads : {1, 4}) {
+        Rig r(sim::FaultPlan::drops(seed, 0.5), threads, 2);
+        r.spans.set_mode(obs::SpanMode::full);
+        for (std::uint32_t i = 0; i < 2; ++i) {
+            Message m = mk(0, 1, i);
+            m.traceId = i + 1;
+            r.send_at(0, std::move(m));
+        }
+        r.sim.run();
+
+        ASSERT_FALSE(r.deliveredAt[1].empty());
+        Tick landed = r.deliveredAt[1][0];
+        Tick acked = landed + us_to_ticks(ReliableNet::ack_delay_us) +
+                     r.tnet.latency(1, 0, ack_wire_bytes());
+        std::vector<Tick> resends;
+        for (const obs::SpanEvent &ev : r.spans.events())
+            if (ev.stage == obs::SpanStage::retransmit)
+                resends.push_back(ev.begin);
+        std::sort(resends.begin(), resends.end());
+        ASSERT_GE(resends.size(), 3u) << threads << " threads";
+        EXPECT_EQ(resends[0], us_to_ticks(ReliableNet::rto_us));
+        EXPECT_EQ(landed, resends[0] +
+                              r.tnet.latency(0, 1, data_wire_bytes()));
+        auto next = std::upper_bound(resends.begin(), resends.end(),
+                                     landed);
+        ASSERT_NE(next, resends.end()) << threads << " threads";
+        EXPECT_EQ(*next, acked + us_to_ticks(ReliableNet::rto_us))
+            << threads << " threads";
+    }
+}
+
+TEST(Reliable, StandaloneAckWaitsAFullDelayAfterAPiggyback)
+{
+    // Message 1 arms cell 1's delayed ack; reverse data piggybacks
+    // that ack and cancels it; message 2 lands before the cancelled
+    // deadline and arms a fresh one, so its ack leaves a full delay
+    // after it lands, not at the first deadline.
+    for (int threads : {1, 4}) {
+        Rig r({}, threads, 2);
+        Tick hop = r.tnet.latency(0, 1, data_wire_bytes());
+        Tick delay = us_to_ticks(ReliableNet::ack_delay_us);
+        r.send_at(0, mk(0, 1, 1));
+        r.send_at(hop + delay / 4, mk(1, 0, 2));
+        r.send_at(delay / 2, mk(0, 1, 3));
+        r.sim.run();
+
+        ASSERT_EQ(r.delivered[1].size(), 2u);
+        EXPECT_EQ(r.rnet.stats(1).acksPiggybacked, 1u);
+        EXPECT_EQ(r.rnet.stats(1).acksSent, 1u);
+        auto us = [](Tick t) {
+            return static_cast<double>(
+                static_cast<std::uint64_t>(ticks_to_us(t)));
+        };
+        const Accumulator &lat = r.rnet.stats(0).ackLatencyUs.scalar();
+        ASSERT_EQ(lat.count(), 2u);
+        // Message 1: acked by the reverse data's arrival.
+        EXPECT_EQ(lat.min(), us(hop + delay / 4 +
+                                r.tnet.latency(1, 0, data_wire_bytes())));
+        // Message 2: data flight + ack delay + ack flight.
+        EXPECT_EQ(lat.max(),
+                  us(hop + delay + r.tnet.latency(1, 0, ack_wire_bytes())))
+            << threads << " threads";
+    }
 }
 
 TEST(Reliable, DeadPeerChannelsFlushAndTheQueueDrains)

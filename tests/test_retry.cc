@@ -28,10 +28,10 @@ TEST(RetryPolicy, FirstAttemptUsesTheBaseTimeout)
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(0), 100.0);
 }
 
-TEST(RetryPolicy, BackoffGrowsAndSaturatesAtTheDefaultCap)
+TEST(RetryPolicy, BackoffGrowsAndSaturatesAtTheCap)
 {
     hw::RetryPolicy p;
-    p.timeoutUs = 100.0; // default cap = 8x = 800
+    p.timeoutUs = 100.0; // cap = 8x = 800
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(1), 200.0);
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(2), 400.0);
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(3), 800.0);
@@ -39,29 +39,6 @@ TEST(RetryPolicy, BackoffGrowsAndSaturatesAtTheDefaultCap)
     // overflow or keep doubling.
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(10), 800.0);
     EXPECT_DOUBLE_EQ(p.attempt_timeout_us(1000), 800.0);
-}
-
-TEST(RetryPolicy, ExplicitCapWins)
-{
-    hw::RetryPolicy p;
-    p.timeoutUs = 100.0;
-    p.timeoutCapUs = 250.0;
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(0), 100.0);
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(1), 200.0);
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(2), 250.0);
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(50), 250.0);
-}
-
-TEST(RetryPolicy, FlatFactorMeansFlatTimeouts)
-{
-    hw::RetryPolicy p;
-    p.timeoutUs = 100.0;
-    p.backoffFactor = 1.0;
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(0), 100.0);
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(5), 100.0);
-    p.backoffFactor = 0.5; // nonsense values degrade to flat, not
-                           // shrinking, timeouts
-    EXPECT_DOUBLE_EQ(p.attempt_timeout_us(5), 100.0);
 }
 
 TEST(RetryPolicy, ZeroRetryBudgetFailsAfterExactlyOneAttempt)
