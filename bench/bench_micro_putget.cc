@@ -244,7 +244,7 @@ run_profile_pass(const std::string &profileOut,
  *  - alloc.steady_*_delta: kernel/payload allocation-counter growth
  *    of a second wave on one warmed-up machine. The hot path's
  *    zero-allocation contract says these must be exactly zero, and
- *    CI asserts that on every run.
+ *    CTest gate_alloc asserts that on every run.
  * And one on a bare fiber:
  *  - speed.fiber_switch.wall_ms: 10^6 resume/yield round trips, the
  *    switch every Process::delay/wait pays.

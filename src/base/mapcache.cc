@@ -37,13 +37,13 @@ namespace
 MappingCache::MappingCache(Bounds bounds, std::size_t guard)
     : bounds(bounds), guard(guard)
 {
-    parked.reserve(bounds.mappings);
 }
 
 MappingCache::~MappingCache()
 {
-    for (const Parked &m : parked)
-        unmap(m.ptr, m.bytes);
+    for (const auto &[bytes, list] : parked)
+        for (const Parked &m : list)
+            unmap(m.ptr, bytes);
 }
 
 void *
@@ -51,17 +51,15 @@ MappingCache::acquire(std::size_t bytes)
 {
     {
         std::lock_guard lock(mu);
-        // Newest first: its pages are the likeliest still in cache.
-        for (std::size_t i = parked.size(); i-- > 0;) {
-            if (parked[i].bytes != bytes)
-                continue;
-            void *p = parked[i].ptr;
-            parked.erase(parked.begin() +
-                         static_cast<std::ptrdiff_t>(i));
+        auto it = parked.find(bytes);
+        if (it != parked.end() && !it->second.empty()) {
+            // Newest first: its pages are the likeliest still in cache.
+            Parked m = it->second.back();
+            it->second.pop_back();
             --heldCount;
-            heldBytes -= bytes;
+            heldResident -= m.resident;
             hitCount.fetch_add(1, std::memory_order_relaxed);
-            return p;
+            return m.ptr;
         }
     }
     missCount.fetch_add(1, std::memory_order_relaxed);
@@ -85,21 +83,22 @@ MappingCache::unmap(void *p, std::size_t bytes) const
 }
 
 bool
-MappingCache::reserve(std::size_t bytes)
+MappingCache::reserve(std::size_t resident)
 {
     std::lock_guard lock(mu);
-    if (heldCount >= bounds.mappings || heldBytes + bytes > bounds.bytes)
+    if (heldCount >= bounds.mappings ||
+        heldResident + resident > bounds.resident)
         return false;
     ++heldCount;
-    heldBytes += bytes;
+    heldResident += resident;
     return true;
 }
 
 void
-MappingCache::park(void *p, std::size_t bytes)
+MappingCache::park(void *p, std::size_t bytes, std::size_t resident)
 {
     std::lock_guard lock(mu);
-    parked.push_back({p, bytes});
+    parked[bytes].push_back({p, resident});
 }
 
 } // namespace ap

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 namespace ap
@@ -27,9 +28,20 @@ namespace ap
 
 /**
  * Process-wide freelist of read-write anonymous mappings, matched by
- * exact size. Each user owns one instance, built once and never
- * destroyed (a leaky singleton), so what it parks stays reachable
- * for LeakSanitizer's exit scan and a mapping released during static
+ * exact size. Each size has its own list, newest last, so acquire()
+ * and release() cost O(1) however many mappings of other sizes are
+ * parked.
+ *
+ * Two bounds limit what stays parked: a count of mappings (each is
+ * one kernel VMA) and the bytes they keep resident. A mapping's
+ * address space costs nothing until a page is touched, so the byte
+ * bound counts what its last user says it touched, not its size: a
+ * 16 MB DRAM image with three written pages parks as 12 KB. A page
+ * that an earlier user wrote and cleaned stays resident, uncounted.
+ *
+ * Each user owns one instance, built once and never destroyed (a
+ * leaky singleton), so what it parks stays reachable for
+ * LeakSanitizer's exit scan and a mapping released during static
  * destruction still finds its cache. Safe to share between threads.
  */
 class MappingCache
@@ -39,8 +51,11 @@ class MappingCache
      *  bound unmaps. */
     struct Bounds
     {
+        /** Parked mappings, of all sizes together. */
         std::size_t mappings;
-        std::size_t bytes;
+        /** Resident bytes of the parked mappings, as release() was
+         *  told them. */
+        std::size_t resident;
     };
 
     /**
@@ -57,27 +72,31 @@ class MappingCache
     MappingCache(const MappingCache &) = delete;
     MappingCache &operator=(const MappingCache &) = delete;
 
-    /** @return @p bytes of read-write memory: a parked mapping of
-     *  exactly that size (its contents as its last user left them),
-     *  or a fresh zero-filled one. Panics when the kernel refuses. */
+    /** @return @p bytes of read-write memory: the newest parked
+     *  mapping of exactly that size (its contents as its last user
+     *  left them), or a fresh zero-filled one. Panics when the
+     *  kernel refuses. */
     void *acquire(std::size_t bytes);
 
     /**
-     * Give back @p p, which acquire(@p bytes) returned. When the cache
-     * has room, @p clean runs first, outside the lock, and must leave
-     * the bytes as the next user may see them; then @p p is parked.
-     * Otherwise @p p is unmapped and @p clean never runs.
+     * Give back @p p, which acquire(@p bytes) returned, with
+     * @p resident of its bytes touched. When the bounds have room
+     * for one more mapping and @p resident more bytes, @p clean runs
+     * first, outside the lock, and must leave the bytes as the next
+     * user may see them; then @p p is parked. Otherwise @p p is
+     * unmapped and @p clean never runs.
      */
     template <typename Clean>
     void
-    release(void *p, std::size_t bytes, Clean &&clean)
+    release(void *p, std::size_t bytes, std::size_t resident,
+            Clean &&clean)
     {
-        if (!reserve(bytes)) {
+        if (!reserve(resident)) {
             unmap(p, bytes);
             return;
         }
         clean();
-        park(p, bytes);
+        park(p, bytes, resident);
     }
 
     /** acquire() calls served from a parked mapping. */
@@ -97,24 +116,25 @@ class MappingCache
   private:
     /** Unmap @p p (from acquire(@p bytes)) for good. */
     void unmap(void *p, std::size_t bytes) const;
-    /** Claim room for one parked mapping of @p bytes. */
-    bool reserve(std::size_t bytes);
-    /** Park @p p into the room reserve() claimed. */
-    void park(void *p, std::size_t bytes);
+    /** Claim room for one parked mapping keeping @p resident bytes. */
+    bool reserve(std::size_t resident);
+    /** Park @p p into the room reserve(@p resident) claimed. */
+    void park(void *p, std::size_t bytes, std::size_t resident);
 
     struct Parked
     {
         void *ptr;
-        std::size_t bytes;
+        std::size_t resident;
     };
 
     const Bounds bounds;
     const std::size_t guard;
     std::mutex mu;
-    std::vector<Parked> parked;
+    /** Parked mappings by size, each list newest last. */
+    std::unordered_map<std::size_t, std::vector<Parked>> parked;
     /** Parked plus reserved: the quantities the bounds limit. */
     std::size_t heldCount = 0;
-    std::size_t heldBytes = 0;
+    std::size_t heldResident = 0;
     std::atomic<std::uint64_t> hitCount{0};
     std::atomic<std::uint64_t> missCount{0};
 };

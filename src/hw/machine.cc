@@ -483,7 +483,7 @@ Machine::register_kernel_stats()
     });
 
     // Kernel allocation telemetry: event-node pool traffic, EventFn
-    // heap spills and payload-pool traffic. The CI perf job asserts
+    // heap spills and payload-pool traffic. CTest gate_alloc asserts
     // that pool_miss and fn_heap stop growing once a workload reaches
     // steady state — the zero-allocation contract of the hot path.
     statsReg.add_gauge("sim.alloc.pool_hits", [this]() {

@@ -12,14 +12,16 @@ namespace ap::hw
 namespace
 {
 
-/** Retired images, all-zero. The bounds hold the biggest churn
- *  patterns (a few small machines rebuilt in a loop) without pinning
- *  one large run's worth of cells forever. */
+/** Retired images, all-zero. The mapping bound holds every image of
+ *  several machine shapes built in turn (4,032 images for 64, 256
+ *  and 1024 cells at 1, 4 and 16 MB each), one VMA each, far below
+ *  the kernel's default vm.max_map_count of 65,530. The byte bound
+ *  caps the written pages those images keep resident. */
 MappingCache &
 image_cache()
 {
     static auto *cache = new MappingCache(
-        {.mappings = 64, .bytes = std::size_t{512} << 20}, 0);
+        {.mappings = 8192, .resident = std::size_t{512} << 20}, 0);
     return *cache;
 }
 
@@ -46,7 +48,17 @@ CellMemory::CellMemory(std::size_t bytes)
 
 CellMemory::~CellMemory()
 {
-    image_cache().release(data, numBytes, [this] { zero_written(); });
+    image_cache().release(data, numBytes, written_bytes(),
+                          [this] { zero_written(); });
+}
+
+std::size_t
+CellMemory::written_bytes() const
+{
+    std::size_t pages = 0;
+    for (std::uint64_t bits : written)
+        pages += static_cast<std::size_t>(std::popcount(bits));
+    return pages << page_shift;
 }
 
 void

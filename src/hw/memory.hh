@@ -27,13 +27,14 @@ namespace ap::hw
  * The image is an anonymous mapping from a process-wide
  * MappingCache. The write accessors mark every 4 KB page they touch
  * in a bitmap, so each unmarked page still reads zero. The destructor
- * zeroes only the marked pages, and only when the cache parks the
- * image for the next same-size CellMemory; an image the cache has no
- * room for is unmapped as it is. Drivers that build thousands of
- * short-lived machines (stress harnesses, micro-benchmarks) therefore
- * pay for the pages a run wrote, not for the DRAM capacity: no memset
- * at construction, none of unwritten pages at teardown, and no
- * page-fault storm re-faulting a fresh mapping every iteration.
+ * tells the cache the marked pages are what the image keeps resident,
+ * and zeroes only them, only when the cache parks the image for the
+ * next same-size CellMemory; an image the cache has no room for is
+ * unmapped as it is. Drivers that build thousands of short-lived
+ * machines (stress harnesses, micro-benchmarks) therefore pay for the
+ * pages a run wrote, not for the DRAM capacity: no memset at
+ * construction, none of unwritten pages at teardown, and a machine
+ * rebuilt in a shape seen before maps, faults and unmaps nothing.
  */
 class CellMemory
 {
@@ -101,6 +102,10 @@ class CellMemory
         for (std::size_t p = addr >> page_shift; p <= last; ++p)
             written[p / 64] |= std::uint64_t{1} << (p % 64);
     }
+
+    /** Bytes of the written pages: what the image keeps resident
+     *  beyond what an earlier user left. */
+    std::size_t written_bytes() const;
 
     /** Zero the written pages and unmark them: the image reads
      *  all-zero again. */

@@ -9,8 +9,8 @@
  *             the per-event std::function<void()>. Closures up to
  *             inline_capacity bytes live inside the event node; only
  *             oversized or throwing-move captures fall back to the
- *             heap (counted, so the zero-allocation CI assertion can
- *             see them).
+ *             heap (counted, so the zero-allocation gate can see
+ *             them).
  *
  *   EventPool A freelist + arena for EventNode. Nodes are carved from
  *             block allocations and recycled forever; after warmup a

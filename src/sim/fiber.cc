@@ -160,7 +160,7 @@ MappingCache &
 stack_cache()
 {
     static auto *cache = new MappingCache(
-        {.mappings = 2048, .bytes = 2048 * Fiber::stack_bytes}, 4096);
+        {.mappings = 2048, .resident = 2048 * Fiber::stack_bytes}, 4096);
     return *cache;
 }
 
@@ -196,7 +196,8 @@ Fiber::~Fiber()
     // stack's next user.
     __asan_unpoison_memory_region(stack, stack_bytes);
 #endif
-    stack_cache().release(stack, stack_bytes, [] {});
+    // A stack is never cleaned, so all of it counts as resident.
+    stack_cache().release(stack, stack_bytes, stack_bytes, [] {});
 }
 
 std::uint64_t

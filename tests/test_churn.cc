@@ -1,19 +1,25 @@
 /**
  * @file
  * Machine churn: building and destroying machines of mixed shapes
- * in a loop must not grow the resident set. DRAM images and fiber
- * stacks come from bounded mapping caches; a stack or image that
- * slid onto the malloc heap would leave its pages behind with every
- * machine.
+ * in a loop must not grow the resident set, and once every shape has
+ * been built, a rebuild must map no DRAM image and take almost no
+ * page faults. DRAM images and fiber stacks come from bounded mapping
+ * caches; a stack or image that slid onto the malloc heap would leave
+ * its pages behind with every machine, and one the cache could not
+ * hold would be mapped and faulted in anew.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/ap1000p.hh"
+#include "hw/memory.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -35,6 +41,15 @@ resident_mb()
             kb = std::strtod(line + 6, nullptr);
     std::fclose(f);
     return kb / 1024;
+}
+
+/** This process's minor page faults so far. */
+long
+minor_faults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
 }
 
 /** Build a machine, run a barrier and one 4 KB PUT per cell, tear
@@ -72,10 +87,20 @@ TEST(Churn, ResidentSetStopsGrowing)
     const Shape shapes[] = {{1024, 4}, {256, 16}, {1024, 1}, {64, 4}};
     double round2 = 0;
     for (int round = 1; round <= 8; ++round) {
+        std::uint64_t miss0 = hw::CellMemory::image_cache_misses();
+        long faults0 = minor_faults();
         for (const Shape &s : shapes)
             churn(s.cells, s.mbPerCell);
+        std::uint64_t misses = hw::CellMemory::image_cache_misses() - miss0;
+        long faults = minor_faults() - faults0;
         if (round == 2)
             round2 = resident_mb();
+        if (round < 3)
+            continue;
+        // Every shape was built before: each image comes back parked
+        // and its written pages are still resident.
+        EXPECT_EQ(misses, 0u) << "round " << round;
+        EXPECT_LT(faults, 256) << "round " << round;
     }
     double round8 = resident_mb();
     ASSERT_GT(round2, 0);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests of the mapping cache and of the DRAM image recycling it
- * backs: exact-size reuse, retention bounds, the guard page, and a
- * teardown that zeroes only the pages a cell wrote.
+ * backs: exact-size reuse from one list per size, retention bounds on
+ * mappings and on resident bytes, the guard page, and a teardown that
+ * zeroes only the pages a cell wrote.
  */
 
 #include <gtest/gtest.h>
@@ -54,10 +55,10 @@ all_zero(const hw::CellMemory &mem)
 
 TEST(MappingCache, RecyclesExactSizesOnly)
 {
-    MappingCache cache({.mappings = 4, .bytes = 64 * page}, 0);
+    MappingCache cache({.mappings = 4, .resident = 64 * page}, 0);
     void *a = cache.acquire(4 * page);
     static_cast<char *>(a)[0] = 7;
-    cache.release(a, 4 * page, [] {});
+    cache.release(a, 4 * page, page, [] {});
     EXPECT_EQ(cache.misses(), 1u);
 
     // Another size maps fresh; the same size gets the parked mapping
@@ -68,19 +69,46 @@ TEST(MappingCache, RecyclesExactSizesOnly)
     EXPECT_EQ(c, a);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(static_cast<char *>(c)[0], 7);
-    cache.release(b, 8 * page, [] {});
-    cache.release(c, 4 * page, [] {});
+    cache.release(b, 8 * page, 0, [] {});
+    cache.release(c, 4 * page, page, [] {});
+}
+
+TEST(MappingCache, InterleavedSizesGetTheirOwnNewest)
+{
+    MappingCache cache({.mappings = 8, .resident = 64 * page}, 0);
+    void *small[2], *large[2];
+    for (int i = 0; i < 2; ++i) {
+        small[i] = cache.acquire(page);
+        large[i] = cache.acquire(16 * page);
+    }
+    // Parked in turn: small 0, large 0, small 1, large 1.
+    for (int i = 0; i < 2; ++i) {
+        cache.release(small[i], page, 0, [] {});
+        cache.release(large[i], 16 * page, 0, [] {});
+    }
+    // Each size hands back its own mappings, newest first, whatever
+    // the other size parked in between.
+    EXPECT_EQ(cache.acquire(16 * page), large[1]);
+    EXPECT_EQ(cache.acquire(page), small[1]);
+    EXPECT_EQ(cache.acquire(page), small[0]);
+    EXPECT_EQ(cache.acquire(16 * page), large[0]);
+    EXPECT_EQ(cache.hits(), 4u);
+    EXPECT_EQ(cache.misses(), 4u);
+    for (int i = 0; i < 2; ++i) {
+        cache.release(small[i], page, 0, [] {});
+        cache.release(large[i], 16 * page, 0, [] {});
+    }
 }
 
 TEST(MappingCache, CleansOnlyWhatItParks)
 {
-    MappingCache cache({.mappings = 2, .bytes = 64 * page}, 0);
+    MappingCache cache({.mappings = 2, .resident = 64 * page}, 0);
     std::vector<void *> maps;
     for (int i = 0; i < 3; ++i)
         maps.push_back(cache.acquire(page));
     int cleaned = 0;
     for (void *p : maps)
-        cache.release(p, page, [&] { ++cleaned; });
+        cache.release(p, page, page, [&] { ++cleaned; });
     // The third release is past the mapping bound: unmapped, never
     // cleaned.
     EXPECT_EQ(cleaned, 2);
@@ -88,27 +116,57 @@ TEST(MappingCache, CleansOnlyWhatItParks)
         maps[static_cast<std::size_t>(i)] = cache.acquire(page);
     EXPECT_EQ(cache.hits(), 2u);
     EXPECT_EQ(cache.misses(), 4u);
-
-    // The byte bound holds as well: 48 pages parked, 16 more fit.
-    MappingCache bytes({.mappings = 8, .bytes = 64 * page}, 0);
-    void *big = bytes.acquire(48 * page);
-    void *mid = bytes.acquire(32 * page);
-    cleaned = 0;
-    bytes.release(big, 48 * page, [&] { ++cleaned; });
-    bytes.release(mid, 32 * page, [&] { ++cleaned; });
-    EXPECT_EQ(cleaned, 1);
     for (std::size_t i = 0; i < maps.size(); ++i)
-        cache.release(maps[i], page, [] {});
+        cache.release(maps[i], page, page, [] {});
+}
+
+TEST(MappingCache, ByteBoundCountsResidentBytes)
+{
+    MappingCache cache({.mappings = 8, .resident = 64 * page}, 0);
+    void *a = cache.acquire(48 * page);
+    void *b = cache.acquire(32 * page);
+    void *c = cache.acquire(32 * page);
+    int cleaned = 0;
+    // 48 resident pages parked leave room for 16: a release keeping
+    // 17 is unmapped and never cleaned, one keeping 16 fits exactly.
+    cache.release(a, 48 * page, 48 * page, [&] { ++cleaned; });
+    cache.release(b, 32 * page, 17 * page, [&] { ++cleaned; });
+    EXPECT_EQ(cleaned, 1);
+    cache.release(c, 32 * page, 16 * page, [&] { ++cleaned; });
+    EXPECT_EQ(cleaned, 2);
+    EXPECT_EQ(cache.acquire(32 * page), c);
+    EXPECT_EQ(cache.acquire(48 * page), a);
+    EXPECT_EQ(cache.hits(), 2u);
+    cache.release(a, 48 * page, 48 * page, [] {});
+    cache.release(c, 32 * page, 16 * page, [] {});
+}
+
+TEST(MappingCache, MappingLargerThanTheBudgetParksWhenBarelyTouched)
+{
+    // 256 pages of address space against a 4-page budget: what it
+    // keeps resident decides, not its size.
+    MappingCache cache({.mappings = 2, .resident = 4 * page}, 0);
+    void *big = cache.acquire(256 * page);
+    static_cast<char *>(big)[0] = 1;
+    int cleaned = 0;
+    cache.release(big, 256 * page, page, [&] {
+        static_cast<char *>(big)[0] = 0;
+        ++cleaned;
+    });
+    EXPECT_EQ(cleaned, 1);
+    EXPECT_EQ(cache.acquire(256 * page), big);
+    EXPECT_EQ(cache.hits(), 1u);
+    cache.release(big, 256 * page, page, [] {});
 }
 
 TEST(MappingCacheDeathTest, GuardPageBelowEveryMapping)
 {
-    MappingCache cache({.mappings = 1, .bytes = page}, page);
+    MappingCache cache({.mappings = 1, .resident = page}, page);
     auto *p = static_cast<volatile char *>(cache.acquire(page));
     p[0] = 1;
     p[page - 1] = 1;
     EXPECT_DEATH(p[-1] = 1, "");
-    cache.release(const_cast<char *>(p), page, [] {});
+    cache.release(const_cast<char *>(p), page, page, [] {});
 }
 
 TEST(CellMemory, TeardownZeroesOnlyWrittenPages)

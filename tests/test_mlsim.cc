@@ -1,18 +1,21 @@
 /**
  * @file
  * MLSim tests: parameter file round trips, trace serialization,
- * replay semantics (flag waits, receives, collectives), and the
- * model-level properties the paper's evaluation rests on.
+ * replay semantics (flag waits, receives, collectives), the
+ * model-level properties the paper's evaluation rests on, and a
+ * replay of paper traces that spills no event closure to the heap.
  */
 
 #include <gtest/gtest.h>
 
+#include "apps/app.hh"
 #include "base/logging.hh"
 #include "core/ap1000p.hh"
 #include "mlsim/costmodel.hh"
 #include "mlsim/params.hh"
 #include "mlsim/replay.hh"
 #include "mlsim/trace_file.hh"
+#include "sim/event.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -460,4 +463,22 @@ TEST(Replay, IdleDominatesWhenLoadImbalanced)
     EXPECT_FALSE(r.deadlock);
     EXPECT_GT(r.cells[1].idleUs, r.cells[1].execUs * 10);
     EXPECT_LT(r.cells[0].idleUs, 10.0);
+}
+
+TEST(Replay, PaperTracesSpillNoClosureToTheHeap)
+{
+    // Each message's receive-side effect moves into its arrival event
+    // and then its ready event, inline in both: replaying the paper's
+    // message traces allocates no closure, under either handling.
+    for (const char *name : {"TC no st", "SCG"}) {
+        Trace trace = apps::make_app(name)->generate();
+        for (const Params &p : {Params::ap1000(), Params::ap1000_plus()}) {
+            std::uint64_t spills = sim::eventfn_heap_allocs();
+            ReplayReport r = Replay(trace, p).run();
+            ASSERT_FALSE(r.deadlock) << name << ", " << p.name;
+            EXPECT_GT(r.messages, 0u) << name;
+            EXPECT_EQ(sim::eventfn_heap_allocs(), spills)
+                << name << ", " << p.name;
+        }
+    }
 }
