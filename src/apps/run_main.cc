@@ -93,9 +93,7 @@ usage(const char *prog)
         "  --flight-dump=FILE write the flight-recorder rings as\n"
         "                     Chrome trace JSON\n"
         "  --postmortem-out=FILE  on CommError, also dump the full\n"
-        "                     flight rings there\n"
-        "  --debug-flags=A,B  narrate categories to stderr "
-        "(MSC,DMA,TNet,Fault,...)\n",
+        "                     flight rings there\n",
         prog);
 }
 

@@ -190,67 +190,13 @@ Machine::Machine(MachineConfig config)
     }
     for (const sim::FaultPlan::CellKill &k : cfg.faults.kills)
         kill_cell(k.cell, us_to_ticks(k.atUs));
-    // Kernel telemetry taps: on more than one shard the kernel
-    // reports each parallel window through this hook (fired on the
-    // coordinator while every worker is parked) and the machine
-    // forwards it to the span layer: barrier_wait stage spans, and in
-    // full mode per-worker window spans plus imbalance/barrier-wait
-    // counters.
+    // On more than one shard the kernel calls this hook after each
+    // window's barrier, with every worker parked: the T-net's shard
+    // rows fold into its machine-wide totals there.
     simulator.set_window_hook(
-        [this](const sim::WindowRecord &w) { on_window(w); });
+        [this](const sim::WindowRecord &) { tnetNet.fold_stats(); });
     register_stats();
     register_kernel_stats();
-}
-
-void
-Machine::on_window(const sim::WindowRecord &w)
-{
-    tnetNet.fold_stats();
-    int shards = static_cast<int>(w.shards.size());
-    // Idle (barrier_wait) attribution in model time: the window ends
-    // when its busiest shard executes its last event; every other
-    // shard waited from its own last event (or the window start if it
-    // had none) until then. The straggler gets no span.
-    Tick windowDone = 0;
-    for (const sim::WindowShard &ws : w.shards)
-        windowDone = std::max(windowDone, ws.last);
-    // Everything recorded here exists only because the run was
-    // parallel: count it apart so spans.* match a sequential run.
-    std::uint64_t recorded0 = spanLayer.recorded();
-    std::uint64_t logged0 = spanLayer.events().size();
-    std::uint64_t dropped0 = spanLayer.full_dropped();
-    if (spanLayer.on() && shards > 1 && windowDone > 0) {
-        std::uint64_t tid = spanLayer.new_trace(obs::machine_track);
-        for (int s = 0; s < shards; ++s) {
-            const sim::WindowShard &ws =
-                w.shards[static_cast<std::size_t>(s)];
-            Tick from = ws.events > 0 ? ws.last : w.start;
-            if (from >= windowDone)
-                continue;
-            spanLayer.record(
-                -1, tid, obs::SpanStage::barrier_wait, from,
-                windowDone, obs::SpanOp::none,
-                static_cast<std::uint32_t>(
-                    std::min<std::uint64_t>(ws.events, UINT32_MAX)));
-        }
-    }
-    if (spanLayer.full()) {
-        for (int s = 0; s < shards; ++s) {
-            const sim::WindowShard &ws =
-                w.shards[static_cast<std::size_t>(s)];
-            if (ws.events > 0)
-                spanLayer.span(obs::worker_track(s), "kernel", "window",
-                               w.start, ws.last, {"window", w.index},
-                               {"events", ws.events});
-        }
-        spanLayer.counter(obs::machine_track, "kernel",
-                          "imbalance_x1000", w.start, w.imbalanceX1000);
-        spanLayer.counter(obs::machine_track, "kernel",
-                          "barrier_wait_ns", w.start, w.barrierWaitNs);
-    }
-    windowSpans.recorded += spanLayer.recorded() - recorded0;
-    windowSpans.logged += spanLayer.events().size() - logged0;
-    windowSpans.dropped += spanLayer.full_dropped() - dropped0;
 }
 
 void
@@ -396,16 +342,12 @@ Machine::register_stats()
     statsReg.add_gauge("snet.episodes",
                        [this]() { return snetNet.total_episodes(); });
 
-    // What the window hook recorded is counted under sim.window.
-    statsReg.add_gauge("spans.recorded", [this]() {
-        return spanLayer.recorded() - windowSpans.recorded;
-    });
-    statsReg.add_gauge("spans.full_log_events", [this]() {
-        return spanLayer.events().size() - windowSpans.logged;
-    });
-    statsReg.add_gauge("spans.full_dropped", [this]() {
-        return spanLayer.full_dropped() - windowSpans.dropped;
-    });
+    statsReg.add_gauge("spans.recorded",
+                       [this]() { return spanLayer.recorded(); });
+    statsReg.add_gauge("spans.full_log_events",
+                       [this]() { return spanLayer.events().size(); });
+    statsReg.add_gauge("spans.full_dropped",
+                       [this]() { return spanLayer.full_dropped(); });
 
     // Fault counts live in the injector's per-cell rows.
     using F = sim::FaultStats;
@@ -554,12 +496,6 @@ Machine::register_kernel_stats()
     statsReg.add_gauge("sim.window.imbalance_avg_x1000", [&w]() {
         return w.windows ? w.imbalanceSumX1000 / w.windows : 0;
     });
-    statsReg.add_gauge("sim.window.spans.recorded",
-                       &windowSpans.recorded);
-    statsReg.add_gauge("sim.window.spans.full_log_events",
-                       &windowSpans.logged);
-    statsReg.add_gauge("sim.window.spans.full_dropped",
-                       &windowSpans.dropped);
 
     for (int s = 0; s < simulator.shards(); ++s) {
         const sim::ShardStats &st = simulator.shard_stats(s);

@@ -266,7 +266,6 @@ class Machine
   private:
     void register_stats();
     void register_kernel_stats();
-    void on_window(const sim::WindowRecord &w);
     /** The kill event: runs on @p id 's timeline at its kill tick. */
     void fail_cell(CellId id);
     /** The receiver of both networks: hands @p msg to its
@@ -301,14 +300,6 @@ class Machine
     std::function<void(CellId)> killHook;
     obs::StatsRegistry statsReg;
     std::unique_ptr<obs::TimelineSampler> samplerPtr;
-    /** Span-layer events the window hook added (parallel runs only),
-     *  kept out of spans.* and reported under sim.window.spans.*. */
-    struct
-    {
-        std::uint64_t recorded = 0;
-        std::uint64_t logged = 0;
-        std::uint64_t dropped = 0;
-    } windowSpans;
 };
 
 } // namespace ap::hw

@@ -1,7 +1,6 @@
 #include "hw/mc.hh"
 
 #include "hw/dma.hh"
-#include "obs/debug.hh"
 
 namespace ap::hw
 {
@@ -18,14 +17,10 @@ Mc::increment_flag(Addr addr)
     Translation t = mmuUnit.translate(addr, true);
     if (!t.valid) {
         ++mcStats.flagFaults;
-        AP_DPRINTF(MC, "flag fault at 0x%llx",
-                   static_cast<unsigned long long>(addr));
         return false;
     }
     mem.fetch_increment_u32(t.paddr);
     ++mcStats.flagIncrements;
-    AP_DPRINTF(MC, "flag increment at 0x%llx",
-               static_cast<unsigned long long>(addr));
     flagCond.notify_all();
     return true;
 }

@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "hw/cell.hh"
 #include "hw/dma.hh"
-#include "obs/debug.hh"
 
 namespace ap::hw
 {
@@ -28,10 +27,8 @@ bool
 Msc::injected_fault()
 {
     bool hit = faults.active() && faults.inject_page_fault(cell.id());
-    if (hit) {
+    if (hit)
         note("fault", "injected_page_fault");
-        AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
-    }
     return hit;
 }
 
@@ -64,17 +61,11 @@ Msc::enqueue(CommandQueue &q, Command cmd)
 {
     cmd.issuedAt = sim.now();
     bool force = faults.active() && faults.force_overflow(cell.id());
-    if (force) {
+    if (force)
         note("fault", "forced_spill");
-        AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
-                   queue_name(q));
-    }
     bool spilled = q.push(std::move(cmd), force);
-    if (spilled) {
+    if (spilled)
         note("queue", "spill:", queue_name(q));
-        AP_DPRINTF(Queue, "cell %d: %s spilled (depth %d)", cell.id(),
-                   queue_name(q), q.spill_depth());
-    }
     // A forced spill can land in an otherwise-empty queue; make sure
     // the refill interrupt is pending before kick() skips the queue
     // for having no hardware-resident commands.
@@ -163,13 +154,9 @@ Msc::maybe_refill(CommandQueue &q)
     q.set_refill_scheduled(true);
     sim.schedule_after(us_to_ticks(interrupt_us),
                        [this, &q]() {
-                           int moved = q.refill();
+                           q.refill();
                            q.set_refill_scheduled(false);
                            note("queue", "refill:", queue_name(q));
-                           AP_DPRINTF(Queue,
-                                      "cell %d: %s refilled %d "
-                                      "commands", cell.id(),
-                                      queue_name(q), moved);
                            kick();
                        });
 }
@@ -220,7 +207,7 @@ Msc::process(Command cmd, Tick start)
       case CommandKind::put:
       case CommandKind::send: {
         if (injected_fault()) {
-            local_fault(cmd.laddr);
+            local_fault();
             return;
         }
         payload = pool.acquire();
@@ -229,7 +216,7 @@ Msc::process(Command cmd, Tick start)
                                         cmd.localStride, payload);
         if (!r.ok) {
             pool.release(std::move(payload));
-            local_fault(r.faultAddr);
+            local_fault();
             return;
         }
         break;
@@ -237,7 +224,7 @@ Msc::process(Command cmd, Tick start)
       case CommandKind::get_reply: {
         if (!cmd.isAckProbe) {
             if (injected_fault()) {
-                local_fault(cmd.raddr);
+                local_fault();
                 return;
             }
             payload = pool.acquire();
@@ -246,7 +233,7 @@ Msc::process(Command cmd, Tick start)
                 cmd.remoteStride, payload);
             if (!r.ok) {
                 pool.release(std::move(payload));
-                local_fault(r.faultAddr);
+                local_fault();
                 return;
             }
         }
@@ -332,9 +319,6 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
         break;
     }
 
-    AP_DPRINTF(MSC, "cell %d: sent %s to cell %d (%llu bytes)",
-               cell.id(), to_string(cmd.kind), cmd.dst,
-               static_cast<unsigned long long>(msg.payload.size()));
     tnet.send(std::move(msg));
 
     mscStats.cmdLatencyUs.sample(
@@ -374,20 +358,17 @@ Msc::sender_idle()
 }
 
 void
-Msc::local_fault(Addr addr)
+Msc::local_fault()
 {
     ++mscStats.localFaults;
     note("fault", "local_fault");
-    AP_DPRINTF(Fault, "cell %d: local fault at 0x%llx (command "
-               "dropped)", cell.id(),
-               static_cast<unsigned long long>(addr));
     // The OS services the fault; the command is dropped.
     sim.schedule_after(us_to_ticks(interrupt_us),
                        [this]() { sender_idle(); });
 }
 
 void
-Msc::remote_fault(Addr addr)
+Msc::remote_fault()
 {
     // "If a page fault happens in a remote cell during message
     // transfer, the MSC+ interrupts the operating system and pulls
@@ -395,9 +376,6 @@ Msc::remote_fault(Addr addr)
     ++mscStats.remoteFaults;
     ++mscStats.flushedMessages;
     note("fault", "remote_fault_flush");
-    AP_DPRINTF(Fault, "cell %d: remote fault at 0x%llx (message "
-               "flushed)", cell.id(),
-               static_cast<unsigned long long>(addr));
     recvBusyUntil =
         std::max(recvBusyUntil, sim.now()) +
         us_to_ticks(interrupt_us);
@@ -417,9 +395,6 @@ Msc::deliver(net::Message msg)
     recvBusyUntil = finish;
     spans.record(cell.id(), msg.traceId, obs::SpanStage::dma_recv,
                  sim.now(), finish);
-    AP_DPRINTF(DMA, "cell %d: recv DMA of %s from cell %d (%llu "
-               "bytes)", cell.id(), net::to_string(msg.kind), msg.src,
-               static_cast<unsigned long long>(msg.payload.size()));
     auto fire = [this, msg = std::move(msg)]() mutable {
         receive_body(std::move(msg));
     };
@@ -433,8 +408,6 @@ void
 Msc::receive_body(net::Message msg)
 {
     mscStats.payloadBytesReceived += msg.payload.size();
-    AP_DPRINTF(MSC, "cell %d: received %s from cell %d", cell.id(),
-               net::to_string(msg.kind), msg.src);
 
     switch (msg.kind) {
       case net::MsgKind::put_data: {
@@ -447,14 +420,14 @@ Msc::receive_body(net::Message msg)
         } else {
             ++mscStats.putsReceived;
             if (injected_fault()) {
-                remote_fault(msg.raddr);
+                remote_fault();
                 return;
             }
             DmaResult r = DmaEngine::scatter(
                 cell.mc().mmu(), cell.mc().memory(), msg.raddr,
                 msg.remoteStride, msg.payload);
             if (!r.ok) {
-                remote_fault(r.faultAddr);
+                remote_fault();
                 return;
             }
             pool.release(std::move(msg.payload));
@@ -485,14 +458,14 @@ Msc::receive_body(net::Message msg)
         ++mscStats.getRepliesReceived;
         if (!msg.isAckProbe && !msg.payload.empty()) {
             if (injected_fault()) {
-                remote_fault(msg.laddr);
+                remote_fault();
                 return;
             }
             DmaResult r = DmaEngine::scatter(
                 cell.mc().mmu(), cell.mc().memory(), msg.laddr,
                 msg.localStride, msg.payload);
             if (!r.ok) {
-                remote_fault(r.faultAddr);
+                remote_fault();
                 return;
             }
             pool.release(std::move(msg.payload));
@@ -523,7 +496,7 @@ Msc::receive_body(net::Message msg)
                 cell.mc().regs().store(index + static_cast<int>(w), v);
             }
         } else if (!cell.mc().store(msg.raddr, msg.payload)) {
-            remote_fault(msg.raddr);
+            remote_fault();
             return;
         }
         pool.release(std::move(msg.payload));
@@ -550,7 +523,7 @@ Msc::receive_body(net::Message msg)
                                         cell.mc().memory(), msg.raddr,
                                         msg.remoteStride, data);
         if (!r.ok) {
-            remote_fault(r.faultAddr);
+            remote_fault();
             return;
         }
         Command reply;
@@ -571,7 +544,7 @@ Msc::receive_body(net::Message msg)
       case net::MsgKind::broadcast: {
         // B-net data distribution: land the payload like a PUT.
         if (injected_fault()) {
-            remote_fault(msg.raddr);
+            remote_fault();
             return;
         }
         DmaResult r = DmaEngine::scatter(
@@ -580,7 +553,7 @@ Msc::receive_body(net::Message msg)
                 msg.payload.size())),
             msg.payload);
         if (!r.ok) {
-            remote_fault(r.faultAddr);
+            remote_fault();
             return;
         }
         pool.release(std::move(msg.payload));

@@ -197,8 +197,8 @@ class Msc
     void finish_send(Command cmd, std::vector<std::uint8_t> payload,
                      Tick start);
     void receive_body(net::Message msg);
-    void local_fault(Addr addr);
-    void remote_fault(Addr addr);
+    void local_fault();
+    void remote_fault();
 
     sim::Simulator &sim;
     const mlsim::Params &costs;

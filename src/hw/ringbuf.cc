@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::hw
 {
@@ -24,13 +23,8 @@ RingBuffer::deposit(SendRecord rec)
         capacityBytes *= 2;
         ++rbStats.growInterrupts;
         spans.instant(cell, "ring", "ring_grow", sim.now());
-        AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
-                   capacityBytes);
     }
     usedBytes += rec.payload.size();
-    AP_DPRINTF(Ring, "deposit from cell %d tag %d (%zu bytes, depth "
-               "%zu)", rec.src, rec.tag, rec.payload.size(),
-               records.size() + 1);
     rec.depositedAt = sim.now();
     spans.record(cell, rec.traceId, obs::SpanStage::ring_deposit,
                  rec.depositedAt, rec.depositedAt);

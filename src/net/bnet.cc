@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/debug.hh"
-
 namespace ap::net
 {
 
@@ -39,9 +37,6 @@ Bnet::arbitrate(Message msg, Tick issued)
     netStats.occupancyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(occupy)));
     spans.record(-1, msg.traceId, obs::SpanStage::net, start, arrive);
-    AP_DPRINTF(BNet, "broadcast from cell %d (%llu wire bytes)",
-               msg.src,
-               static_cast<unsigned long long>(msg.wire_bytes()));
 
     for (CellId id = 0; id < numCells; ++id) {
         if (id == msg.src)

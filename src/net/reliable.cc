@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::net
 {
@@ -51,11 +50,6 @@ ReliableNet::send(Message msg)
 
     RnetStats &st = stats_of(src);
     ++st.dataSent;
-
-    AP_DPRINTF(RNet, "send %s %d -> %d seq=%llu ack=%llu",
-               to_string(msg.kind), src, dst,
-               static_cast<unsigned long long>(msg.seq),
-               static_cast<unsigned long long>(msg.ackSeq));
 
     if (ch.window.size() <
         static_cast<std::size_t>(window_size)) {
@@ -124,10 +118,6 @@ ReliableNet::on_timer(CellId src, CellId dst)
         ++p.sends;
         Message copy = p.msg;
         stamp_ack(copy);
-        AP_DPRINTF(RNet, "retransmit %s %d -> %d seq=%llu (try %d)",
-                   to_string(copy.kind), src, dst,
-                   static_cast<unsigned long long>(copy.seq),
-                   p.sends);
         std::uint64_t tid = copy.traceId;
         Tick resent = sim.now();
         Tick arr = tnet.send(std::move(copy));
@@ -162,20 +152,12 @@ ReliableNet::on_deliver(Message msg)
         // Corrupted in flight: drop without acking; the sender's
         // retransmission carries a clean copy.
         ++st.checksumDrops;
-        AP_DPRINTF(RNet, "checksum drop %s %d -> %d seq=%llu",
-                   to_string(msg.kind), src, dst,
-                   static_cast<unsigned long long>(msg.seq));
         return;
     }
 
     RecvChannel &rc = recv_channel(src, dst);
     if (msg.seq < rc.expected || rc.ooo.count(msg.seq)) {
         ++st.dupDrops;
-        AP_DPRINTF(RNet, "dup drop %s %d -> %d seq=%llu (expect "
-                   "%llu)",
-                   to_string(msg.kind), src, dst,
-                   static_cast<unsigned long long>(msg.seq),
-                   static_cast<unsigned long long>(rc.expected));
         // Re-ack so a sender whose ack was lost stops retransmitting.
         schedule_ack(src, dst);
         return;

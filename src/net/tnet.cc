@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::net
 {
@@ -114,11 +113,6 @@ Tnet::send(Message msg)
     st.latencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(arrive - inject)));
 
-    AP_DPRINTF(TNet, "%s %d -> %d (%llu wire bytes, %.2f us)",
-               to_string(msg.kind), msg.src, msg.dst,
-               static_cast<unsigned long long>(msg.wire_bytes()),
-               ticks_to_us(arrive - inject));
-
     if (inject_faults) {
         using Hold = sim::FaultInjector::HoldKind;
         if (f.drop) {
@@ -128,16 +122,12 @@ Tnet::send(Message msg)
             spans.record(msg.dst, msg.traceId, obs::SpanStage::net,
                          inject, arrive, obs::SpanOp::none, 1);
             note_fault("drop:", msg.kind);
-            AP_DPRINTF(Fault, "dropped %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             return arrive;
         }
         if (f.duplicate &&
             faults.try_hold(msg.src, Hold::duplicate, inject, arrive)) {
             ++st.duplicated;
             note_fault("duplicate:", msg.kind);
-            AP_DPRINTF(Fault, "duplicated %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             schedule_delivery(msg, arrive);
         }
         Tick late =
@@ -148,8 +138,6 @@ Tnet::send(Message msg)
             // `last`: later same-pair traffic overtakes this message.
             ++st.reordered;
             note_fault("reorder:", msg.kind);
-            AP_DPRINTF(Fault, "reordered %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             spans.record(msg.dst, msg.traceId, obs::SpanStage::net,
                          inject, late);
             schedule_delivery(std::move(msg), late);
@@ -162,8 +150,6 @@ Tnet::send(Message msg)
             else
                 msg.checksum ^= 1;
             note_fault("corrupt:", msg.kind);
-            AP_DPRINTF(Fault, "corrupted %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
         }
     }
 

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
+#include "base/types.hh"
 
 namespace ap::obs
 {
@@ -29,15 +29,21 @@ consume_obs_arg(const char *arg, ObsOptions &opt)
         return true;
     }
     if (std::strncmp(arg, "--timeline-period-us=", 21) == 0) {
-        opt.timelinePeriodUs = std::atof(arg + 21);
-        if (opt.timelinePeriodUs <= 0.0)
-            fatal("--timeline-period-us needs a positive period");
-        return true;
-    }
-    if (std::strncmp(arg, "--debug-flags=", 14) == 0) {
-        std::string err;
-        if (!parse_debug_flags(arg + 14, &err))
-            fatal("%s", err.c_str());
+        const char *us = arg + 21;
+        char *end = nullptr;
+        double period = std::strtod(us, &end);
+        if (end == us || *end != '\0')
+            fatal("--timeline-period-us=%s: want a period in "
+                  "microseconds", us);
+        // Negated so that NaN fails too; a tick is the model's
+        // resolution, and the upper bound keeps us_to_ticks() inside
+        // the tick range.
+        if (!(period >= ticks_to_us(1) &&
+              period < ticks_to_us(max_tick / 2)))
+            fatal("--timeline-period-us=%s: US must be a finite period "
+                  "of at least one tick (0.001 us) inside the tick "
+                  "range", us);
+        opt.timelinePeriodUs = period;
         return true;
     }
     return false;

@@ -11,8 +11,8 @@
  *                             trace JSON
  *   --timeline-out=FILE       enable the perf-timeline sampler
  *   --timeline-csv=FILE       also write the timeline as CSV
- *   --timeline-period-us=US   sampling period (model time)
- *   --debug-flags=A,B         turn on debug-log categories
+ *   --timeline-period-us=US   sampling period (model time, at least
+ *                             one tick: 0.001 us)
  *
  * consume_obs_arg() recognizes and applies them so each main() needs
  * one line per argv entry. BenchReport is the bench half of the
@@ -60,10 +60,10 @@ struct ObsOptions
 };
 
 /**
- * If @p arg is one of the shared telemetry flags, apply it (including
- * --debug-flags, which takes effect immediately) and return true;
- * otherwise return false so the caller handles it. An unknown debug
- * flag name is a fatal() user error.
+ * If @p arg is one of the shared telemetry flags, record it and return
+ * true; otherwise return false so the caller handles it. A
+ * --timeline-period-us that is not a finite number of microseconds
+ * from one tick up to the tick range is a fatal() user error.
  */
 bool consume_obs_arg(const char *arg, ObsOptions &opt);
 

@@ -114,14 +114,22 @@ analyze_spans(const std::vector<SpanEvent> &events,
 std::string
 CritPathReport::text() const
 {
+    // A truncated log's coverage covers only what it kept: say so on
+    // the coverage line itself, not only below it.
+    std::string scope =
+        dropped == 0
+            ? ""
+            : strprintf(" of the retained events only; %llu span "
+                        "events dropped",
+                        static_cast<unsigned long long>(dropped));
     std::string out = strprintf(
         "critical-path profile: %llu operations, %llu span events\n"
         "  end-to-end %.1f us, attributed %.1f us (coverage "
-        "%.1f%%)\n",
+        "%.1f%%%s)\n",
         static_cast<unsigned long long>(traces),
         static_cast<unsigned long long>(events),
         ticks_to_us(endToEndTicks), ticks_to_us(attributedTicks),
-        coverage() * 100.0);
+        coverage() * 100.0, scope.c_str());
     if (dropped != 0)
         out += strprintf("  PARTIAL: %llu span events dropped at the "
                          "%zu-event bound\n",

@@ -58,21 +58,57 @@ intern(const char *cat, std::string_view name, const char *auxKey,
 }
 
 /** Chrome thread id of @p track: the machine track is 0, cell c is
- *  c + 1, and worker tracks sort after every cell. */
+ *  c + 1. */
 int
 tid_of(std::int32_t track)
 {
-    return track < machine_track ? 1000000 + (-2 - track) : track + 1;
+    return track + 1;
 }
 
 std::string
 track_name(std::int32_t track)
 {
-    if (track == machine_track)
-        return "machine";
-    if (track < machine_track)
-        return strprintf("worker %d", -2 - track);
-    return strprintf("cell %d", track);
+    return track == machine_track ? "machine"
+                                  : strprintf("cell %d", track);
+}
+
+/** One event as a Chrome trace_event object, without separators. */
+std::string
+chrome_event(const SpanEvent &ev)
+{
+    std::string name, args;
+    const char *cat = "span";
+    if (ev.name == 0) {
+        name = to_string(ev.stage);
+        args = strprintf("\"trace\": %llu",
+                         static_cast<unsigned long long>(ev.traceId));
+        if (ev.op != SpanOp::none)
+            args += strprintf(", \"op\": \"%s\"", to_string(ev.op));
+        if (ev.aux != 0)
+            args += strprintf(", \"aux\": %u", ev.aux);
+    } else {
+        const SpanName &n = span_name(ev.name);
+        name = json_escape(n.name);
+        cat = n.cat;
+        if (n.auxKey)
+            args = strprintf("\"%s\": %u", n.auxKey, ev.aux);
+        if (n.aux2Key)
+            args += strprintf("%s\"%s\": %u", args.empty() ? "" : ", ",
+                              n.aux2Key, ev.aux2);
+    }
+    std::string ts = json_number(ticks_to_us(ev.begin));
+    std::string phase =
+        ev.kind == SpanKind::span
+            ? strprintf("\"ph\": \"X\", \"ts\": %s, \"dur\": %s",
+                        ts.c_str(),
+                        json_number(ticks_to_us(ev.end - ev.begin))
+                            .c_str())
+            : strprintf("\"ph\": \"i\", \"s\": \"t\", \"ts\": %s",
+                        ts.c_str());
+    return strprintf("  {\"name\": \"%s\", \"cat\": \"%s\", %s, "
+                     "\"pid\": 1, \"tid\": %d, \"args\": {%s}}",
+                     name.c_str(), cat, phase.c_str(), tid_of(ev.cell),
+                     args.c_str());
 }
 
 } // namespace
@@ -126,8 +162,6 @@ to_string(SpanStage stage)
         return "retransmit";
       case SpanStage::barrier:
         return "barrier";
-      case SpanStage::barrier_wait:
-        return "barrier_wait";
     }
     return "?";
 }
@@ -184,16 +218,11 @@ SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
     ev.op = op;
     ev.aux = aux;
     recordedCount.fetch_add(1, std::memory_order_relaxed);
-
-    // Window barrier waits are kernel telemetry of parallel runs
-    // only: they stay out of the black box, which must read the same
-    // at any thread count.
-    if (stage != SpanStage::barrier_wait) {
+    {
         std::size_t idx = ring_of(cell);
         std::lock_guard<std::mutex> lock(ringLocks[idx]);
         rings[idx].push(ev);
     }
-
     if (mode_ == SpanMode::full)
         append_full(ev);
 }
@@ -313,55 +342,27 @@ span_chrome_json(const std::vector<SpanEvent> &events,
             tid_of(t), track_name(t).c_str());
     }
 
-    for (const SpanEvent &ev : events) {
-        std::string name, args;
-        const char *cat = "span";
-        if (ev.name == 0) {
-            name = to_string(ev.stage);
-            args = strprintf(
-                "\"trace\": %llu",
-                static_cast<unsigned long long>(ev.traceId));
-            if (ev.op != SpanOp::none)
-                args += strprintf(", \"op\": \"%s\"",
-                                  to_string(ev.op));
-            if (ev.aux != 0)
-                args += strprintf(", \"aux\": %u", ev.aux);
-        } else {
-            const SpanName &n = span_name(ev.name);
-            name = json_escape(n.name);
-            cat = n.cat;
-            if (n.auxKey)
-                args = strprintf("\"%s\": %u", n.auxKey, ev.aux);
-            if (n.aux2Key)
-                args += strprintf("%s\"%s\": %u",
-                                  args.empty() ? "" : ", ",
-                                  n.aux2Key, ev.aux2);
+    // By begin tick, then by rendered text: only the events of one
+    // tick are held rendered at a time.
+    std::vector<const SpanEvent *> order;
+    order.reserve(events.size());
+    for (const SpanEvent &ev : events)
+        order.push_back(&ev);
+    std::sort(order.begin(), order.end(),
+              [](const SpanEvent *a, const SpanEvent *b) {
+                  return a->begin < b->begin;
+              });
+    std::vector<std::string> tick;
+    for (std::size_t i = 0; i < order.size();) {
+        tick.clear();
+        for (Tick at = order[i]->begin;
+             i < order.size() && order[i]->begin == at; ++i)
+            tick.push_back(chrome_event(*order[i]));
+        std::sort(tick.begin(), tick.end());
+        for (const std::string &line : tick) {
+            sep();
+            out += line;
         }
-        std::string phase;
-        switch (ev.kind) {
-          case SpanKind::span:
-            phase = strprintf(
-                "\"ph\": \"X\", \"ts\": %s, \"dur\": %s",
-                json_number(ticks_to_us(ev.begin)).c_str(),
-                json_number(ticks_to_us(ev.end - ev.begin)).c_str());
-            break;
-          case SpanKind::instant:
-            phase = strprintf(
-                "\"ph\": \"i\", \"s\": \"t\", \"ts\": %s",
-                json_number(ticks_to_us(ev.begin)).c_str());
-            break;
-          case SpanKind::counter:
-            phase = strprintf(
-                "\"ph\": \"C\", \"ts\": %s",
-                json_number(ticks_to_us(ev.begin)).c_str());
-            break;
-        }
-        sep();
-        out += strprintf(
-            "  {\"name\": \"%s\", \"cat\": \"%s\", %s, "
-            "\"pid\": 1, \"tid\": %d, \"args\": {%s}}",
-            name.c_str(), cat, phase.c_str(), tid_of(ev.cell),
-            args.c_str());
     }
     out += strprintf("\n], \"displayTimeUnit\": \"ms\", "
                      "\"otherData\": {\"dropped\": %llu}}\n",

@@ -15,10 +15,13 @@
  *
  * Besides those stage events the layer keeps *annotations*: named,
  * untraced events on a track — injected faults, queue spills and
- * refills, processor waits, collective phases, job attempts and
- * kernel windows — as spans, instants or counter samples. They carry
- * trace id 0, live only in the full log and never reach the flight
- * rings or the critical-path profiler.
+ * refills, processor waits, collective phases and job attempts — as
+ * spans or instants. They carry trace id 0, live only in the full log
+ * and never reach the flight rings or the critical-path profiler.
+ * Everything here is model time recorded by the simulated machine;
+ * the parallel kernel's host-time window telemetry lives in the stats
+ * registry under sim.* and in its report, so the stream is the same
+ * at every thread count.
  *
  * Three modes:
  *  - off:    no ids, no events, probes cost one predictable branch;
@@ -32,7 +35,8 @@
  *            (obs/critpath.hh) and `--trace-out` read it.
  *
  * span_chrome_json() is the one Chrome trace_event exporter: it
- * renders the full log, the flight rings and the postmortem dump.
+ * renders the full log, the flight rings and the postmortem dump, in
+ * one order that depends only on the events.
  * SpanEvent is deliberately POD (no strings, no allocation) so the
  * always-on flight path stays near-zero overhead;
  * bench_trace_overhead guards that budget in CI.
@@ -68,17 +72,6 @@ const char *to_string(SpanMode mode);
 /** The machine-wide track, for events not owned by one cell. */
 constexpr std::int32_t machine_track = -1;
 
-/**
- * Track of host worker (shard) @p w of the parallel kernel. Worker
- * tracks live below machine_track so the cell id space stays
- * untouched; span_chrome_json() names them "worker N".
- */
-constexpr std::int32_t
-worker_track(int w)
-{
-    return -2 - w;
-}
-
 /** Pipeline stage one span event describes. */
 enum class SpanStage : std::uint8_t
 {
@@ -92,10 +85,9 @@ enum class SpanStage : std::uint8_t
     ring_receive, ///< buffered SEND waited for its RECEIVE
     retransmit,   ///< reliable-layer go-back-N resend (child span)
     barrier,      ///< S-net episode: first arrival to release
-    barrier_wait, ///< parallel-kernel shard idle at a window barrier
 };
 
-constexpr int span_stage_count = 11;
+constexpr int span_stage_count = 10;
 
 const char *to_string(SpanStage stage);
 
@@ -122,7 +114,6 @@ enum class SpanKind : std::uint8_t
 {
     span,    ///< an interval [begin, end]
     instant, ///< a point in time (begin == end)
-    counter, ///< a sampled value (aux) at begin
 };
 
 /**
@@ -136,11 +127,11 @@ struct SpanEvent
     std::uint64_t traceId = 0; ///< machine-unique operation id
     Tick begin = 0;
     Tick end = 0;
-    /** Track: the owning cell, machine_track or a worker_track(). */
+    /** Track: the owning cell or machine_track. */
     std::int32_t cell = -1;
     /** Stage-specific detail: retransmit try count, 1 for a net
      *  span whose message was dropped in flight. An annotation's
-     *  first number, a counter's value. */
+     *  first number. */
     std::uint32_t aux = 0;
     std::uint32_t aux2 = 0; ///< an annotation's second number
     SpanStage stage = SpanStage::issue;
@@ -178,11 +169,14 @@ struct SpanArg
 
 /**
  * Render @p events as Chrome trace_event JSON: one thread per track
- * ("machine", "cell N", "worker N"), spans as complete "X" events,
- * instants as "i" and counters as "C"; stage events carry their
- * trace id, op and aux in args, annotations their named numbers.
- * @p dropped lands in otherData.dropped: the events the bound that
- * produced @p events discarded.
+ * ("machine", "cell N"), spans as complete "X" events and instants as
+ * "i"; stage events carry their trace id, op and aux in args,
+ * annotations their named numbers. Events come out ordered by begin
+ * tick, then by their rendered text, so the bytes depend only on the
+ * set of events, not on the order they were recorded in (which
+ * differs across kernel thread counts). @p dropped lands in
+ * otherData.dropped: the events the bound that produced @p events
+ * discarded.
  */
 std::string span_chrome_json(const std::vector<SpanEvent> &events,
                              std::uint64_t dropped);
@@ -253,11 +247,11 @@ class SpanLayer
                 SpanOp op = SpanOp::none, std::uint32_t aux = 0);
 
     /**
-     * Annotations: a named span, instant or counter sample on
-     * @p track, under category @p cat. Appended to the full log only
-     * (trace id 0, no flight ring, ignored by critpath); no-ops
-     * unless full(). Numbers go in @p a / @p b, never in @p name, so
-     * names stay a small interned set.
+     * Annotations: a named span or instant on @p track, under
+     * category @p cat. Appended to the full log only (trace id 0, no
+     * flight ring, ignored by critpath); no-ops unless full().
+     * Numbers go in @p a / @p b, never in @p name, so names stay a
+     * small interned set.
      */
     void
     span(std::int32_t track, const char *cat, std::string_view name,
@@ -275,15 +269,6 @@ class SpanLayer
         if (full())
             annotate(SpanKind::instant, track, cat, name, at, at, a,
                      {});
-    }
-
-    void
-    counter(std::int32_t track, const char *cat,
-            std::string_view name, Tick at, std::uint64_t value)
-    {
-        if (full())
-            annotate(SpanKind::counter, track, cat, name, at, at,
-                     SpanArg("value", value), {});
     }
 
     /** Stage events recorded since construction (all modes). */

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::rt
 {
@@ -221,8 +220,6 @@ void
 Runtime::movewait()
 {
     Tick begin = ctx.owner().sim().now();
-    AP_DPRINTF(RTS, "cell %d: movewait (%zu pending puts)", ctx.id(),
-               pendingPuts.size());
     flush_acks();
     try {
         if (ctx.owner().config().retry.enabled()) {

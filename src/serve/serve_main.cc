@@ -61,8 +61,7 @@ usage(const char *prog)
         "  --stats-out=FILE   write the stats registry as JSON\n"
         "  --trace-out=FILE   record full spans, write them as a\n"
         "                     Chrome trace_event timeline\n"
-        "  --timeline-out=FILE  write the perf-timeline JSON\n"
-        "  --debug-flags=A,B  narrate categories to stderr\n",
+        "  --timeline-out=FILE  write the perf-timeline JSON\n",
         prog);
 }
 

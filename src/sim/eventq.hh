@@ -475,10 +475,8 @@ class Simulator
     /**
      * Observer called on the coordinator thread after each parallel
      * window's barrier + merge, while every worker is parked — the
-     * machine quiescent point. The machine uses it to feed the span
-     * layer (the barrier_wait critical-path stage, and per-worker
-     * window annotations in full mode) without the sim layer
-     * depending on obs.
+     * machine quiescent point. The machine folds the T-net's
+     * per-shard counters there.
      */
     using WindowHook = std::function<void(const WindowRecord &)>;
     void set_window_hook(WindowHook hook)

@@ -142,7 +142,7 @@ parse(int argc, char **argv, obs::BenchReport &report)
                 "[--iters=N] [--reliable] [--threads=N] "
                 "[--differential] [--iter-stats] [--json-out=F] "
                 "[--stats-out=F] [--trace-out=F] [--timeline-out=F] "
-                "[--timeline-period-us=US] [--debug-flags=A,B]\n");
+                "[--timeline-period-us=US]\n");
             std::exit(2);
         }
     }

@@ -27,15 +27,34 @@ serve_drill: the ``ap_serve --cells=16 --jobs=32 --drill=kill-cell
     the same at 1 and 4 threads and its ``tnet.dead_cell_drops``
     positive. No drill may print a utilization above 100%.
 
+span_artifacts: every span and profile artifact the drivers write is
+    well-formed and passes tools/check_profile_schema.py. The runs:
+    ``ap_run --cells=8`` with ``--stats-out`` and ``--trace-out``, and
+    again with ``--profile-json`` and ``--flight-dump``; ``stress_put_get
+    --seed=7 --plan=overflow --iters=1`` with ``--stats-out`` and
+    ``--trace-out``; ``bench_ablation_queue --json-out``;
+    ``bench_micro_putget``'s 1 KB PUT latency with ``--profile-out``
+    and ``--span-trace-out``; and ``ap_run --cells=16 --threads=4
+    --profile`` with ``--timeline-out``, ``--profile-json`` and
+    ``--stats-out``. Every JSON file must parse; the four Chrome traces
+    must pass ``chrome``; the two single-thread profiles must pass
+    ``profile --min-coverage=0.95``; the threaded run's timeline and
+    profile must pass ``timeline`` and ``profile``, and its stats must
+    show ``sim.window.count > 0`` and ``sim.shard.0.executed > 0``.
+
 Every run must exit 0.
 
 Usage: test_gates.py determinism PATH/TO/stress_put_get
        test_gates.py tracing PATH/TO/ap_run
        test_gates.py alloc PATH/TO/bench_micro_putget
        test_gates.py serve_drill PATH/TO/ap_serve
+       test_gates.py span_artifacts PATH/TO/ap_run PATH/TO/stress_put_get
+           PATH/TO/bench_micro_putget PATH/TO/bench_ablation_queue
+           PATH/TO/check_profile_schema.py
 Exit status 0 when the gate holds, 1 otherwise.
 """
 
+import glob
 import json
 import os
 import re
@@ -173,16 +192,96 @@ def serve_drill(ap_serve, tmp):
     return 1 if bad else 0
 
 
-GATES = {"determinism": determinism, "tracing": tracing,
-         "alloc": alloc, "serve_drill": serve_drill}
+def schema_check(schema, kind, files, *options):
+    """Run check_profile_schema.py on files; return 1 when it fails."""
+    proc = subprocess.run([sys.executable, schema, kind, *options,
+                           *files], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True,
+                          timeout=60)
+    bad = verdict(proc.returncode == 0,
+                  " ".join([kind, *options,
+                            *(os.path.basename(f) for f in files)]))
+    if bad:
+        print(proc.stdout, end="")
+    return bad
+
+
+def span_artifacts(ap_run, stress, micro, ablation, schema, tmp):
+    def at(name):
+        return os.path.join(tmp, name)
+
+    if run_all([
+            [ap_run, "--cells=8", f"--stats-out={at('ap_run_stats.json')}",
+             f"--trace-out={at('ap_run_trace.json')}"],
+            [stress, "--seed=7", "--plan=overflow", "--iters=1",
+             f"--stats-out={at('stress_stats.json')}",
+             f"--trace-out={at('stress_trace.json')}"],
+            [ablation, f"--json-out={at('BENCH_ablation_queue.json')}"],
+            [ap_run, "--cells=8",
+             f"--profile-json={at('ap_run_profile.json')}",
+             f"--flight-dump={at('ap_run_flight.json')}"],
+            [micro, "--benchmark_filter=BM_PutLatency/1024$",
+             "--benchmark_min_time=0.01", "--profile",
+             f"--profile-out={at('putget_profile.json')}",
+             f"--span-trace-out={at('putget_spans.json')}",
+             f"--json-out={at('BENCH_micro_putget.json')}"],
+            [ap_run, "--cells=16", "--threads=4", "--profile",
+             f"--timeline-out={at('threads4_timeline.json')}",
+             f"--profile-json={at('threads4_profile.json')}",
+             f"--stats-out={at('threads4_stats.json')}"]]) is None:
+        return 1
+
+    bad = 0
+    for path in sorted(glob.glob(at("*.json"))):
+        try:
+            with open(path) as f:
+                json.load(f)
+            valid = True
+        except ValueError:
+            valid = False
+        bad += verdict(valid, f"{os.path.basename(path)} is valid JSON")
+    bad += schema_check(schema, "chrome",
+                        [at("ap_run_trace.json"), at("stress_trace.json"),
+                         at("ap_run_flight.json"), at("putget_spans.json")])
+    bad += schema_check(schema, "profile",
+                        [at("ap_run_profile.json"),
+                         at("putget_profile.json")],
+                        "--min-coverage=0.95")
+    bad += schema_check(schema, "timeline", [at("threads4_timeline.json")])
+    bad += schema_check(schema, "profile", [at("threads4_profile.json")])
+
+    with open(at("threads4_stats.json")) as f:
+        sim = json.load(f)["sim"]
+    windows = sim["window"]["count"]
+    executed = sim["shard"]["0"]["executed"]
+    bad += verdict(windows > 0,
+                   f"--threads=4 sim.window.count = {windows} (must be > 0)")
+    bad += verdict(executed > 0, f"--threads=4 sim.shard.0.executed = "
+                                 f"{executed} (must be > 0)")
+    return 1 if bad else 0
+
+
+GATES = {
+    "determinism": (determinism, ["stress_put_get"]),
+    "tracing": (tracing, ["ap_run"]),
+    "alloc": (alloc, ["bench_micro_putget"]),
+    "serve_drill": (serve_drill, ["ap_serve"]),
+    "span_artifacts": (span_artifacts,
+                       ["ap_run", "stress_put_get", "bench_micro_putget",
+                        "bench_ablation_queue",
+                        "check_profile_schema.py"]),
+}
 
 
 def main():
-    if len(sys.argv) != 3 or sys.argv[1] not in GATES:
-        print(f"usage: test_gates.py {'|'.join(GATES)} PATH/TO/DRIVER")
+    gate = GATES.get(sys.argv[1]) if len(sys.argv) > 1 else None
+    if gate is None or len(sys.argv) != 2 + len(gate[1]):
+        for name, (_, paths) in GATES.items():
+            print(f"usage: test_gates.py {name} "
+                  f"{' '.join('PATH/TO/' + p for p in paths)}")
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        return GATES[sys.argv[1]](sys.argv[2], tmp)
+        return gate[0](*sys.argv[2:], tmp)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
  * @file
  * Telemetry-layer tests: JSON emitter/validator, the stats registry
  * (paths, pattern queries, subtree removal, dumps, per-cell schema
- * rows, golden dumps of two 16-cell runs), debug-flag
- * parsing, span-layer annotations and the Chrome trace
+ * rows, golden dumps of two 16-cell runs), the shared telemetry
+ * flags, span-layer annotations and the Chrome trace
  * Machine::write_trace() renders from them, and the full-log
  * timeline of a two-cell PUT program.
  */
@@ -22,7 +22,6 @@
 #include "core/ap1000p.hh"
 #include "mlsim/costmodel.hh"
 #include "obs/cli.hh"
-#include "obs/debug.hh"
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "obs/stats_registry.hh"
@@ -434,45 +433,10 @@ TEST(StatsRegistry, GoldenOutputsOfAChaosRunWithTheRuntimeAlive)
     }
 }
 
-// ------------------------------------------------------------ debug flags
+// --------------------------------------------------- telemetry flags
 
-namespace
+TEST(ObsArgs, ConsumesOutputPaths)
 {
-
-/** Restore a clean mask around every debug-flag test. */
-struct MaskReset
-{
-    ~MaskReset() { set_debug_mask(0); }
-};
-
-} // namespace
-
-TEST(DebugFlags, ParseAppliesAndRejects)
-{
-    MaskReset reset;
-    set_debug_mask(0);
-    EXPECT_FALSE(debug_enabled(Dbg::MSC));
-
-    EXPECT_TRUE(parse_debug_flags("MSC,dma"));
-    EXPECT_TRUE(debug_enabled(Dbg::MSC));
-    EXPECT_TRUE(debug_enabled(Dbg::DMA));
-    EXPECT_FALSE(debug_enabled(Dbg::TNet));
-
-    std::string err;
-    EXPECT_FALSE(parse_debug_flags("TNet,bogus", &err));
-    EXPECT_NE(err.find("bogus"), std::string::npos);
-    // Known names before the bad one still applied.
-    EXPECT_TRUE(debug_enabled(Dbg::TNet));
-
-    set_debug_mask(0);
-    EXPECT_TRUE(parse_debug_flags("All"));
-    for (Dbg f : all_debug_flags())
-        EXPECT_TRUE(debug_enabled(f)) << to_string(f);
-}
-
-TEST(DebugFlags, ObsArgConsumption)
-{
-    MaskReset reset;
     ObsOptions opt;
     EXPECT_TRUE(consume_obs_arg("--stats-out=s.json", opt));
     EXPECT_TRUE(consume_obs_arg("--trace-out=t.json", opt));
@@ -480,12 +444,26 @@ TEST(DebugFlags, ObsArgConsumption)
     EXPECT_EQ(opt.traceOut, "t.json");
     EXPECT_TRUE(opt.any());
 
-    set_debug_mask(0);
-    EXPECT_TRUE(consume_obs_arg("--debug-flags=Queue", opt));
-    EXPECT_TRUE(debug_enabled(Dbg::Queue));
-
     EXPECT_FALSE(consume_obs_arg("--cells=4", opt));
     EXPECT_FALSE(consume_obs_arg("stray", opt));
+}
+
+TEST(ObsArgsDeathTest, TimelinePeriodIsAFiniteCountOfTicks)
+{
+    ObsOptions opt;
+    EXPECT_TRUE(consume_obs_arg("--timeline-period-us=0.001", opt));
+    EXPECT_EQ(opt.timelinePeriodUs, 0.001);
+    // Non-finite, trailing characters, under one tick, past the tick
+    // range: each exits 1 naming the argument.
+    for (const char *bad : {"inf", "nan", "5x", "", "0.0001", "0", "-5",
+                            "1e300"})
+        EXPECT_EXIT(consume_obs_arg((std::string("--timeline-period-us=") +
+                                     bad).c_str(),
+                                    opt),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: --timeline-period-us=") + bad +
+                        ":")
+            << bad;
 }
 
 // ------------------------------------------- span-layer annotations
@@ -501,11 +479,9 @@ TEST(Annotations, KeepSimulatedTimeAndTrack)
     layer.span(2, "test", "work", us_to_ticks(1.0), us_to_ticks(5.0),
                {"job", 7}, {"attempt", 2});
     layer.instant(machine_track, "test", "mark", us_to_ticks(5.0));
-    layer.counter(worker_track(1), "test", "depth", us_to_ticks(6.0),
-                  42);
 
     const std::vector<SpanEvent> &log = layer.events();
-    ASSERT_EQ(log.size(), 3u);
+    ASSERT_EQ(log.size(), 2u);
     EXPECT_EQ(log[0].kind, SpanKind::span);
     EXPECT_EQ(log[0].begin, us_to_ticks(1.0));
     EXPECT_EQ(log[0].end, us_to_ticks(5.0));
@@ -522,10 +498,6 @@ TEST(Annotations, KeepSimulatedTimeAndTrack)
     EXPECT_EQ(log[1].end, us_to_ticks(5.0));
     EXPECT_EQ(log[1].cell, machine_track);
     EXPECT_EQ(span_name(log[1].name).name, "mark");
-
-    EXPECT_EQ(log[2].kind, SpanKind::counter);
-    EXPECT_EQ(log[2].cell, worker_track(1));
-    EXPECT_EQ(log[2].aux, 42u);
 
     // Annotations are untraced and stay out of the flight rings.
     for (const SpanEvent &ev : log)
@@ -558,21 +530,17 @@ trace_of(const hw::Machine &m, const char *file)
     return doc;
 }
 
-} // namespace
-
-TEST(Annotations, WriteTraceHoldsSpansInstantsAndCounters)
+/** The Chrome trace of a four-cell PUT ring whose cell 3 is killed
+ *  at 200 us, run on @p threads kernel threads. */
+std::string
+kill_ring_trace(int threads)
 {
-    // Two kernel workers give window counters, a killed cell an
-    // instant, and the PUT traffic stage spans.
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
     cfg.memBytesPerCell = 1 << 20;
-    cfg.threads = 2;
+    cfg.threads = threads;
     cfg.spanMode = SpanMode::full;
     cfg.faults.kills.push_back({3, 200.0});
     hw::Machine m(cfg);
-    EXPECT_FALSE(hw::Machine(hw::MachineConfig::ap1000_plus(2))
-                     .write_trace(testing::TempDir() + "off.json"));
-
     core::run_spmd(m, [](core::Context &ctx) {
         Addr buf = ctx.alloc(64);
         Addr rf = ctx.alloc_flag();
@@ -583,18 +551,29 @@ TEST(Annotations, WriteTraceHoldsSpansInstantsAndCounters)
             ctx.put(peer, buf, buf, 64, no_flag, rf);
         ctx.wait_flag(rf, 4);
     });
+    return trace_of(m, "ap_trace_kinds.json");
+}
 
-    std::string doc = trace_of(m, "ap_trace_kinds.json");
+} // namespace
+
+TEST(Annotations, WriteTraceIsTheSameAtEveryThreadCount)
+{
+    // A killed cell gives an instant, the PUT traffic stage spans.
+    EXPECT_FALSE(hw::Machine(hw::MachineConfig::ap1000_plus(2))
+                     .write_trace(testing::TempDir() + "off.json"));
+    std::string doc = kill_ring_trace(1);
     std::string err;
     EXPECT_TRUE(json_valid(doc, &err)) << err;
     EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(doc.find("\"ph\": \"i\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\": \"C\""), std::string::npos);
     EXPECT_NE(doc.find("\"name\": \"kill\""), std::string::npos);
     EXPECT_NE(doc.find("\"args\": {\"cell\": 3}"), std::string::npos);
-    EXPECT_NE(doc.find("\"name\": \"worker 1\""), std::string::npos);
     EXPECT_NE(doc.find("\"otherData\": {\"dropped\": 0}"),
               std::string::npos);
+    // The kernel's windows are host telemetry and stay out: two
+    // threads record the same events, and the exporter's one order
+    // makes the same bytes of them.
+    EXPECT_EQ(kill_ring_trace(2), doc);
 }
 
 TEST(Annotations, OverflowTraceShowsSpillsOnTheTimeline)

@@ -149,10 +149,19 @@ TEST(FullLog, CountsEventsDroppedAtItsBound)
         analyze_spans(layer.events(), layer.full_dropped());
     EXPECT_EQ(rep.dropped, 3u);
     EXPECT_EQ(rep.traces, 1u);
-    EXPECT_NE(rep.text().find("PARTIAL: 3 span events dropped at the "
-                              "1048576-event bound"),
+    std::string text = rep.text();
+    EXPECT_NE(text.find("PARTIAL: 3 span events dropped at the "
+                        "1048576-event bound"),
               std::string::npos)
-        << rep.text();
+        << text;
+    // The coverage line itself says what its percentage covers.
+    std::size_t at = text.find("(coverage ");
+    ASSERT_NE(at, std::string::npos) << text;
+    std::string coverageLine = text.substr(at, text.find('\n', at) - at);
+    EXPECT_EQ(coverageLine,
+              "(coverage 100.0% of the retained events only; 3 span "
+              "events dropped)")
+        << text;
     std::string json = rep.json(false);
     std::string err;
     EXPECT_TRUE(json_valid(json, &err)) << err;
@@ -161,6 +170,9 @@ TEST(FullLog, CountsEventsDroppedAtItsBound)
     // A complete log reports nothing partial.
     CritPathReport whole = analyze_spans(layer.events());
     EXPECT_EQ(whole.text().find("PARTIAL"), std::string::npos);
+    EXPECT_NE(whole.text().find("(coverage 100.0%)\n"),
+              std::string::npos)
+        << whole.text();
     EXPECT_NE(whole.json(false).find("\"dropped\": 0"),
               std::string::npos);
 }

@@ -37,7 +37,6 @@ import sys
 STAGES = [
     "issue", "queue", "dma_send", "net", "dma_recv", "flag",
     "ring_deposit", "ring_receive", "retransmit", "barrier",
-    "barrier_wait",
 ]
 
 
